@@ -8,7 +8,6 @@ from .errors import (
     DimensionError,
     HaarMomentsError,
     NegativeVarianceError,
-    QuadratureError,
     SingularDimensionError,
     SingularWeingartenError,
 )

@@ -2,27 +2,31 @@
 
 Poisson (uncorrelated levels, flat density on [-2, 2]) has closed forms for
 the averages of |f(t)|^2, Re{f(t)^2 f*(2t)} and |f(t)|^4.  The Gaussian
-unitary ensemble comes in two flavours: GUE_NUMERIC evaluates the exact
-determinantal two-point integral built from scaled Hermite functions
-(practical for d <= 16), while GUE_LARGE_D uses the factorized large-d limit
-h(t) = J1(2t)/t.  Both share the <|H_ij|^2> = 1/d normalization, so every
-ensemble lives on the spectral span [-2, 2].
+unitary ensemble comes in two flavours.  GUE_NUMERIC is exact at finite d:
+its levels form a determinantal process whose kernel is built from scaled
+Hermite functions, so every average is a finite sum of traces of the d x d
+blocks G(tau)_kl = int phi_k phi_l exp(-i E tau) dE.  Each block is one
+trapezoidal sum on a uniform grid whose window and step are closed-form
+bounds in (d, tau), with no convergence loop.  GUE_LARGE_D uses the factorized
+large-d limit h(t) = J1(2t)/t.  Both share the <|H_ij|^2> = 1/d
+normalization, so every ensemble lives on the spectral span [-2, 2].
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .closed_forms import FormFactorInputs, TimeCoeffs, time_coeffs
 from .errors import DimensionError
 from .linalg import BipartiteDims, RngStream, sample_gue_hamiltonians
-from .quadrature import integrate
+from .weingarten import cycles_of
 
 GUE_NUMERIC_MAX_DIM = 16
 GUE_DENSITY_MAX_DIM = 64
@@ -165,9 +169,23 @@ def poisson_form_factors(t: float, d: int) -> AveragedFormFactors:
 
 
 def _gue_window(d: int) -> float:
-    # Semicircle support [-2, 2] plus enough room that the Gaussian tails of
-    # the highest Hermite function are below 1e-12.
-    return 2.0 + 10.0 / math.sqrt(d)
+    # Semicircle support [-2, 2] plus room for the Gaussian tails of the
+    # highest Hermite function, whose square is below double precision there.
+    return 2.0 + 12.0 / math.sqrt(d)
+
+
+def _gue_grid(d: int, tau: float) -> tuple[np.ndarray, float]:
+    """Uniform abscissae E = h j covering the window, and the step h.
+
+    The integrands phi_k phi_l exp(-i E tau) are entire and decay like a
+    Gaussian, so the trapezoidal rule converges geometrically once the
+    Nyquist frequency 2 pi / h exceeds their bandwidth: |tau| from the phase,
+    2d from the highest pair of Hermite functions and 12 sqrt(d) for the tails
+    (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+    """
+    step = 2.0 * math.pi / (abs(tau) + 2.0 * d + 12.0 * math.sqrt(d))
+    j = math.ceil(_gue_window(d) / step)
+    return step * np.arange(-j, j + 1), step
 
 
 def _hermite_functions(e: np.ndarray, d: int) -> np.ndarray:
@@ -209,57 +227,85 @@ def _require_gue_numeric(d: int):
         )
 
 
-@lru_cache(maxsize=65536)
-def _gue_h_numeric(t: float, d: int) -> complex:
-    if t == 0.0:
-        return 1.0 + 0.0j
-    w = _gue_window(d)
+def _gue_block(tau: float, d: int) -> np.ndarray:
+    """G(tau)_kl = int phi_k(E) phi_l(E) exp(-i E tau) dE; G(0) is exactly I_d.
 
-    def integrand(e):
-        return gue_level_density(e, d) * np.exp(-1j * e * t)
+    The products here and in ``_gue_moment`` use einsum's own loops: at
+    d <= 16 BLAS is no faster, and not calling it keeps its kernels out of
+    the resident memory of a process that needs no other BLAS call.
+    """
+    if tau == 0.0:
+        return np.eye(d, dtype=complex)
+    e, step = _gue_grid(d, tau)
+    phi = _hermite_functions(e, d)
+    return np.einsum("kn,ln->kl", phi, step * np.exp(-1j * tau * e) * phi)
 
-    return integrate(integrand, -w, w, rel_tol=1e-8, abs_tol=1e-10) / d
+
+def _set_partitions(items: list) -> list:
+    """Every partition of items into blocks, each block in the items' order."""
+    if not items:
+        return [[]]
+    first, rest = items[0], items[1:]
+    out = []
+    for p in _set_partitions(rest):
+        out.append([[first], *p])
+        out += [[*p[:i], [first, *b], *p[i + 1 :]] for i, b in enumerate(p)]
+    return out
+
+
+def _gue_moment(taus, block) -> complex:
+    """E[prod_a S(tau_a)] over d-level GUE spectra, S(tau) = sum_j exp(-i E_j tau).
+
+    The levels form a determinantal process with the rank-d projection
+    kernel sum_k phi_k(E) phi_k(E').  Grouping coinciding level indices by a
+    set partition pi of the factors and expanding the correlation
+    determinant of the distinct levels gives
+
+        sum_pi sum_{sigma in S_|pi|} prod_{cycles c of sigma}
+            (-1)^(|c| - 1) Tr prod_{B in c} G(tau_B),
+
+    with tau_B the sum of the tau_a in block B.  ``block(tau)`` returns G(tau).
+    """
+    trace = functools.cache(
+        lambda cycle: np.trace(
+            functools.reduce(lambda a, b: np.einsum("ij,jk->ik", a, b), map(block, cycle))
+        )
+    )
+    total = 0j
+    for partition in _set_partitions(list(taus)):
+        sums = [sum(b) for b in partition]
+        for perm in itertools.permutations(range(len(sums))):
+            term = 1.0 + 0j
+            for cycle in cycles_of(perm):
+                term *= (-1) ** (len(cycle) - 1) * trace(tuple(sums[i] for i in cycle))
+            total += term
+    return complex(total)
+
+
+def _gue_blocks(d: int):
+    """G(tau) at dimension d, each block computed once per returned callable."""
+    return functools.cache(lambda tau: _gue_block(tau, d))
 
 
 def gue_h(t: float, d: int, mode: EnsembleKind) -> complex:
     """Ensemble mean of f(t): Fourier transform of R1/d.
 
-    GUE_NUMERIC integrates the Hermite-function density by quadrature;
-    GUE_LARGE_D returns the large-d limit J1(2t)/t.
+    GUE_NUMERIC returns the exact finite-d value Tr G(t)/d; GUE_LARGE_D
+    returns the large-d limit J1(2t)/t.
     """
     if mode == EnsembleKind.GUE_NUMERIC:
         _require_gue_numeric(d)
-        return _gue_h_numeric(float(t), d)
+        return complex(_gue_moment((float(t),), _gue_blocks(d)) / d)
     if mode == EnsembleKind.GUE_LARGE_D:
         return complex(bessel_j1_over_t(float(t)))
     raise ValueError(f"gue_h expects a GUE mode, got {mode}")
 
 
-@lru_cache(maxsize=65536)
-def _gue_f2_numeric(t: float, d: int) -> float:
-    """Exact GUE <|f(t)|^2> from the determinantal two-point function."""
-    if t == 0.0:
-        return 1.0
-    w = _gue_window(d)
-    h = _gue_h_numeric(t, d)
-    kernel_sq = 0.0
-    for k in range(d):
-        for l in range(k, d):
-
-            def integrand(e, k=k, l=l):
-                phi = _hermite_functions(e, d)
-                return phi[k] * phi[l] * np.exp(-1j * e * t)
-
-            g = integrate(integrand, -w, w, rel_tol=1e-8, abs_tol=1e-10)
-            kernel_sq += (1.0 if k == l else 2.0) * abs(g) ** 2
-    return 1.0 / d + abs(h) ** 2 - kernel_sq / d**2
-
-
 def gue_form_factors(t: float, d: int, mode: EnsembleKind) -> AveragedFormFactors:
     """GUE averages of the spectral functions at time t.
 
-    GUE_NUMERIC: |f|^2 exact via R2 = R1 R1 - |K|^2; the third- and
-    fourth-order functions use the factorization through h(t) and <|f|^2>^2.
+    GUE_NUMERIC: all four functions exact at finite d, as moments of
+    S(tau) = d f(tau) from the blocks G(+-t), G(+-2t) (see ``_gue_moment``).
     GUE_LARGE_D: everything factorizes through h(t) = J1(2t)/t.
     """
     t = float(t)
@@ -283,14 +329,12 @@ def gue_form_factors(t: float, d: int, mode: EnsembleKind) -> AveragedFormFactor
                 f2=1.0, f2_2t=1.0, re_f2fc2t=1.0, f4=1.0,
                 ensemble=mode, t=t, d=d,
             )
-        h1 = _gue_h_numeric(t, d)
-        h2 = _gue_h_numeric(2.0 * t, d)
-        f2 = _gue_f2_numeric(t, d)
+        block = _gue_blocks(d)
         return AveragedFormFactors(
-            f2=f2,
-            f2_2t=_gue_f2_numeric(2.0 * t, d),
-            re_f2fc2t=float((h1 * h1 * h2.conjugate()).real),
-            f4=f2**2,
+            f2=_gue_moment((t, -t), block).real / d**2,
+            f2_2t=_gue_moment((2.0 * t, -2.0 * t), block).real / d**2,
+            re_f2fc2t=_gue_moment((t, t, -2.0 * t), block).real / d**3,
+            f4=_gue_moment((t, t, -t, -t), block).real / d**4,
             ensemble=mode, t=t, d=d,
         )
     raise ValueError(f"gue_form_factors expects a GUE mode, got {mode}")

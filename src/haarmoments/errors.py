@@ -19,7 +19,3 @@ class SingularDimensionError(HaarMomentsError, ValueError):
 
 class NegativeVarianceError(HaarMomentsError, ArithmeticError):
     """A variance formula returned a value below the numerical noise floor."""
-
-
-class QuadratureError(HaarMomentsError, ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""

@@ -27,7 +27,12 @@ from haarmoments.linalg import (
     partial_trace_env,
     partial_trace_sys,
 )
-from haarmoments.mc import empirical_reduced_norm, empirical_thermal_distance
+from haarmoments.mc import (
+    empirical_purity,
+    empirical_reduced_norm,
+    empirical_thermal_distance,
+    product_state,
+)
 
 from conftest import random_complex, random_state
 
@@ -177,6 +182,14 @@ def test_purity_evolution_bounds_gue_numeric():
     vals = purity_evolution(EnsembleKind.GUE_NUMERIC, dims, 1.0, times).values
     assert np.all(vals >= 0.5 - 1e-6)
     assert np.all(vals <= 1 + 1e-6)
+
+
+def test_purity_evolution_gue_numeric_against_mc():
+    dims = BipartiteDims(2, 2)
+    for i, t in enumerate((0.5, 1.0, 2.0)):
+        ana = purity_evolution(EnsembleKind.GUE_NUMERIC, dims, 1.0, [t]).values[0]
+        est = empirical_purity(dims, "gue", product_state(dims), t, 40_000, RngStream(61, i))
+        assert abs(est.mean - ana) <= 5 * est.stderr, t
 
 
 def test_purity_evolution_uniform_is_flat():

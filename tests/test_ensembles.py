@@ -5,7 +5,9 @@ import pytest
 
 from haarmoments.ensembles import (
     EnsembleKind,
-    _gue_window,
+    _gue_block,
+    _gue_grid,
+    _hermite_functions,
     _j1_asymptotic,
     _j1_series,
     averaged_time_coeffs,
@@ -19,10 +21,8 @@ from haarmoments.ensembles import (
     sample_poisson_spectrum,
     sinc,
 )
-from haarmoments.ensembles import _gue_f2_numeric
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import BipartiteDims, RngStream, sample_gue_hamiltonians
-from haarmoments.quadrature import integrate
 
 # high-precision reference values (Abramowitz & Stegun conventions)
 J1_REFERENCE = [
@@ -128,9 +128,8 @@ def test_poisson_bounds_invariants():
 
 def test_gue_level_density_normalization():
     d = 4
-    w = _gue_window(d)
-    val = integrate(lambda e: gue_level_density(e, d), -w, w, rel_tol=1e-10)
-    assert abs(val.real - d) <= 1e-8
+    e, step = _gue_grid(d, 0.0)
+    assert abs(step * np.sum(gue_level_density(e, d)) - d) <= 1e-12
 
 
 def test_gue_level_density_values():
@@ -186,8 +185,101 @@ def test_gue_large_d_warns_below_16():
 
 def test_gue_numeric_f2_in_range():
     for t in (0.5, 1.0, 3.0):
-        f2 = _gue_f2_numeric(t, 4)
+        f2 = gue_form_factors(t, 4, EnsembleKind.GUE_NUMERIC).f2
         assert -1e-8 <= f2 <= 1.0 + 1e-8
+
+
+# h(t) and <|f(t)|^2> of GUE_NUMERIC from an independent method, adaptive
+# Gauss-Kronrod quadrature of the Hermite-function integrals at relative
+# tolerance 1e-8: (d, t, h(t), <|f(t)|^2>).
+GUE_QUADRATURE_TABLE = [
+    (2, 0.25, 0.9691136801771989, 0.954328078660786),
+    (2, 1.0, 0.5841005873035539, 0.5000000000000001),
+    (2, 2.5, -0.11790640527249116, 0.3846655492385557),
+    (2, 6.0, -0.000987278432693413, 0.4999997334753544),
+    (4, 0.25, 0.969083792977266, 0.9429100874032917),
+    (4, 1.0, 0.5785640500668556, 0.37449214177636925),
+    (4, 2.5, -0.1291056174893295, 0.11447758179401984),
+    (4, 6.0, -0.026383866778325465, 0.21458524278349927),
+    (8, 0.25, 0.9690763212632105, 0.9400555889062785),
+    (8, 1.0, 0.5771843248536543, 0.34308375298179167),
+    (8, 2.5, -0.13062753319811013, 0.041812758176150766),
+    (8, 6.0, -0.03989543716121056, 0.05994029875589264),
+    (16, 0.25, 0.9690744533400664, 0.939341964239359),
+    (16, 1.0, 0.5768396686952417, 0.3352296966809024),
+    (16, 2.5, -0.1309353519045583, 0.023349602811103688),
+    (16, 6.0, -0.038159197915971055, 0.016303643003755197),
+]
+
+
+def test_gue_numeric_matches_quadrature_table():
+    for d, t, h, f2 in GUE_QUADRATURE_TABLE:
+        assert abs(gue_h(t, d, EnsembleKind.GUE_NUMERIC) - h) <= 1e-10, (d, t)
+        assert abs(gue_form_factors(t, d, EnsembleKind.GUE_NUMERIC).f2 - f2) <= 1e-10, (d, t)
+
+
+def _laguerre1(n, x):
+    # generalized Laguerre L_n^(1)(x), n >= 1, by the three-term recurrence
+    prev, cur = 1.0, 2.0 - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 2 - x) * cur - (k + 1) * prev) / (k + 1)
+    return cur
+
+
+def test_gue_h_against_laguerre_closed_form():
+    # finite-d one-point function: <f(t)> = exp(-t^2/2d) L^(1)_{d-1}(t^2/d) / d
+    for d in (2, 4, 8, 16):
+        for t in np.linspace(0.1, 5.0, 50):
+            exact = np.exp(-(t**2) / (2 * d)) * _laguerre1(d - 1, t**2 / d) / d
+            assert abs(np.trace(_gue_block(t, d)) / d - exact) <= 1e-12, (d, t)
+
+
+def _jacobi_blocks(d, times):
+    # P exp(-i t sqrt(2/d) Y) P with Y the position operator in the Hermite
+    # basis, truncated to N functions and diagonalised once (Golub-Welsch).
+    n = d + 40 + int(np.ceil(max(times) ** 2 / d))
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    y, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return [(v[:d] * np.exp(-1j * t * np.sqrt(2.0 / d) * y)) @ v[:d].T for t in times]
+
+
+def test_gue_block_against_jacobi_matrix():
+    times = [0.1, 0.7, 2.0, 5.0, 12.0, 30.0]
+    for d in (2, 4, 8, 16):
+        for t, ref in zip(times, _jacobi_blocks(d, times)):
+            assert np.max(np.abs(_gue_block(t, d) - ref)) <= 1e-13, (d, t)
+        assert np.array_equal(_gue_block(0.0, d), np.eye(d))
+
+
+def test_gue_block_step_halving():
+    for d in (2, 8, 16):
+        for t in (100.0, 200.0):
+            e, step = _gue_grid(d, t)
+            j = len(e) // 2
+            fine = (step / 2) * np.arange(-2 * j, 2 * j + 1)
+            phi = _hermite_functions(fine, d)
+            halved = phi @ (step / 2 * np.exp(-1j * t * fine) * phi).T
+            assert np.max(np.abs(_gue_block(t, d) - halved)) <= 1e-13, (d, t)
+
+
+def test_gue_numeric_against_sampled_spectra():
+    n = 100_000
+    for d in (4, 8):
+        gen = np.random.default_rng([505, d])
+        levels = np.linalg.eigvalsh(sample_gue_hamiltonians(d, n, gen))
+        for t in (0.5, 1.0, 2.0):
+            f = np.exp(-1j * levels * t).mean(axis=1)
+            f2t = np.exp(-2j * levels * t).mean(axis=1)
+            ff = gue_form_factors(t, d, EnsembleKind.GUE_NUMERIC)
+            samples = {
+                "f2": (np.abs(f) ** 2, ff.f2),
+                "f2_2t": (np.abs(f2t) ** 2, ff.f2_2t),
+                "re": ((f * f * np.conj(f2t)).real, ff.re_f2fc2t),
+                "f4": (np.abs(f) ** 4, ff.f4),
+            }
+            for name, (vals, ana) in samples.items():
+                se = vals.std(ddof=1) / np.sqrt(n)
+                assert abs(vals.mean() - ana) <= 5 * se, (d, t, name)
 
 
 def test_long_time_plateau():
@@ -196,7 +288,7 @@ def test_long_time_plateau():
     for d, mean_f2 in (
         (4, np.mean([poisson_form_factors(t, 4).f2 for t in grid])),
         (8, np.mean([poisson_form_factors(t, 8).f2 for t in grid])),
-        (4, np.mean([_gue_f2_numeric(t, 4) for t in grid])),
+        (4, np.mean([gue_form_factors(t, 4, EnsembleKind.GUE_NUMERIC).f2 for t in grid])),
     ):
         assert 0.5 / d <= mean_f2 <= 2.0 / d
 

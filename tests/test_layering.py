@@ -1,0 +1,60 @@
+"""Import layering of the package, read from its source with ast."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = "haarmoments"
+SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+THIRD_PARTY_ALLOWED = {"numpy"}
+
+
+def _imports(path: Path) -> set[str]:
+    """Modules a source file imports: package modules as 'haarmoments.<name>',
+    anything else by its top-level name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:
+                module = f"{PACKAGE}.{module}" if module else PACKAGE
+            if module == PACKAGE:
+                found.update(f"{PACKAGE}.{alias.name}" for alias in node.names)
+            else:
+                found.add(module)
+    return found
+
+
+def _package_imports(module: str) -> set[str]:
+    """Package modules that module imports, directly or through other package modules."""
+    seen = set()
+    todo = [module]
+    while todo:
+        path = SRC / f"{todo.pop()}.py"
+        for name in _imports(path):
+            if name.startswith(f"{PACKAGE}."):
+                sub = name.split(".")[1]
+                if (SRC / f"{sub}.py").exists() and sub not in seen:
+                    seen.add(sub)
+                    todo.append(sub)
+    return seen
+
+
+def test_mc_is_independent_of_the_analytic_route():
+    # The Monte Carlo oracle cross-checks the analytic modules, so it must not
+    # reach them through any chain of imports.
+    assert _package_imports("mc").isdisjoint({"weingarten", "closed_forms", "ensembles"})
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    for path in sorted(SRC.glob("*.py")):
+        outside = {name.split(".")[0] for name in _imports(path)}
+        outside -= set(sys.stdlib_module_names) | THIRD_PARTY_ALLOWED | {PACKAGE}
+        assert not outside, (path.name, outside)
+
+
+def test_import_reader_sees_every_form():
+    assert _package_imports("validate") >= {"mc", "weingarten", "ensembles", "linalg"}
+    assert "numpy" in _imports(SRC / "linalg.py")
