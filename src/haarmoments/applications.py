@@ -11,8 +11,10 @@ import numpy as np
 from .closed_forms import (
     FormFactorInputs,
     general_average,
+    time_coeffs,
+    uniform_average,
     uniform_coeffs,
-    variance_coeffs,
+    uniform_variance,
 )
 from .ensembles import (
     AveragedFormFactors,
@@ -31,8 +33,8 @@ from .linalg import (
     partial_trace_env,
     partial_trace_sys,
     sample_gue_hamiltonians,
-    trace_power,
 )
+from .mc import accumulate_chunks
 
 MARGINAL_MATCH_TOL = 1e-9
 ENVELOPE_WINDOW = math.pi / 2  # oscillation period of the sin(2t)-type factors
@@ -74,16 +76,8 @@ class ThermalizationCurve:
 
 def two_state_uniform(rho, rho_p, dims: BipartiteDims) -> tuple[float, float]:
     """Mean and variance of ||Tr_E{U (rho - rho') U^dag}||^2 over Haar U."""
-    rho = check_state(rho)
-    rho_p = check_state(rho_p)
-    m = rho - rho_p
-    if m.shape[0] != dims.d:
-        raise DimensionError(f"state dim {m.shape[0]} != d = {dims.d}")
-    c1, _ = uniform_coeffs(dims)
-    _, _, _, c4, c5 = variance_coeffs(dims)
-    t2 = trace_power(m, 2).real
-    t4 = trace_power(m, 4).real
-    return c1 * hs_norm_sq(m), c4 * t2**2 + c5 * t4
+    m = check_state(rho) - check_state(rho_p)
+    return uniform_average(m, dims), uniform_variance(m, dims)
 
 
 def two_state_general(rho, rho_p, dims: BipartiteDims, ff: FormFactorInputs) -> float:
@@ -100,8 +94,6 @@ def two_state_general(rho, rho_p, dims: BipartiteDims, ff: FormFactorInputs) -> 
     env_gap = np.max(np.abs(partial_trace_env(m, dims)))
     sys_gap = np.max(np.abs(partial_trace_sys(m, dims)))
     if env_gap <= MARGINAL_MATCH_TOL and sys_gap <= MARGINAL_MATCH_TOL:
-        from .closed_forms import time_coeffs
-
         return time_coeffs(ff, dims).ct1 * hs_norm_sq(m)
     return general_average(m, dims, ff)
 
@@ -195,8 +187,6 @@ def gibbs_purity_mc(
     workers: int | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the Gibbs purity over spectra."""
-    from .mc import accumulate_chunks
-
     if ensemble not in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC):
         raise ValueError(f"gibbs_purity_mc supports Poisson/GUE sampling, got {ensemble}")
     if beta == 0.0:
@@ -209,13 +199,10 @@ def gibbs_purity_mc(
             levels = np.linalg.eigvalsh(sample_gue_hamiltonians(d, count, gen))
         shifted = levels - levels.min(axis=1, keepdims=True)
         w = np.exp(-beta * shifted)
-        p = np.sum(w**2, axis=1) / np.sum(w, axis=1) ** 2
-        return np.array([p.sum(), (p**2).sum()])
+        return (np.sum(w**2, axis=1) / np.sum(w, axis=1) ** 2,)
 
-    s1, s2 = accumulate_chunks(chunk, n, rng, workers=workers)
-    mean = s1 / n
-    var = max(s2 / n - mean**2, 0.0) * n / max(n - 1, 1)
-    return mean, math.sqrt(var / n)
+    est = accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
+    return est.mean, est.stderr
 
 
 def closed_thermalization(p_gibbs: float, p0: float, d: int) -> float:

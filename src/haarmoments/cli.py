@@ -275,7 +275,6 @@ def _write_figure(args) -> int:
         "config": {
             "ds": args.ds,
             "de": args.de,
-            "ensemble": args.ensemble,
             "t0": args.t0,
             "t1": args.t1,
             "nt": args.nt,
@@ -365,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("name", choices=FIGURES)
     fig.add_argument("--ds", type=int, default=2)
     fig.add_argument("--de", type=int, default=2)
-    fig.add_argument("--ensemble", choices=[k.value for k in EnsembleKind], default="poi")
     fig.add_argument("--t0", type=float, default=None)
     fig.add_argument("--t1", type=float, default=None)
     fig.add_argument("--nt", type=int, default=None)

@@ -22,7 +22,6 @@ from .linalg import (
     trace_power,
 )
 
-VARIANCE_CLAMP = 1e-10
 VARIANCE_BUG_FLOOR = -1e-6
 
 
@@ -46,9 +45,6 @@ class TimeCoeffs:
     ct2: float
     ct3: float
     ct4: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.ct1, self.ct2, self.ct3, self.ct4)
 
 
 def f_of_t(levels, t: float) -> complex:
@@ -102,16 +98,17 @@ def uniform_average(m, dims: BipartiteDims) -> float:
 
 
 def uniform_variance(m, dims: BipartiteDims) -> float:
-    """Haar variance of ||Tr_E{U M U^dag}||^2 for Hermitian M."""
+    """Haar variance of ||Tr_E{U M U^dag}||^2 for Hermitian M.
+
+    Invariant under M -> M + c I, so it is evaluated without cancellation on
+    M0 = M - (Tr M / d) I, where Tr M0 = 0 leaves c4 (Tr M0^2)^2 + c5 Tr M0^4.
+    """
     m = as_matrix(m)
     if m.shape[0] != dims.d:
         raise DimensionError(f"matrix dim {m.shape[0]} != d = {dims.d}")
-    c1, c2, c3, c4, c5 = variance_coeffs(dims)
-    t1 = trace_power(m, 1).real
-    t2 = trace_power(m, 2).real
-    t3 = trace_power(m, 3).real
-    t4 = trace_power(m, 4).real
-    var = c1 * t1**4 + c2 * t1 * t3 + c3 * t1**2 * t2 + c4 * t2**2 + c5 * t4
+    _, _, _, c4, c5 = variance_coeffs(dims)
+    m0 = m - trace_power(m, 1).real / dims.d * np.eye(dims.d)
+    var = c4 * trace_power(m0, 2).real ** 2 + c5 * trace_power(m0, 4).real
     if var < VARIANCE_BUG_FLOOR:
         raise NegativeVarianceError(
             f"variance {var} below noise floor; coefficient formulas corrupted"

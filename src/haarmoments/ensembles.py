@@ -38,13 +38,6 @@ class EnsembleKind(enum.Enum):
     GUE_NUMERIC = "gue"
     GUE_LARGE_D = "gue-large-d"
 
-    @classmethod
-    def from_name(cls, name: str) -> "EnsembleKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown ensemble {name!r}")
-
 
 @dataclass(frozen=True)
 class AveragedFormFactors(FormFactorInputs):

@@ -6,8 +6,9 @@ or the closed-form coefficients, so agreement between the two routes is a
 real cross-check.
 
 Sampling is chunked: chunk i uses the generator derived from
-(seed, stream, i) and partial sums are reduced in chunk order, so results are
-bit-identical for any worker count.
+(seed, stream, i), and per-chunk central moments are merged in chunk order, so
+results are bit-identical for any worker count and a constant offset of the
+samples does not cancel.
 """
 
 from __future__ import annotations
@@ -39,6 +40,59 @@ class McEstimate:
     n: int
 
 
+@dataclass(frozen=True)
+class McMoments:
+    """Sample count, mean and central sums sum (x - mean)^p, p = 2, 3, 4, entrywise."""
+
+    n: int
+    mean: np.ndarray | float
+    m2: np.ndarray | float
+    m3: np.ndarray | float
+    m4: np.ndarray | float
+
+    @classmethod
+    def of(cls, x) -> McMoments:
+        """Two passes over the samples on the first axis of x: the mean (of the
+        offsets from the first sample, so a common offset never enters a sum),
+        then the central sums."""
+        x = np.asarray(x, dtype=float)
+        dev = x - x[0]
+        shift = dev.mean(axis=0)
+        dev -= shift
+        mean = x[0] + shift
+        power = dev * dev
+        m2 = power.sum(axis=0)
+        power *= dev
+        m3 = power.sum(axis=0)
+        power *= dev
+        return cls(x.shape[0], mean, m2, m3, power.sum(axis=0))
+
+    def merge(self, other: McMoments) -> McMoments:
+        """Pooled moments of two disjoint samples (Chan-Golub-LeVeque, Pebay)."""
+        na, nb, n = self.n, other.n, self.n + other.n
+        delta = other.mean - self.mean
+        dn = delta / n
+        m2 = self.m2 + other.m2 + delta * dn * na * nb
+        m3 = (self.m3 + other.m3 + delta * dn**2 * na * nb * (na - nb)
+              + 3 * dn * (na * other.m2 - nb * self.m2))
+        m4 = (self.m4 + other.m4 + delta * dn**3 * na * nb * (na * na - na * nb + nb * nb)
+              + 6 * dn**2 * (na * na * other.m2 + nb * nb * self.m2)
+              + 4 * dn * (na * other.m3 - nb * self.m3))
+        return McMoments(n, self.mean + nb * dn, m2, m3, m4)
+
+    def estimate(self) -> McEstimate:
+        """The mean, with standard error sqrt(M2 / (n (n - 1)))."""
+        n = self.n
+        return McEstimate(mean=self.mean, stderr=np.sqrt(self.m2 / (n * (n - 1))), n=n)
+
+    def variance(self) -> McEstimate:
+        """The sample variance M2 / (n - 1), with standard error sqrt((m4 - m2^2) / n)."""
+        n = self.n
+        var = self.m2 / (n - 1)
+        spread = np.maximum(self.m4 / n - var**2, 0.0)
+        return McEstimate(mean=var, stderr=np.sqrt(spread / n), n=n)
+
+
 def worker_count(explicit: int | None = None) -> int:
     if explicit is not None:
         return max(1, explicit)
@@ -48,10 +102,15 @@ def worker_count(explicit: int | None = None) -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def accumulate_chunks(chunk_fn, n: int, rng: RngStream, workers: int | None = None):
-    """Sum chunk_fn(generator, count) over fixed-size chunks, in chunk order.
+def accumulate_chunks(
+    chunk_fn, n: int, rng: RngStream, workers: int | None = None
+) -> list[McMoments]:
+    """Moments of the samples chunk_fn(generator, count) draws over fixed-size chunks.
 
-    chunk_fn returns a tuple/list/array of partial sums over its samples.
+    chunk_fn returns a sequence of real per-sample arrays, samples on the
+    first axis.  Each chunk is reduced to McMoments in its worker; the chunks
+    are merged in chunk order, so the result is bit-identical for any worker
+    count.  Returns one McMoments per array.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -59,32 +118,15 @@ def accumulate_chunks(chunk_fn, n: int, rng: RngStream, workers: int | None = No
     if n % CHUNK:
         sizes.append(n % CHUNK)
 
-    def run(i: int):
-        return chunk_fn(rng.generator(i), sizes[i])
+    def run(i: int) -> list[McMoments]:
+        return [McMoments.of(x) for x in chunk_fn(rng.generator(i), sizes[i])]
 
-    w = worker_count(workers)
-    if w == 1:
-        parts = map(run, range(len(sizes)))
-    else:
-        executor = ThreadPoolExecutor(max_workers=w)
+    with ThreadPoolExecutor(max_workers=worker_count(workers)) as executor:
         parts = executor.map(run, range(len(sizes)))
-    total = None
-    for part in parts:
-        if total is None:
-            total = [np.array(p, dtype=np.result_type(p, float)) for p in part]
-        else:
-            for acc, p in zip(total, part):
-                acc += p
-    if w != 1:
-        executor.shutdown()
+        total = next(parts)
+        for part in parts:
+            total = [a.merge(b) for a, b in zip(total, part)]
     return total
-
-
-def _scalar_estimate(sums, n: int) -> McEstimate:
-    s1, s2 = float(sums[0]), float(sums[1])
-    mean = s1 / n
-    var = max(s2 / n - mean**2, 0.0)
-    return McEstimate(mean=mean, stderr=float(np.sqrt(var / n)), n=n)
 
 
 def empirical_moments(
@@ -112,16 +154,13 @@ def empirical_moments(
             for k, x in enumerate(xs):
                 w = w @ x
                 w = w @ (uh if k % 2 == 0 else u)
-            out.append(w.sum(axis=0))
-            out.append((w.real**2 + w.imag**2).sum(axis=0))
+            out.append(w.view(float))
         return out
 
-    sums = accumulate_chunks(chunk, n, rng, workers=workers)
     estimates = []
-    for j in range(len(mats)):
-        mean = sums[2 * j] / n
-        var = np.maximum(sums[2 * j + 1] / n - np.abs(mean) ** 2, 0.0)
-        estimates.append(McEstimate(mean=mean, stderr=np.sqrt(var / n), n=n))
+    for moments in accumulate_chunks(chunk, n, rng, workers=workers):
+        se = moments.estimate().stderr.reshape(d, d, 2)
+        estimates.append(McEstimate(moments.mean.view(complex), np.hypot(se[..., 0], se[..., 1]), n))
     return estimates
 
 
@@ -149,18 +188,10 @@ def empirical_reduced_norm(
         u = sample_haar_unitaries(dims.d, count, gen)
         a = u @ m @ u.conj().swapaxes(-1, -2)
         pt = _batch_ptrace_env(a, dims)
-        x = np.sum(pt.real**2 + pt.imag**2, axis=(1, 2))
-        return np.array([x.sum(), (x**2).sum(), (x**3).sum(), (x**4).sum()])
+        return (np.sum(pt.real**2 + pt.imag**2, axis=(1, 2)),)
 
-    s1, s2, s3, s4 = accumulate_chunks(chunk, n, rng, workers=workers)
-    mu = s1 / n
-    m2 = max(s2 / n - mu**2, 0.0)
-    m3 = s3 / n - 3 * mu * (s2 / n) + 2 * mu**3
-    m4 = s4 / n - 4 * mu * (s3 / n) + 6 * mu**2 * (s2 / n) - 3 * mu**4
-    mean_est = McEstimate(mean=mu, stderr=float(np.sqrt(m2 / n)), n=n)
-    var_se = float(np.sqrt(max(m4 - m2**2, 0.0) / n))
-    var_est = McEstimate(mean=m2, stderr=var_se, n=n)
-    return mean_est, var_est
+    (moments,) = accumulate_chunks(chunk, n, rng, workers=workers)
+    return moments.estimate(), moments.variance()
 
 
 def empirical_fixed_spectrum(
@@ -188,10 +219,9 @@ def empirical_fixed_spectrum(
         uth = ut.conj().swapaxes(-1, -2)
         a = ut @ m @ uth
         pt = _batch_ptrace_env(a, dims)
-        x = np.sum(pt.real**2 + pt.imag**2, axis=(1, 2))
-        return np.array([x.sum(), (x**2).sum()])
+        return (np.sum(pt.real**2 + pt.imag**2, axis=(1, 2)),)
 
-    return _scalar_estimate(accumulate_chunks(chunk, n, rng, workers=workers), n)
+    return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
 
 
 def schmidt_state(dims: BipartiteDims, p0: float) -> np.ndarray:
@@ -264,10 +294,9 @@ def empirical_purity(
             phi = np.einsum("sij,sj->si", w, phases * inner)
         phi = phi.reshape(count, dims.d_s, dims.d_e)
         rho_s = np.einsum("sae,sbe->sab", phi, phi.conj())
-        x = np.sum(rho_s.real**2 + rho_s.imag**2, axis=(1, 2))
-        return np.array([x.sum(), (x**2).sum()])
+        return (np.sum(rho_s.real**2 + rho_s.imag**2, axis=(1, 2)),)
 
-    return _scalar_estimate(accumulate_chunks(chunk, n, rng, workers=workers), n)
+    return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
 
 
 def empirical_thermal_distance(
@@ -299,7 +328,6 @@ def empirical_thermal_distance(
         b = np.einsum("sji,jk,skl->sil", w.conj(), rho0, w)
         c = p[None, :, None] * b * p.conj()[None, None, :]
         diff = c - np.diag(gibbs_diag)[None, :, :]
-        x = np.sum(diff.real**2 + diff.imag**2, axis=(1, 2))
-        return np.array([x.sum(), (x**2).sum()])
+        return (np.sum(diff.real**2 + diff.imag**2, axis=(1, 2)),)
 
-    return _scalar_estimate(accumulate_chunks(chunk, n, rng, workers=workers), n)
+    return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()

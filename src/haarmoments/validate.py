@@ -118,19 +118,14 @@ def criterion_02_scalar_moments(seed: int, quick: bool, workers) -> CriterionRes
         )
 
         def chunk(gen, count, d=d):
-            u = sample_haar_unitaries(d, count, gen)
-            a2 = np.abs(u[:, 0, 0]) ** 2
-            return np.array(
-                [a2.sum(), (a2**2).sum(), (a2**2).sum(), (a2**4).sum()]
-            )
+            a2 = np.abs(sample_haar_unitaries(d, count, gen)[:, 0, 0]) ** 2
+            return (np.stack([a2, a2**2], axis=1),)
 
-        s1, s2, s2b, s4 = accumulate_chunks(
+        est = accumulate_chunks(
             chunk, n, RngStream(seed, 200 + d), workers=workers
-        )
-        for target, s, ssq in ((1 / d, s1, s2), (2 / (d * (d + 1)), s2b, s4)):
-            mean = s / n
-            se = math.sqrt(max(ssq / n - mean**2, 0.0) / n)
-            worst_mc = max(worst_mc, abs(mean - target) / (5 * se))
+        )[0].estimate()
+        targets = np.array([1 / d, 2 / (d * (d + 1))])
+        worst_mc = max(worst_mc, float(np.max(np.abs(est.mean - targets) / (5 * est.stderr))))
     passed = worst_exact <= 1e-12 and worst_mc <= 1.0
     return CriterionResult(
         "02-scalar-moments",
@@ -265,7 +260,8 @@ def criterion_08_gibbs_ordering(seed: int, quick: bool, workers) -> CriterionRes
     Implemented exactly as stated.  Simulation of the defining quantity shows
     the opposite ordering at beta = 10 (level repulsion suppresses small
     ground-state gaps and therefore *raises* low-temperature purity); see the
-    decisions ledger.  The stated ordering does hold for beta below ~0.78.
+    decisions ledger, DECISIONS.md.  The stated ordering does hold for beta
+    below ~0.79.
     """
     n = 1_000 if quick else 10_000
     p_mean, p_se = gibbs_purity_mc(
@@ -280,7 +276,7 @@ def criterion_08_gibbs_ordering(seed: int, quick: bool, workers) -> CriterionRes
         sep >= 3.0,
         f"(poisson - gue) / combined stderr = {_fmt(sep)} at beta=10 "
         f"(poisson = {_fmt(p_mean)}, gue = {_fmt(g_mean)}); the stated "
-        "ordering is reversed at this temperature - see decisions ledger",
+        "ordering is reversed at this temperature - see the decisions ledger, DECISIONS.md",
     )
 
 
@@ -288,8 +284,6 @@ def criterion_09_gue_numeric_vs_sampled(seed: int, quick: bool, workers) -> Crit
     """All four exact GUE spectral functions at d = 4 match sampled GUE spectra."""
     d = 4
     n = 1_000 if quick else 10_000
-    fields = ("f2", "f2_2t", "re_f2fc2t", "f4")
-
     worst = 0.0
     for ti, t in enumerate((0.5, 1.0, 2.0)):
 
@@ -297,17 +291,16 @@ def criterion_09_gue_numeric_vs_sampled(seed: int, quick: bool, workers) -> Crit
             levels = np.linalg.eigvalsh(sample_gue_hamiltonians(d, count, gen))
             f1 = np.exp(-1j * levels * t).mean(axis=1)
             f2t = np.exp(-2j * levels * t).mean(axis=1)
-            vals = np.array([
+            return (np.stack([
                 np.abs(f1) ** 2, np.abs(f2t) ** 2, (f1 * f1 * f2t.conj()).real, np.abs(f1) ** 4,
-            ])
-            return np.concatenate([vals.sum(axis=1), (vals**2).sum(axis=1)])
+            ], axis=1),)
 
-        sums = accumulate_chunks(chunk, n, RngStream(seed, 910 + ti), workers=workers)
+        est = accumulate_chunks(
+            chunk, n, RngStream(seed, 910 + ti), workers=workers
+        )[0].estimate()
         ff = gue_form_factors(t, d, EnsembleKind.GUE_NUMERIC)
-        for k, field in enumerate(fields):
-            mean = sums[k] / n
-            se = math.sqrt(max(sums[4 + k] / n - mean**2, 0.0) / n)
-            worst = max(worst, abs(getattr(ff, field) - mean) / (5 * se))
+        exact = np.array([ff.f2, ff.f2_2t, ff.re_f2fc2t, ff.f4])
+        worst = max(worst, float(np.max(np.abs(exact - est.mean) / (5 * est.stderr))))
     return CriterionResult(
         "09-gue-numeric-vs-sampled",
         worst <= 1.0,

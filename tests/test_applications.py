@@ -232,7 +232,7 @@ def test_gibbs_purity_mc_stderr_scaling():
 
 def test_poisson_exceeds_gue_at_high_temperature():
     # level repulsion raises low-temperature purity, so the regular-spectrum
-    # advantage appears on the high-temperature side (see decisions ledger)
+    # advantage appears on the high-temperature side (see DECISIONS.md)
     beta = 0.2
     p, pse = gibbs_purity_mc(EnsembleKind.POISSON, 4, beta, 20_000, RngStream(52))
     g, gse = gibbs_purity_mc(EnsembleKind.GUE_NUMERIC, 4, beta, 20_000, RngStream(53))

@@ -89,19 +89,44 @@ def test_uniform_average_dim_mismatch(gen):
         uniform_average(np.eye(5), BipartiteDims(2, 3))
 
 
-def test_negative_variance_guard(monkeypatch, gen):
+TRACELESS = np.diag([1.0, -1.0, 0.0, 0.0])  # Tr M0^2 = Tr M0^4 = 2
+
+
+def test_negative_variance_guard(monkeypatch):
     monkeypatch.setattr(
-        cf, "variance_coeffs", lambda dims: (-1.0, 0.0, 0.0, 0.0, 0.0)
+        cf, "variance_coeffs", lambda dims: (0.0, 0.0, 0.0, -1.0, 0.0)
     )
     with pytest.raises(NegativeVarianceError):
-        uniform_variance(np.eye(4), BipartiteDims(2, 2))
+        uniform_variance(TRACELESS, BipartiteDims(2, 2))
 
 
 def test_variance_clamps_tiny_negative(monkeypatch):
     monkeypatch.setattr(
-        cf, "variance_coeffs", lambda dims: (-1e-9, 0.0, 0.0, 0.0, 0.0)
+        cf, "variance_coeffs", lambda dims: (0.0, 0.0, 0.0, -1e-9, 0.0)
     )
-    assert uniform_variance(np.eye(4), BipartiteDims(2, 2)) == 0.0
+    assert uniform_variance(TRACELESS, BipartiteDims(2, 2)) == 0.0
+
+
+def _power_sum_variance(m, dims):
+    # the c1..c5 trace polynomial evaluated on M itself
+    c1, c2, c3, c4, c5 = variance_coeffs(dims)
+    t1, t2, t3, t4 = (np.trace(np.linalg.matrix_power(m, k)).real for k in (1, 2, 3, 4))
+    return c1 * t1**4 + c2 * t1 * t3 + c3 * t1**2 * t2 + c4 * t2**2 + c5 * t4
+
+
+def test_uniform_variance_matches_power_sum_formula(gen):
+    for ds, de in ((2, 2), (2, 3), (3, 3), (4, 8)):
+        dims = BipartiteDims(ds, de)
+        m = random_hermitian(gen, dims.d)
+        assert uniform_variance(m, dims) == pytest.approx(_power_sum_variance(m, dims), rel=1e-12)
+
+
+def test_uniform_variance_shift_invariant(gen):
+    dims = BipartiteDims(2, 3)
+    h = random_hermitian(gen, dims.d)
+    ref = uniform_variance(h, dims)
+    for c in (1e2, 1e4):
+        assert uniform_variance(h + c * np.eye(dims.d), dims) == pytest.approx(ref, rel=1e-9)
 
 
 def test_time_coeffs_at_zero():

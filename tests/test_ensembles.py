@@ -354,10 +354,10 @@ def test_averaged_time_coeffs_rejects_uniform():
 
 
 def test_ensemble_kind_names():
-    assert EnsembleKind.from_name("poi") is EnsembleKind.POISSON
-    assert EnsembleKind.from_name("gue-large-d") is EnsembleKind.GUE_LARGE_D
+    assert EnsembleKind("poi") is EnsembleKind.POISSON
+    assert EnsembleKind("gue-large-d") is EnsembleKind.GUE_LARGE_D
     with pytest.raises(ValueError):
-        EnsembleKind.from_name("goe")
+        EnsembleKind("goe")
 
 
 def test_sinc_limit():

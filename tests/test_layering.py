@@ -1,11 +1,13 @@
 """Import layering of the package, read from its source with ast."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 PACKAGE = "haarmoments"
-SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / PACKAGE
 THIRD_PARTY_ALLOWED = {"numpy"}
 
 
@@ -58,3 +60,34 @@ def test_package_imports_only_stdlib_and_numpy():
 def test_import_reader_sees_every_form():
     assert _package_imports("validate") >= {"mc", "weingarten", "ensembles", "linalg"}
     assert "numpy" in _imports(SRC / "linalg.py")
+
+
+def _module_constants(path: Path) -> set[str]:
+    """UPPER_CASE names assigned at module level (a leading underscore allowed)."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(
+            t.id for t in targets
+            if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+        )
+    return names
+
+
+def _names_read(path: Path) -> set[str]:
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+    return found
+
+
+def test_every_module_constant_is_read():
+    read = set().union(
+        *(_names_read(p) for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+    )
+    for path in sorted(SRC.glob("*.py")):
+        unread = _module_constants(path) - read
+        assert not unread, (path.name, unread)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from haarmoments.ensembles import EnsembleKind
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import BipartiteDims, RngStream, hs_norm_sq, partial_trace_env
 from haarmoments.mc import (
+    CHUNK,
+    accumulate_chunks,
     empirical_fixed_spectrum,
     empirical_moment,
     empirical_purity,
@@ -132,3 +136,59 @@ def test_stderr_coverage(gen):
         if abs(est.mean - target) <= 2 * est.stderr:
             hits += 1
     assert hits >= 42
+
+
+def _offset_chunk(gen, count):
+    # Each merged chunk mean is rounded to ulp(1e6) ~ 1e-10, which bounds the
+    # pooled stderr's agreement with numpy at about 2e-12 / sigma relative.
+    x = 1e6 + 10.0 * gen.standard_normal((count, 3))
+    return (x, x[:, 0] ** 2)
+
+
+def test_accumulate_chunks_matches_numpy_on_offset_data():
+    # 2 full chunks and a last chunk holding one sample
+    n = 2 * CHUNK + 1
+    rng = RngStream(30)
+    samples = [_offset_chunk(rng.generator(i), c) for i, c in enumerate((CHUNK, CHUNK, 1))]
+    for k, moments in enumerate(accumulate_chunks(_offset_chunk, n, rng)):
+        x = np.concatenate([part[k] for part in samples])
+        est = moments.estimate()
+        assert moments.n == n
+        np.testing.assert_allclose(est.mean, np.mean(x, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(est.stderr, np.std(x, axis=0, ddof=1) / np.sqrt(n), rtol=1e-12)
+        np.testing.assert_allclose(moments.variance().mean, np.var(x, axis=0, ddof=1), rtol=1e-11)
+
+
+def test_accumulate_chunks_bit_identical_across_worker_counts():
+    n = 2 * CHUNK + 1
+    one = accumulate_chunks(_offset_chunk, n, RngStream(31), workers=1)
+    three = accumulate_chunks(_offset_chunk, n, RngStream(31), workers=3)
+    for a, b in zip(one, three):
+        assert a.n == b.n
+        for field in ("mean", "m2", "m3", "m4"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def test_accumulate_chunks_exception_leaves_no_threads():
+    def failing(gen, count):
+        raise RuntimeError("chunk failed")
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        accumulate_chunks(failing, 3 * CHUNK, RngStream(32), workers=3)
+    assert threading.active_count() == before
+
+
+def test_reduced_norm_shift_invariant(gen):
+    # ||Tr_E{U (M + cI) U^dag}||^2 is the c = 0 value shifted by a constant,
+    # so its stderr and variance must not move with c
+    dims = BipartiteDims(2, 3)
+    h = random_hermitian(gen, dims.d)
+    ref_mean, ref_var = empirical_reduced_norm(h, dims, 20_000, RngStream(33))
+    for c in (1e2, 1e4):
+        mean_est, var_est = empirical_reduced_norm(
+            h + c * np.eye(dims.d), dims, 20_000, RngStream(33)
+        )
+        assert mean_est.stderr == pytest.approx(ref_mean.stderr, rel=1e-2)
+        assert var_est.mean == pytest.approx(ref_var.mean, rel=1e-2)
+        assert var_est.stderr == pytest.approx(ref_var.stderr, rel=1e-2)
