@@ -29,7 +29,6 @@ from .weingarten import (
     conjugacy_class_of,
     fourth_moment_closed,
     moment_function,
-    schur_dimension,
     weingarten,
 )
 from .closed_forms import (

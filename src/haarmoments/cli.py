@@ -25,7 +25,7 @@ from .errors import HaarMomentsError, SingularWeingartenError
 from .linalg import BipartiteDims, RngStream
 from .mc import empirical_purity, schmidt_state
 from .validate import report_json, report_lines, run_validation
-from .weingarten import moment_function
+from .weingarten import MAX_HALF_ORDER, moment_function
 
 FIGURES = (
     "coeff-variance",
@@ -326,6 +326,9 @@ def dump_matrix_json(m: np.ndarray) -> str:
     return json.dumps({"dim": int(m.shape[0]), "entries": entries})
 
 
+_PATTERN_LENGTHS = range(1, 2 * MAX_HALF_ORDER, 2)
+
+
 def _run_moment(args) -> int:
     try:
         with open(args.pattern) as fh:
@@ -334,8 +337,11 @@ def _run_moment(args) -> int:
         raise UsageError(f"cannot read pattern file: {exc}") from exc
     if not isinstance(data, list):
         raise UsageError("pattern file must hold a JSON array of matrices")
-    if len(data) not in (1, 3, 5, 7):
-        raise UsageError(f"pattern must hold 1, 3, 5 or 7 matrices, got {len(data)}")
+    if len(data) not in _PATTERN_LENGTHS:
+        raise UsageError(
+            f"pattern must hold an odd number of matrices from 1 to {_PATTERN_LENGTHS[-1]}, "
+            f"got {len(data)}"
+        )
     xs = [load_matrix_json(obj) for obj in data]
     try:
         result = moment_function(xs, args.d)
@@ -383,7 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     val.set_defaults(func=_run_validate)
 
     mom = sub.add_parser("moment", help="evaluate a Haar moment function")
-    mom.add_argument("--pattern", required=True, help="JSON file with 1/3/5/7 matrices")
+    mom.add_argument(
+        "--pattern", required=True,
+        help=f"JSON file with an odd number of matrices, at most {_PATTERN_LENGTHS[-1]}",
+    )
     mom.add_argument("--d", type=int, required=True)
     mom.add_argument("--out", default=None)
     mom.set_defaults(func=_run_moment)

@@ -107,7 +107,7 @@ def accumulate_chunks(
 ) -> list[McMoments]:
     """Moments of the samples chunk_fn(generator, count) draws over fixed-size chunks.
 
-    chunk_fn returns a sequence of real per-sample arrays, samples on the
+    chunk_fn returns an iterable of real per-sample arrays, samples on the
     first axis.  Each chunk is reduced to McMoments in its worker; the chunks
     are merged in chunk order, so the result is bit-identical for any worker
     count.  Returns one McMoments per array.
@@ -146,16 +146,15 @@ def empirical_moments(
                 raise DimensionError(f"operator dim {x.shape[0]} != d = {d}")
 
     def chunk(gen: np.random.Generator, count: int):
+        # one word array at a time: each is reduced before the next is built
         u = sample_haar_unitaries(d, count, gen)
         uh = u.conj().swapaxes(-1, -2)
-        out = []
         for xs in mats:
             w = u
             for k, x in enumerate(xs):
                 w = w @ x
                 w = w @ (uh if k % 2 == 0 else u)
-            out.append(w.view(float))
-        return out
+            yield w.view(float)
 
     estimates = []
     for moments in accumulate_chunks(chunk, n, rng, workers=workers):

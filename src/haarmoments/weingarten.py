@@ -1,20 +1,23 @@
 """Symmetric-group combinatorics and exact unitary-group moment functions.
 
-Implements the Collins-Sniady integration formula for words of up to eight
-unitaries (m <= 4): the Haar average of U X1 U^dag X2 U X3 U^dag ... is a
+Implements the Collins-Sniady integration formula for words of up to ten
+unitaries (m <= 5): the Haar average of U X1 U^dag X2 U X3 U^dag ... is a
 double sum over permutation pairs (sigma, tau) in S_m x S_m whose delta
 contractions split the X's into traced words plus one free word carrying the
 outer indices, each pair weighted by Wg(tau sigma^{-1}).
 
-Character tables for m <= 4 are hard-coded integer constants; everything else
-(class sizes, Schur dimensions, Weingarten values, contractions) is computed
-from them at run time.
+The Weingarten matrix is the inverse of the Gram matrix
+G_{sigma,tau} = d^{#cycles(tau sigma^{-1})} (Collins & Sniady, CMP 264, 773
+(2006)).  The odd-side traced words depend on tau alone and the even-side
+words on sigma alone, so a plan built once per m holds them and the double
+sum becomes one matrix-vector product.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -23,8 +26,9 @@ from .linalg import as_matrix
 
 Permutation = tuple[int, ...]
 Partition = tuple[int, ...]
+Word = tuple[int, ...]
 
-MAX_HALF_ORDER = 4  # largest supported m; moments up to E^(8)
+MAX_HALF_ORDER = 5  # largest supported m; moments up to E^(10)
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -37,10 +41,6 @@ def inverse(p: Permutation) -> Permutation:
     for i, v in enumerate(p):
         inv[v] = i
     return tuple(inv)
-
-
-def identity(m: int) -> Permutation:
-    return tuple(range(m))
 
 
 def all_permutations(m: int) -> list[Permutation]:
@@ -70,96 +70,59 @@ def conjugacy_class_of(p: Permutation) -> Partition:
     return tuple(sorted((len(c) for c in cycles_of(p)), reverse=True))
 
 
-def partitions(m: int) -> list[Partition]:
-    """All partitions of m in the fixed order used by the character tables."""
-    return list(_CHARACTERS[m].keys())
+@dataclass(frozen=True)
+class _Plan:
+    """The contractions of S_m, indexed like ``perms`` (perms[0] is the identity).
 
-
-# Irreducible characters chi_lambda(class) for S_1..S_4, keyed by
-# partition label, values keyed by conjugacy class.
-_CHARACTERS: dict[int, dict[Partition, dict[Partition, int]]] = {
-    1: {(1,): {(1,): 1}},
-    2: {
-        (2,): {(1, 1): 1, (2,): 1},
-        (1, 1): {(1, 1): 1, (2,): -1},
-    },
-    3: {
-        (3,): {(1, 1, 1): 1, (2, 1): 1, (3,): 1},
-        (2, 1): {(1, 1, 1): 2, (2, 1): 0, (3,): -1},
-        (1, 1, 1): {(1, 1, 1): 1, (2, 1): -1, (3,): 1},
-    },
-    4: {
-        (4,): {(1, 1, 1, 1): 1, (2, 1, 1): 1, (2, 2): 1, (3, 1): 1, (4,): 1},
-        (3, 1): {(1, 1, 1, 1): 3, (2, 1, 1): 1, (2, 2): -1, (3, 1): 0, (4,): -1},
-        (2, 2): {(1, 1, 1, 1): 2, (2, 1, 1): 0, (2, 2): 2, (3, 1): -1, (4,): 0},
-        (2, 1, 1): {(1, 1, 1, 1): 3, (2, 1, 1): -1, (2, 2): -1, (3, 1): 0, (4,): 1},
-        (1, 1, 1, 1): {(1, 1, 1, 1): 1, (2, 1, 1): -1, (2, 2): 1, (3, 1): 1, (4,): -1},
-    },
-}
-
-# Conjugacy class sizes Z_class for S_1..S_4.
-_CLASS_SIZES: dict[int, dict[Partition, int]] = {
-    1: {(1,): 1},
-    2: {(1, 1): 1, (2,): 1},
-    3: {(1, 1, 1): 1, (2, 1): 3, (3,): 2},
-    4: {(1, 1, 1, 1): 1, (2, 1, 1): 6, (2, 2): 3, (3, 1): 8, (4,): 6},
-}
-
-
-def character(lam: Partition, cls: Partition) -> int:
-    """chi_lambda evaluated on a conjugacy class; both are partitions of m."""
-    m = sum(lam)
-    return _CHARACTERS[m][lam][cls]
-
-
-def class_size(cls: Partition) -> int:
-    return _CLASS_SIZES[sum(cls)][cls]
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for k in range(2, m + 1):
-        out *= k
-    return out
-
-
-def schur_dimension(lam: Partition, d: int) -> float:
-    """Dimension of the Schur functor, s_{lambda,d}(1, ..., 1).
-
-    Evaluated as (1/m!) sum over classes of d^{cycles} * chi_lambda * Z; the
-    sum vanishes identically when lambda has more rows than d.
+    Traced words are cycles, so they start at their smallest letter: that is
+    the canonical rotation, and equal traces share one key.
     """
-    m = sum(lam)
-    if m not in _CHARACTERS:
+
+    perms: list[Permutation]
+    ncycles: np.ndarray  # ncycles[s, t] = #cycles(tau sigma^{-1})
+    free: list[Word]  # per sigma: even-operator indices of the open word
+    even: list[list[Word]]  # per sigma: traced words of the even operators
+    odd: list[list[Word]]  # per tau: traced words of the odd operators
+
+
+@lru_cache(maxsize=None)
+def _plan(m: int) -> _Plan:
+    if not 1 <= m <= MAX_HALF_ORDER:
         raise ValueError(f"unsupported order m={m}")
-    total = 0.0
-    for cls, z in _CLASS_SIZES[m].items():
-        total += float(d) ** len(cls) * character(lam, cls) * z
-    return total / _factorial(m)
+    perms = all_permutations(m)
+    ncycles = np.array(
+        [[len(cycles_of(compose(tau, inverse(sigma)))) for tau in perms] for sigma in perms]
+    )
+    ncycles.flags.writeable = False
+    free, even = [], []
+    for sigma in perms:
+        # Even side: block a (holding X_{2a}, block 0 = open slot) is followed
+        # by block (sigma(a) + 1) mod m; the cycle through 0 is the open word.
+        open_cycle, *closed = cycles_of(tuple((sigma[a] + 1) % m for a in range(m)))
+        free.append(tuple(b - 1 for b in open_cycle[1:]))
+        even.append([tuple(b - 1 for b in cyc) for cyc in closed])
+    odd = [cycles_of(inverse(tau)) for tau in perms]
+    return _Plan(perms, ncycles, free, even, odd)
+
+
+@lru_cache(maxsize=None)
+def _wg_matrix(m: int, d: int) -> np.ndarray:
+    """Wg[s, t] = Wg(tau sigma^{-1}) at dimension d: the inverse Gram matrix."""
+    ncycles = _plan(m).ncycles
+    if d < m:
+        raise SingularWeingartenError(
+            f"Weingarten function needs d >= m; got d={d}, m={m}"
+        )
+    wg = np.linalg.inv(float(d) ** ncycles)
+    wg.flags.writeable = False
+    return wg
 
 
 @lru_cache(maxsize=None)
 def weingarten_table(m: int, d: int) -> dict[Partition, float]:
     """Wg values for every conjugacy class of S_m at dimension d."""
-    if m not in _CHARACTERS:
-        raise ValueError(f"unsupported order m={m}")
-    if d < m:
-        raise SingularWeingartenError(
-            f"Weingarten function needs d >= m; got d={d}, m={m}"
-        )
-    fact2 = float(_factorial(m)) ** 2
-    table = {}
-    for cls in _CLASS_SIZES[m]:
-        acc = 0.0
-        for lam in _CHARACTERS[m]:
-            chi_e = character(lam, _min_class(m))
-            acc += chi_e**2 * character(lam, cls) / schur_dimension(lam, d)
-        table[cls] = acc / fact2
-    return table
-
-
-def _min_class(m: int) -> Partition:
-    return tuple([1] * m)
+    row = _wg_matrix(m, d)[0]
+    return {conjugacy_class_of(p): float(w) for p, w in zip(_plan(m).perms, row)}
 
 
 def weingarten(sigma_class: Partition, d: int) -> float:
@@ -168,83 +131,52 @@ def weingarten(sigma_class: Partition, d: int) -> float:
     return weingarten_table(m, d)[sigma_class]
 
 
-def _canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate a cyclic word to its lexicographically smallest rotation."""
-    rots = [word[i:] + word[:i] for i in range(len(word))]
-    return min(rots)
+def _product(ops: list[np.ndarray], word: Word) -> np.ndarray:
+    return reduce(np.matmul, (ops[i] for i in word))
+
+
+def _traced_scalars(ops: list[np.ndarray], words_per_perm: list[list[Word]]) -> np.ndarray:
+    """Per permutation, the product of the traces of its words."""
+    traces: dict[Word, complex] = {}
+    out = np.ones(len(words_per_perm), dtype=complex)
+    for i, words in enumerate(words_per_perm):
+        for word in words:
+            if word not in traces:
+                traces[word] = complex(np.trace(_product(ops, word)))
+            out[i] *= traces[word]
+    return out
 
 
 def moment_function(xs, d: int) -> np.ndarray:
     """Exact Haar average of the word U X1 U^dag X2 U X3 U^dag ... X_{n-1} U^dag.
 
-    ``xs`` holds the n-1 fixed operators (n in {2, 4, 6, 8}); all contractions
-    are generated from the permutation pairs rather than hand-expanded term
+    ``xs`` holds the n-1 fixed operators (n even, 2 <= n <= 2 MAX_HALF_ORDER);
+    all contractions come from the per-m plan rather than hand-expanded term
     lists.  Requires d >= n/2.
     """
     mats = [as_matrix(x) for x in xs]
     if len(mats) % 2 != 1 or not 1 <= len(mats) <= 2 * MAX_HALF_ORDER - 1:
         raise ValueError(
-            f"need an odd number of operators between 1 and 7, got {len(mats)}"
+            f"need an odd number of operators between 1 and {2 * MAX_HALF_ORDER - 1}, "
+            f"got {len(mats)}"
         )
     for x in mats:
         if x.shape[0] != d:
             raise DimensionError(f"operator dim {x.shape[0]} != d = {d}")
     m = (len(mats) + 1) // 2
-    wg = weingarten_table(m, d)  # raises SingularWeingartenError for d < m
+    wg = _wg_matrix(m, d)  # raises SingularWeingartenError for d < m
+    plan = _plan(m)
 
     odd_ops = mats[0::2]  # X1, X3, ..., X_{2m-1}; traced among themselves
     even_ops = mats[1::2]  # X2, X4, ..., X_{2m-2}; chained with the open slot
 
-    perms = all_permutations(m)
-    eye = np.eye(d, dtype=complex)
-
-    trace_cache: dict[tuple[str, tuple[int, ...]], complex] = {}
-    free_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def traced(kind: str, ops: list[np.ndarray], word: tuple[int, ...]) -> complex:
-        key = (kind, _canonical_word(word))
-        val = trace_cache.get(key)
-        if val is None:
-            prod = ops[word[0]]
-            for idx in word[1:]:
-                prod = prod @ ops[idx]
-            val = complex(np.trace(prod))
-            trace_cache[key] = val
-        return val
-
+    coef = (wg @ _traced_scalars(odd_ops, plan.odd)) * _traced_scalars(even_ops, plan.even)
+    weights: dict[Word, complex] = {}
+    for word, c in zip(plan.free, coef):
+        weights[word] = weights.get(word, 0.0) + c
     result = np.zeros((d, d), dtype=complex)
-    for sigma in perms:
-        # Even-side successor: block a (holding X_{2a-2}, block 0 = open slot)
-        # is followed by block (sigma(a) + 1) mod m.
-        succ_even = tuple((sigma[a] + 1) % m for a in range(m))
-        even_cycles = cycles_of(succ_even)
-        even_scalar = 1.0 + 0.0j
-        free = None
-        for cyc in even_cycles:
-            if 0 in cyc:
-                # Open word: factors following the boundary, in cycle order.
-                word = cyc[1:]  # cycle starts at its smallest element, 0
-                if not word:
-                    free = eye
-                else:
-                    key = word
-                    free = free_cache.get(key)
-                    if free is None:
-                        prod = even_ops[word[0] - 1]
-                        for b in word[1:]:
-                            prod = prod @ even_ops[b - 1]
-                        free_cache[key] = prod
-                        free = prod
-            else:
-                even_scalar *= traced(
-                    "e", even_ops, tuple(b - 1 for b in cyc)
-                )
-        for tau in perms:
-            w = wg[conjugacy_class_of(compose(tau, inverse(sigma)))]
-            odd_scalar = 1.0 + 0.0j
-            for cyc in cycles_of(inverse(tau)):
-                odd_scalar *= traced("o", odd_ops, cyc)
-            result += (w * odd_scalar * even_scalar) * free
+    for word, c in weights.items():
+        result += c * (_product(even_ops, word) if word else np.eye(d))
     return result
 
 

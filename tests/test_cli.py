@@ -196,6 +196,18 @@ def test_moment_singular_weingarten(tmp_path, capsys):
     assert "d >= m" in err and "m=3" in err
 
 
+def test_moment_pattern_length_cap(tmp_path, capsys):
+    # E^(10) (9 matrices) is the highest supported order
+    pattern = tmp_path / "pattern.json"
+    out = tmp_path / "result.json"
+    pattern.write_text(json.dumps([_matrix_payload(np.eye(5))] * 9))
+    assert main(["moment", "--pattern", str(pattern), "--d", "5", "--out", str(out)]) == 0
+    assert np.allclose(load_matrix_json(json.loads(out.read_text())), np.eye(5), atol=1e-12)
+    pattern.write_text(json.dumps([_matrix_payload(np.eye(6))] * 11))
+    assert main(["moment", "--pattern", str(pattern), "--d", "6"]) == 2
+    assert "from 1 to 9, got 11" in capsys.readouterr().err
+
+
 def test_moment_malformed_file(tmp_path):
     pattern = tmp_path / "bad.json"
     pattern.write_text('{"not": "a list"}')

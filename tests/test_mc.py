@@ -169,6 +169,18 @@ def test_accumulate_chunks_bit_identical_across_worker_counts():
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
+def test_accumulate_chunks_accepts_generator_chunks():
+    def lazy(gen, count):
+        yield from _offset_chunk(gen, count)
+
+    n = 2 * CHUNK + 1
+    eager = accumulate_chunks(_offset_chunk, n, RngStream(33), workers=2)
+    for a, b in zip(eager, accumulate_chunks(lazy, n, RngStream(33), workers=2), strict=True):
+        assert a.n == b.n
+        for field in ("mean", "m2", "m3", "m4"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 def test_accumulate_chunks_exception_leaves_no_threads():
     def failing(gen, count):
         raise RuntimeError("chunk failed")

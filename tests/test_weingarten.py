@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,22 +7,19 @@ from haarmoments.errors import SingularWeingartenError
 from haarmoments.linalg import RngStream, sample_haar_unitaries
 from haarmoments.mc import empirical_moment
 from haarmoments.weingarten import (
-    _CHARACTERS,
-    _CLASS_SIZES,
+    _plan,
+    _wg_matrix,
     all_permutations,
-    character,
-    class_size,
     compose,
     conjugacy_class_of,
     fourth_moment_closed,
     inverse,
     moment_function,
-    schur_dimension,
     weingarten,
     weingarten_table,
 )
 
-from conftest import random_complex
+from conftest import random_complex, random_hermitian
 
 
 def test_conjugacy_classes():
@@ -34,32 +33,11 @@ def test_permutation_group_structure():
     assert len(perms) == 24
     for p in perms:
         assert compose(p, inverse(p)) == (0, 1, 2, 3)
-    # class sizes computed by brute force match the table
+    # class sizes computed by brute force
     counts = {}
     for p in perms:
         counts[conjugacy_class_of(p)] = counts.get(conjugacy_class_of(p), 0) + 1
-    assert counts == _CLASS_SIZES[4]
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_character_orthogonality(m):
-    classes = list(_CLASS_SIZES[m])
-    fact = int(np.prod(range(1, m + 1)))
-    assert sum(_CLASS_SIZES[m].values()) == fact
-    for lam in _CHARACTERS[m]:
-        for mu in _CHARACTERS[m]:
-            total = sum(
-                class_size(c) * character(lam, c) * character(mu, c) for c in classes
-            )
-            assert total == (fact if lam == mu else 0)
-
-
-def test_schur_dimensions():
-    assert schur_dimension((2,), 3) == 6
-    for d in range(1, 8):
-        assert schur_dimension((2,), d) == d * (d + 1) / 2
-    assert schur_dimension((1, 1), 2) == 1
-    assert schur_dimension((1, 1, 1), 2) == 0
+    assert counts == {(1, 1, 1, 1): 1, (2, 1, 1): 6, (2, 2): 3, (3, 1): 8, (4,): 6}
 
 
 def _paper_weingarten(cls, d):
@@ -84,10 +62,18 @@ def _paper_weingarten(cls, d):
 
 def test_weingarten_closed_forms():
     for m in (2, 3, 4):
-        for d in range(m, 10):
+        for d in range(m, 65):
             for cls, val in weingarten_table(m, d).items():
                 ref = _paper_weingarten(cls, d)
-                assert val == pytest.approx(ref, rel=1e-13)
+                assert val == pytest.approx(ref, rel=1e-14), (m, d, cls)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_gram_identity(m):
+    # Wg is the inverse of G[s, t] = d^{#cycles(tau sigma^-1)}, also at d = m
+    for d in (m, m + 1, 10):
+        gram = float(d) ** _plan(m).ncycles
+        assert np.max(np.abs(gram @ _wg_matrix(m, d) - np.eye(len(gram)))) <= 1e-13, d
 
 
 def test_weingarten_values():
@@ -207,5 +193,83 @@ def test_trace_preservation_against_mc(gen):
 def test_moment_function_rejects_bad_patterns(gen):
     with pytest.raises(ValueError):
         moment_function([np.eye(2)] * 2, 2)
-    with pytest.raises(ValueError):
-        moment_function([np.eye(2)] * 9, 2)
+    with pytest.raises(ValueError, match="between 1 and 9"):
+        moment_function([np.eye(6)] * 11, 6)
+
+
+@pytest.mark.parametrize("d", [5, 6, 9])
+def test_u00_moments_all_orders(d):
+    # <|U00|^(2m)> = m! (d-1)! / (d+m-1)!, the (0, 0) entry of E^(2m)(P0, ..., P0)
+    p0 = np.zeros((d, d))
+    p0[0, 0] = 1.0
+    for m in range(1, 6):
+        exact = math.factorial(m) * math.factorial(d - 1) / math.factorial(d + m - 1)
+        value = moment_function([p0] * (2 * m - 1), d)[0, 0]
+        assert value.real == pytest.approx(exact, rel=1e-14), m
+        assert abs(value.imag) <= 1e-14 * exact
+
+
+def _near_identity_unitary(gen, d, s):
+    ev, v = np.linalg.eigh(random_hermitian(gen, d))
+    return (v * np.exp(1j * s * ev)) @ v.conj().T
+
+
+def test_tenth_moment_against_mc():
+    # unitary operators keep each word unitary, so the entrywise stderr is
+    # small enough to resolve misordered odd-side traces or free words
+    d, n = 5, 40_000
+    gen = np.random.default_rng(1010)
+    xs = [_near_identity_unitary(gen, d, 0.4) for _ in range(9)]
+    exact = moment_function(xs, d)
+    est = empirical_moment(xs, d, n, RngStream(1010))
+    assert np.all(np.abs(exact - est.mean) <= 5 * est.stderr)
+
+
+def test_tenth_moment_identity_slots(gen):
+    # U X1 U^dag I U X3 U^dag ... = U (X1 X3) U^dag ...: an identity in any
+    # inner slot reduces E^(10) to E^(8) of the merged word
+    d = 5
+    xs = [random_complex(gen, d) / np.sqrt(d) for _ in range(9)]
+    for slot in range(1, 8):
+        with_identity = xs[:slot] + [np.eye(d)] + xs[slot + 1 :]
+        merged = xs[: slot - 1] + [xs[slot - 1] @ xs[slot + 1]] + xs[slot + 2 :]
+        lhs, rhs = moment_function(with_identity, d), moment_function(merged, d)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs)), slot
+
+
+def _pinned_inputs(m, d):
+    gen = np.random.default_rng([2013, m, d])
+    return [random_complex(gen, d) / np.sqrt(d) for _ in range(2 * m - 1)]
+
+
+# moment_function values from the character-table route that the Gram-inverse
+# route replaced: (m, d, E[0, 0], E[d - 1, 1], Tr E) on _pinned_inputs(m, d)
+CHARACTER_TABLE_MOMENTS = [
+    (3, 3,
+     (-0.1176021655527763-0.11326703928671722j),
+     (0.018167521201995572+0.049771892041856725j),
+     (-0.03862629757755226-0.1525273992031232j)),
+    (3, 4,
+     (0.15511560437857563+0.05410477282750545j),
+     (0.017967084012368247+0.005569689247359759j),
+     (0.45129332724839116+0.28448476946075685j)),
+    (3, 8,
+     (0.014123775306120037+0.003981413254754301j),
+     (0.01443849401334114+0.006309844842064529j),
+     (0.1196318395471312+0.006727464502149495j)),
+    (4, 4,
+     (-0.0501938260467078+0.12154221141318106j),
+     (0.10052836952398402-0.11309513812042024j),
+     (-0.20772163694862522+0.12004726049976108j)),
+    (4, 8,
+     (0.0018052900648366035+0.005782586633643053j),
+     (-0.001814308249083708+0.001448960380279468j),
+     (0.00337139085848204+0.04445844781428944j)),
+]
+
+
+def test_moment_function_matches_character_table_route():
+    for m, d, e00, e_last1, tr in CHARACTER_TABLE_MOMENTS:
+        value = moment_function(_pinned_inputs(m, d), d)
+        for got, ref in ((value[0, 0], e00), (value[d - 1, 1], e_last1), (np.trace(value), tr)):
+            assert abs(got - ref) <= 1e-13 * abs(ref), (m, d)
