@@ -13,16 +13,14 @@ from .errors import (
 )
 from .linalg import (
     BipartiteDims,
+    EnsembleKind,
     RngStream,
-    evolve_diag,
     hs_norm_sq,
     partial_trace_env,
     partial_trace_sys,
-    sample_gue_hamiltonian,
     sample_gue_hamiltonians,
-    sample_haar_unitary,
     sample_haar_unitaries,
-    tensor_product,
+    sample_spectra,
     trace_power,
 )
 from .weingarten import (
@@ -45,16 +43,12 @@ from .closed_forms import (
 )
 from .ensembles import (
     AveragedFormFactors,
-    EnsembleKind,
     averaged_form_factors,
     averaged_time_coeffs,
     bessel_j1,
     gue_form_factors,
     gue_h,
-    gue_level_density,
     poisson_form_factors,
-    sample_gue_spectrum,
-    sample_poisson_spectrum,
 )
 from .applications import (
     PurityTrajectory,

@@ -32,7 +32,7 @@ from .linalg import (
     hs_norm_sq,
     partial_trace_env,
     partial_trace_sys,
-    sample_gue_hamiltonians,
+    sample_spectra,
 )
 from .mc import accumulate_chunks
 
@@ -186,17 +186,14 @@ def gibbs_purity_mc(
     rng: RngStream,
     workers: int | None = None,
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the Gibbs purity over spectra."""
-    if ensemble not in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC):
-        raise ValueError(f"gibbs_purity_mc supports Poisson/GUE sampling, got {ensemble}")
-    if beta == 0.0:
-        return 1.0 / d, 0.0
+    """Monte Carlo mean and standard error of the Gibbs purity over spectra.
+
+    The spectra come from ``sample_spectra``, so only POISSON and GUE_NUMERIC
+    are accepted; beta = 0 gives exactly (1/d, 0) for n >= 2.
+    """
 
     def chunk(gen: np.random.Generator, count: int):
-        if ensemble == EnsembleKind.POISSON:
-            levels = gen.uniform(-2.0, 2.0, size=(count, d))
-        else:
-            levels = np.linalg.eigvalsh(sample_gue_hamiltonians(d, count, gen))
+        levels = sample_spectra(ensemble, d, count, gen)
         shifted = levels - levels.min(axis=1, keepdims=True)
         w = np.exp(-beta * shifted)
         return (np.sum(w**2, axis=1) / np.sum(w, axis=1) ** 2,)

@@ -20,7 +20,7 @@ from .applications import (
     uniform_purity,
 )
 from .closed_forms import variance_coeffs
-from .ensembles import EnsembleKind, averaged_time_coeffs
+from .ensembles import GUE_NUMERIC_MAX_DIM, EnsembleKind, averaged_time_coeffs
 from .errors import HaarMomentsError, SingularWeingartenError
 from .linalg import BipartiteDims, RngStream
 from .mc import empirical_purity, schmidt_state
@@ -39,8 +39,6 @@ FIGURES = (
     "equilibration",
 )
 
-MC_MAX_DIM = 36  # Monte Carlo overlays are restricted to small total dimension
-
 _DE_SCAN = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
 
 
@@ -49,7 +47,7 @@ def _fmt(x) -> str:
 
 
 def _gue_kind(d: int) -> EnsembleKind:
-    return EnsembleKind.GUE_NUMERIC if d <= 16 else EnsembleKind.GUE_LARGE_D
+    return EnsembleKind.GUE_NUMERIC if d <= GUE_NUMERIC_MAX_DIM else EnsembleKind.GUE_LARGE_D
 
 
 def _t_grid(args) -> np.ndarray:
@@ -107,19 +105,12 @@ def _purity_curves(args, rng, configs):
         header.append(label)
         columns.append(purity_evolution(kind, dims, p0, times).values)
         if args.with_mc:
-            if dims.d > MC_MAX_DIM:
-                raise UsageError(
-                    f"--with-mc needs d <= {MC_MAX_DIM}, figure uses d = {dims.d}"
-                )
             header += [f"{label}_mc", f"{label}_se"]
-            mode = {"poi": "poi", "gue": "gue", "gue-large-d": "gue", "uniform": "uniform"}[
-                kind.value
-            ]
             psi0 = schmidt_state(dims, p0)
             mc_m, mc_se = [], []
             for ti, t in enumerate(times):
                 est = empirical_purity(
-                    dims, mode, psi0, float(t), args.samples,
+                    dims, kind, psi0, float(t), args.samples,
                     RngStream(rng.seed, ci * 100_000 + ti),
                 )
                 mc_m.append(est.mean)
@@ -222,7 +213,7 @@ _FIGURE_DEFAULTS = {
     "equilibration": (0.0, 30.0, 601),
 }
 
-_MC_FIGURES = {"purity-poi", "purity-compare", "gibbs-beta", "gibbs-d"}
+_MC_FIGURES = {"purity-poi", "gibbs-beta", "gibbs-d"}
 
 
 class UsageError(Exception):

@@ -1,4 +1,4 @@
-"""Spectral-ensemble averages of the form-factor functions, and spectrum samplers.
+"""Spectral-ensemble averages of the form-factor functions.
 
 Poisson (uncorrelated levels, flat density on [-2, 2]) has closed forms for
 the averages of |f(t)|^2, Re{f(t)^2 f*(2t)} and |f(t)|^4.  The Gaussian
@@ -9,12 +9,13 @@ blocks G(tau)_kl = int phi_k phi_l exp(-i E tau) dE.  Each block is one
 trapezoidal sum on a uniform grid whose window and step are closed-form
 bounds in (d, tau), with no convergence loop.  GUE_LARGE_D uses the factorized
 large-d limit h(t) = J1(2t)/t.  Both share the <|H_ij|^2> = 1/d
-normalization, so every ensemble lives on the spectral span [-2, 2].
+normalization, so every ensemble lives on the spectral span [-2, 2].  The
+ensemble vocabulary ``EnsembleKind`` and the spectrum sampler live in
+``linalg``, where the Monte Carlo oracle reaches them without this module.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
@@ -25,18 +26,10 @@ import numpy as np
 
 from .closed_forms import FormFactorInputs, TimeCoeffs, time_coeffs
 from .errors import DimensionError
-from .linalg import BipartiteDims, RngStream, sample_gue_hamiltonians
+from .linalg import BipartiteDims, EnsembleKind
 from .weingarten import cycles_of
 
 GUE_NUMERIC_MAX_DIM = 16
-GUE_DENSITY_MAX_DIM = 64
-
-
-class EnsembleKind(enum.Enum):
-    UNIFORM = "uniform"
-    POISSON = "poi"
-    GUE_NUMERIC = "gue"
-    GUE_LARGE_D = "gue-large-d"
 
 
 @dataclass(frozen=True)
@@ -200,19 +193,6 @@ def _hermite_functions(e: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def gue_level_density(e, d: int) -> np.ndarray | float:
-    """Mean level density R1(E) of the d-dimensional GUE; integrates to d."""
-    if d > GUE_DENSITY_MAX_DIM:
-        raise DimensionError(
-            f"GUE level density limited to d <= {GUE_DENSITY_MAX_DIM}, got {d}"
-        )
-    if d < 1:
-        raise DimensionError(f"d must be >= 1, got {d}")
-    arr = np.atleast_1d(np.asarray(e, dtype=float))
-    r1 = np.sum(_hermite_functions(arr, d) ** 2, axis=0)
-    return r1 if np.ndim(e) else float(r1[0])
-
-
 def _require_gue_numeric(d: int):
     if d > GUE_NUMERIC_MAX_DIM:
         raise DimensionError(
@@ -348,15 +328,3 @@ def averaged_time_coeffs(
     """Ensemble-averaged coefficients of the general time-dependent average."""
     return time_coeffs(averaged_form_factors(ensemble, t, dims.d), dims)
 
-
-def sample_poisson_spectrum(d: int, rng) -> np.ndarray:
-    """d i.i.d. levels, uniform on the spectral span [-2, 2]."""
-    if d < 1:
-        raise DimensionError(f"d must be >= 1, got {d}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return gen.uniform(-2.0, 2.0, size=d)
-
-
-def sample_gue_spectrum(d: int, rng) -> np.ndarray:
-    """Eigenvalues of one GUE draw, ascending; span concentrates on [-2, 2]."""
-    return np.linalg.eigvalsh(sample_gue_hamiltonians(d, 1, rng)[0])

@@ -1,4 +1,5 @@
-"""Dense complex matrix algebra, bipartite operations and random-matrix samplers.
+"""Dense complex matrix algebra, bipartite operations, the ensemble vocabulary
+and the random-matrix samplers.
 
 Matrices are plain ``numpy`` arrays of shape ``(d, d)`` and dtype complex128.
 Bipartite indices are flattened system-major: row = s * d_e + e, so a system
@@ -7,17 +8,26 @@ operator ``A`` acts on the full space as ``kron(A, I_E)``.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
 
-MAX_DIM = 4096
-
 HERMITIAN_RTOL = 1e-12
 UNITARY_ATOL = 1e-10
 STATE_PSD_TOL = 1e-9
+
+
+class EnsembleKind(enum.Enum):
+    """Spectral statistics of the evolution: Haar-uniform unitaries, or Haar
+    eigenvectors with Poisson or GUE levels."""
+
+    UNIFORM = "uniform"
+    POISSON = "poi"
+    GUE_NUMERIC = "gue"
+    GUE_LARGE_D = "gue-large-d"
 
 
 @dataclass(frozen=True)
@@ -82,36 +92,28 @@ def check_state(rho: np.ndarray, tol: float = STATE_PSD_TOL) -> np.ndarray:
     return rho
 
 
-def tensor_product(a, b, max_dim: int = MAX_DIM) -> np.ndarray:
-    """Kronecker product with the system factor first."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] * b.shape[0] > max_dim:
-        raise DimensionError(
-            f"tensor product dimension {a.shape[0] * b.shape[0]} exceeds limit {max_dim}"
-        )
-    return np.kron(a, b)
-
-
-def _check_bipartite(m: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != dims.d:
-        raise DimensionError(f"matrix dim {m.shape[0]} != d_s*d_e = {dims.d}")
-    return m
+def _bipartite_blocks(m, dims: BipartiteDims) -> np.ndarray:
+    """A d x d matrix or an (n, d, d) stack, indexed (..., s, e, s', e')."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (dims.d, dims.d):
+        raise DimensionError(f"expected (d, d) or (n, d, d) with d = {dims.d}, got {m.shape}")
+    return m.reshape(*m.shape[:-2], dims.d_s, dims.d_e, dims.d_s, dims.d_e)
 
 
 def partial_trace_env(m, dims: BipartiteDims) -> np.ndarray:
-    """Trace out the environment factor: (Tr_E M)_{kl} = sum_j M_{(k,j),(l,j)}."""
-    m = _check_bipartite(m, dims)
-    r = m.reshape(dims.d_s, dims.d_e, dims.d_s, dims.d_e)
-    return np.einsum("ajbj->ab", r)
+    """Trace out the environment factor: (Tr_E M)_{kl} = sum_j M_{(k,j),(l,j)}.
+
+    Takes one matrix or an (n, d, d) stack, traced matrix by matrix.
+    """
+    return np.einsum("...ajbj->...ab", _bipartite_blocks(m, dims))
 
 
 def partial_trace_sys(m, dims: BipartiteDims) -> np.ndarray:
-    """Trace out the system factor: (Tr_S M)_{kl} = sum_j M_{(j,k),(j,l)}."""
-    m = _check_bipartite(m, dims)
-    r = m.reshape(dims.d_s, dims.d_e, dims.d_s, dims.d_e)
-    return np.einsum("jajb->ab", r)
+    """Trace out the system factor: (Tr_S M)_{kl} = sum_j M_{(j,k),(j,l)}.
+
+    Takes one matrix or an (n, d, d) stack, traced matrix by matrix.
+    """
+    return np.einsum("...jajb->...ab", _bipartite_blocks(m, dims))
 
 
 def hs_norm_sq(m) -> float:
@@ -152,11 +154,6 @@ def sample_haar_unitaries(d: int, n: int, rng) -> np.ndarray:
     return q * phases[:, None, :]
 
 
-def sample_haar_unitary(d: int, rng) -> np.ndarray:
-    """Single Haar-distributed d x d unitary."""
-    return sample_haar_unitaries(d, 1, rng)[0]
-
-
 def sample_gue_hamiltonians(d: int, n: int, rng) -> np.ndarray:
     """Stack of n GUE matrices normalized to <|H_ij|^2> = 1/d (semicircle on [-2, 2])."""
     if d < 1:
@@ -166,21 +163,16 @@ def sample_gue_hamiltonians(d: int, n: int, rng) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / (2.0 * np.sqrt(d))
 
 
-def sample_gue_hamiltonian(d: int, rng) -> np.ndarray:
-    """Single GUE matrix with <|H_ij|^2> = 1/d."""
-    return sample_gue_hamiltonians(d, 1, rng)[0]
+def sample_spectra(kind: EnsembleKind, d: int, n: int, rng) -> np.ndarray:
+    """n sampled spectra of d levels each, shape (n, d), on the spectral span [-2, 2].
 
-
-def evolve_diag(x, phases) -> np.ndarray:
-    """Conjugate by a diagonal matrix: result_ij = p_i * x_ij * conj(p_j).
-
-    With p = exp(-i E t) this is exp(-iDt) X exp(+iDt); with real positive p
-    it is diag(p) X diag(p).
+    POISSON levels are i.i.d. uniform; GUE_NUMERIC levels are the ascending
+    eigenvalues of ``sample_gue_hamiltonians``.  No other kind has spectra to
+    sample.
     """
-    x = as_matrix(x)
-    p = np.asarray(phases, dtype=complex)
-    if p.shape != (x.shape[0],):
-        raise DimensionError(
-            f"phase vector length {p.shape} does not match matrix dim {x.shape[0]}"
-        )
-    return p[:, None] * x * p.conj()[None, :]
+    gen = _as_generator(rng)
+    if kind == EnsembleKind.POISSON:
+        return gen.uniform(-2.0, 2.0, size=(n, d))
+    if kind == EnsembleKind.GUE_NUMERIC:
+        return np.linalg.eigvalsh(sample_gue_hamiltonians(d, n, gen))
+    raise ValueError(f"no spectra to sample for ensemble {kind}")

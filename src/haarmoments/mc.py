@@ -1,9 +1,10 @@
 """Monte Carlo oracle for the analytic averages.
 
-Every estimator samples Haar unitaries (and spectra where needed) directly
-from the matrix-algebra primitives; nothing here touches the Weingarten sums
-or the closed-form coefficients, so agreement between the two routes is a
-real cross-check.
+Every estimator samples Haar unitaries, and spectra where needed, with the
+samplers of ``linalg``, which also holds the ensemble vocabulary
+(``EnsembleKind``); nothing here touches the Weingarten sums, the closed-form
+coefficients or the ensemble averages, so agreement between the two routes
+is a real cross-check.
 
 Sampling is chunked: chunk i uses the generator derived from
 (seed, stream, i), and per-chunk central moments are merged in chunk order, so
@@ -22,10 +23,12 @@ import numpy as np
 from .errors import DimensionError
 from .linalg import (
     BipartiteDims,
+    EnsembleKind,
     RngStream,
     as_matrix,
-    sample_gue_hamiltonians,
+    partial_trace_env,
     sample_haar_unitaries,
+    sample_spectra,
 )
 
 CHUNK = 1024
@@ -170,11 +173,6 @@ def empirical_moment(
     return empirical_moments([xs], d, n, rng, workers=workers)[0]
 
 
-def _batch_ptrace_env(a: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    r = a.reshape(-1, dims.d_s, dims.d_e, dims.d_s, dims.d_e)
-    return np.einsum("sajbj->sab", r)
-
-
 def empirical_reduced_norm(
     m, dims: BipartiteDims, n: int, rng: RngStream, workers: int | None = None
 ) -> tuple[McEstimate, McEstimate]:
@@ -186,7 +184,7 @@ def empirical_reduced_norm(
     def chunk(gen: np.random.Generator, count: int):
         u = sample_haar_unitaries(dims.d, count, gen)
         a = u @ m @ u.conj().swapaxes(-1, -2)
-        pt = _batch_ptrace_env(a, dims)
+        pt = partial_trace_env(a, dims)
         return (np.sum(pt.real**2 + pt.imag**2, axis=(1, 2)),)
 
     (moments,) = accumulate_chunks(chunk, n, rng, workers=workers)
@@ -217,7 +215,7 @@ def empirical_fixed_spectrum(
         ut = (w * p[None, None, :]) @ wh
         uth = ut.conj().swapaxes(-1, -2)
         a = ut @ m @ uth
-        pt = _batch_ptrace_env(a, dims)
+        pt = partial_trace_env(a, dims)
         return (np.sum(pt.real**2 + pt.imag**2, axis=(1, 2)),)
 
     return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
@@ -262,33 +260,27 @@ def empirical_purity(
 ) -> McEstimate:
     """Mean reduced purity of the evolved pure state psi0.
 
-    ``spectra`` selects the evolution: "uniform" applies a Haar unitary
-    directly; an array of levels evolves with that fixed spectrum and Haar
-    eigenvectors; "poi"/"gue" draw a fresh spectrum per sample.
+    ``spectra`` selects the evolution: an array of levels evolves with that
+    fixed spectrum and Haar eigenvectors W; an ``EnsembleKind`` (or its
+    value, e.g. "poi") either applies a Haar unitary directly (UNIFORM) or
+    draws a fresh spectrum per sample with ``sample_spectra`` after W.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (dims.d,):
         raise DimensionError(f"state vector length {psi0.shape} != d = {dims.d}")
-    mode = spectra if isinstance(spectra, str) else "fixed"
-    if mode == "fixed":
-        fixed_phases = np.exp(-1j * np.asarray(spectra, dtype=float) * t)
-    elif mode not in ("uniform", "poi", "gue"):
-        raise ValueError(f"unknown evolution mode {spectra!r}")
+    if isinstance(spectra, (str, EnsembleKind)):
+        kind, fixed_phases = EnsembleKind(spectra), None
+    else:
+        kind, fixed_phases = None, np.exp(-1j * np.asarray(spectra, dtype=float) * t)
 
     def chunk(gen: np.random.Generator, count: int):
-        if mode == "uniform":
-            u = sample_haar_unitaries(dims.d, count, gen)
-            phi = u @ psi0
+        w = sample_haar_unitaries(dims.d, count, gen)
+        if kind == EnsembleKind.UNIFORM:
+            phi = w @ psi0
         else:
-            w = sample_haar_unitaries(dims.d, count, gen)
-            if mode == "fixed":
-                phases = fixed_phases[None, :]
-            elif mode == "poi":
-                levels = gen.uniform(-2.0, 2.0, size=(count, dims.d))
-                phases = np.exp(-1j * levels * t)
-            else:
-                levels = np.linalg.eigvalsh(sample_gue_hamiltonians(dims.d, count, gen))
-                phases = np.exp(-1j * levels * t)
+            phases = fixed_phases
+            if kind is not None:
+                phases = np.exp(-1j * sample_spectra(kind, dims.d, count, gen) * t)
             inner = np.einsum("sji,j->si", w.conj(), psi0)
             phi = np.einsum("sij,sj->si", w, phases * inner)
         phi = phi.reshape(count, dims.d_s, dims.d_e)

@@ -35,12 +35,7 @@ from .ensembles import (
     bessel_j1_over_t,
     gue_form_factors,
 )
-from .linalg import (
-    BipartiteDims,
-    RngStream,
-    sample_gue_hamiltonians,
-    sample_haar_unitaries,
-)
+from .linalg import BipartiteDims, RngStream, sample_haar_unitaries, sample_spectra
 from .mc import (
     accumulate_chunks,
     empirical_moments,
@@ -288,7 +283,7 @@ def criterion_09_gue_numeric_vs_sampled(seed: int, quick: bool, workers) -> Crit
     for ti, t in enumerate((0.5, 1.0, 2.0)):
 
         def chunk(gen, count, t=t):
-            levels = np.linalg.eigvalsh(sample_gue_hamiltonians(d, count, gen))
+            levels = sample_spectra(EnsembleKind.GUE_NUMERIC, d, count, gen)
             f1 = np.exp(-1j * levels * t).mean(axis=1)
             f2t = np.exp(-2j * levels * t).mean(axis=1)
             return (np.stack([
@@ -319,7 +314,8 @@ def _representative_estimates(seed: int, n: int, workers) -> str:
     xs = [_random_complex(gen, 3) for _ in range(3)]
     mom = empirical_moments([xs], 3, n, RngStream(seed, 1003), workers=workers)[0]
     pur = empirical_purity(
-        dims, "poi", product_state(dims), 1.5, n, RngStream(seed, 1004), workers=workers
+        dims, EnsembleKind.POISSON, product_state(dims), 1.5, n, RngStream(seed, 1004),
+        workers=workers,
     )
     gp = gibbs_purity_mc(
         EnsembleKind.POISSON, 4, 2.0, n, RngStream(seed, 1005), workers=workers

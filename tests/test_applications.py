@@ -224,6 +224,12 @@ def test_gibbs_purity_mc_beta_zero():
     )
 
 
+def test_gibbs_purity_mc_needs_sampled_spectra():
+    for kind in (EnsembleKind.UNIFORM, EnsembleKind.GUE_LARGE_D):
+        with pytest.raises(ValueError):
+            gibbs_purity_mc(kind, 4, 1.0, 100, RngStream(54))
+
+
 def test_gibbs_purity_mc_stderr_scaling():
     _, se_small = gibbs_purity_mc(EnsembleKind.POISSON, 4, 2.0, 1000, RngStream(51))
     _, se_large = gibbs_purity_mc(EnsembleKind.POISSON, 4, 2.0, 4000, RngStream(51))

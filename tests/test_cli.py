@@ -89,6 +89,14 @@ def test_figure_with_mc_rejected_for_analytic_figures():
     assert main(["figure", "equilibration", "--with-mc", "--out", "/tmp/x.csv"]) == 2
 
 
+def test_figure_purity_compare_with_mc_rejected(tmp_path, capsys):
+    # its d = 64 and 256 columns are beyond any sampled overlay
+    out = tmp_path / "pc.csv"
+    assert main(["figure", "purity-compare", "--with-mc", "--nt", "2", "--out", str(out)]) == 2
+    assert "not available" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figure_purity_init_dep_runs(tmp_path):
     out = tmp_path / "pid.csv"
     rc = main(["figure", "purity-init-dep", "--nt", "5", "--t1", "4", "--out", str(out)])

@@ -15,14 +15,11 @@ from haarmoments.ensembles import (
     bessel_j1_over_t,
     gue_form_factors,
     gue_h,
-    gue_level_density,
     poisson_form_factors,
-    sample_gue_spectrum,
-    sample_poisson_spectrum,
     sinc,
 )
 from haarmoments.errors import DimensionError
-from haarmoments.linalg import BipartiteDims, RngStream, sample_gue_hamiltonians
+from haarmoments.linalg import BipartiteDims, RngStream, sample_gue_hamiltonians, sample_spectra
 
 # high-precision reference values (Abramowitz & Stegun conventions)
 J1_REFERENCE = [
@@ -127,19 +124,12 @@ def test_poisson_bounds_invariants():
 
 
 def test_gue_level_density_normalization():
-    d = 4
-    e, step = _gue_grid(d, 0.0)
-    assert abs(step * np.sum(gue_level_density(e, d)) - d) <= 1e-12
-
-
-def test_gue_level_density_values():
-    assert gue_level_density(0.0, 1) == pytest.approx(1 / np.sqrt(2 * np.pi), rel=1e-12)
-    assert gue_level_density(0.0, 64) / 64 == pytest.approx(1 / np.pi, rel=0.03)
-
-
-def test_gue_level_density_dim_guard():
-    with pytest.raises(DimensionError):
-        gue_level_density(0.0, 65)
+    # the Hermite functions are orthonormal on the trapezoidal grid, so the
+    # level density R1 = sum_k phi_k^2 integrates to d
+    for d in (1, 4, 16, 64):
+        e, step = _gue_grid(d, 0.0)
+        phi = _hermite_functions(e, d)
+        assert np.max(np.abs(step * phi @ phi.T - np.eye(d))) <= 1e-12, d
 
 
 def test_gue_h_normalization_and_modes():
@@ -294,10 +284,7 @@ def test_long_time_plateau():
 
 
 def test_sample_poisson_spectrum_stats():
-    rng = RngStream(31)
-    levels = np.concatenate(
-        [sample_poisson_spectrum(8, RngStream(31, i)) for i in range(12_500)]
-    )
+    levels = sample_spectra(EnsembleKind.POISSON, 8, 12_500, RngStream(31))
     assert levels.min() >= -2.0 and levels.max() <= 2.0
     se = levels.std(ddof=1) / np.sqrt(levels.size)
     assert abs(levels.mean()) <= 5 * se
@@ -317,13 +304,9 @@ def test_sample_poisson_f2_matches_closed_form():
 
 
 def test_sample_gue_spectrum_sorted_and_scaled():
-    spec = sample_gue_spectrum(16, RngStream(33))
-    assert np.all(np.diff(spec) >= 0)
-    means = []
-    for i in range(500):
-        s = sample_gue_spectrum(16, RngStream(34, i))
-        means.append(np.sum(s**2) / 16)
-    means = np.array(means)
+    spectra = sample_spectra(EnsembleKind.GUE_NUMERIC, 16, 500, RngStream(34))
+    assert np.all(np.diff(spectra, axis=1) >= 0)
+    means = np.sum(spectra**2, axis=1) / 16
     se = means.std(ddof=1) / np.sqrt(len(means))
     assert abs(means.mean() - 1.0) <= 5 * se
 

@@ -50,6 +50,20 @@ def test_mc_is_independent_of_the_analytic_route():
     assert _package_imports("mc").isdisjoint({"weingarten", "closed_forms", "ensembles"})
 
 
+def test_one_ensemble_vocabulary():
+    # EnsembleKind is defined once, in linalg, and re-exported by ensembles
+    from haarmoments import ensembles, linalg
+
+    defined = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and node.name == "EnsembleKind"
+    ]
+    assert defined == ["linalg.py"]
+    assert ensembles.EnsembleKind is linalg.EnsembleKind
+
+
 def test_package_imports_only_stdlib_and_numpy():
     for path in sorted(SRC.glob("*.py")):
         outside = {name.split(".")[0] for name in _imports(path)}

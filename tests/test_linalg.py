@@ -4,16 +4,15 @@ import pytest
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import (
     BipartiteDims,
+    EnsembleKind,
     RngStream,
-    evolve_diag,
     hs_norm_sq,
     is_unitary,
     partial_trace_env,
     partial_trace_sys,
     sample_gue_hamiltonians,
     sample_haar_unitaries,
-    sample_haar_unitary,
-    tensor_product,
+    sample_spectra,
     trace_power,
 )
 
@@ -27,19 +26,20 @@ def test_bipartite_dims():
         BipartiteDims(1, 3)
 
 
+# The system-major flattening row = s * d_e + e is the one np.kron uses.
 def test_tensor_product_identity():
-    assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_tensor_product_diagonal():
-    out = tensor_product(np.diag([1.0, 2.0]), np.eye(2))
+    out = np.kron(np.diag([1.0, 2.0]), np.eye(2))
     assert np.array_equal(out, np.diag([1.0, 1.0, 2.0, 2.0]))
 
 
 def test_tensor_product_matches_index_expansion(gen):
     a = random_complex(gen, 3)
     b = random_complex(gen, 3)
-    out = tensor_product(a, b)
+    out = np.kron(a, b)
     # direct expansion oracle
     expect = np.empty((9, 9), dtype=complex)
     for i in range(3):
@@ -51,16 +51,11 @@ def test_tensor_product_matches_index_expansion(gen):
     assert abs(np.trace(out) - np.trace(a) * np.trace(b)) < 1e-12
 
 
-def test_tensor_product_dimension_cap():
-    with pytest.raises(DimensionError):
-        tensor_product(np.eye(100), np.eye(100), max_dim=4096)
-
-
 def test_partial_trace_of_product_states(gen):
     dims = BipartiteDims(2, 3)
     rho_s = random_state(gen, 2)
     rho_e = random_state(gen, 3)
-    full = tensor_product(rho_s, rho_e)
+    full = np.kron(rho_s, rho_e)
     assert np.allclose(partial_trace_env(full, dims), rho_s, atol=1e-12)
     assert np.allclose(partial_trace_sys(full, dims), rho_e, atol=1e-12)
 
@@ -87,18 +82,31 @@ def test_partial_trace_duality(gen):
 def test_partial_trace_dim_mismatch():
     with pytest.raises(DimensionError):
         partial_trace_env(np.eye(5), BipartiteDims(2, 3))
+    with pytest.raises(DimensionError):
+        partial_trace_sys(np.ones((2, 6, 5)), BipartiteDims(2, 3))
+
+
+def test_partial_trace_of_a_stack(gen):
+    # an (n, d, d) stack is traced matrix by matrix, to the same bits
+    dims = BipartiteDims(2, 3)
+    stack = np.stack([random_complex(gen, 6) for _ in range(5)])
+    for ptrace in (partial_trace_env, partial_trace_sys):
+        out = ptrace(stack, dims)
+        assert out.shape == (5,) + ptrace(stack[0], dims).shape
+        for k in range(5):
+            assert np.array_equal(out[k], ptrace(stack[k], dims))
 
 
 def test_hs_norm_values(gen):
     assert hs_norm_sq(np.eye(7)) == 7.0
     assert hs_norm_sq(np.zeros((4, 4))) == 0.0
-    u = sample_haar_unitary(6, RngStream(5))
+    u = sample_haar_unitaries(6, 1, RngStream(5))[0]
     assert abs(hs_norm_sq(u) - 6.0) < 1e-10
 
 
 def test_hs_norm_unitary_invariance(gen):
     m = random_complex(gen, 5)
-    u = sample_haar_unitary(5, RngStream(6))
+    u = sample_haar_unitaries(5, 1, RngStream(6))[0]
     base = hs_norm_sq(m)
     assert abs(hs_norm_sq(u @ m @ u.conj().T) - base) <= 1e-10 * base
 
@@ -140,7 +148,7 @@ def test_haar_first_moments():
 def test_haar_left_invariance():
     # entry statistics of V U match those of U for a fixed unitary V
     d, n = 3, 100_000
-    v = sample_haar_unitary(d, RngStream(9))
+    v = sample_haar_unitaries(d, 1, RngStream(9))[0]
     u = sample_haar_unitaries(d, n, RngStream(10))
     w = sample_haar_unitaries(d, n, RngStream(11))
     vu = v @ u
@@ -164,26 +172,20 @@ def test_gue_spectral_extent():
     assert ev.min() > -2.5 and ev.max() < 2.5
 
 
-def test_evolve_diag_trivial(gen):
-    x = random_complex(gen, 4)
-    assert np.array_equal(evolve_diag(x, np.ones(4)), x)
-    xd = np.diag(gen.standard_normal(4)).astype(complex)
-    phases = np.exp(1j * gen.standard_normal(4))
-    assert np.allclose(evolve_diag(xd, phases), xd, atol=1e-14)
+def test_sample_spectra_matches_inline_draws():
+    # bit for bit the inline draws it replaces in the estimators
+    for seed in (3, 4):
+        poi = sample_spectra(EnsembleKind.POISSON, 6, 50, np.random.default_rng(seed))
+        assert np.array_equal(poi, np.random.default_rng(seed).uniform(-2.0, 2.0, size=(50, 6)))
+        gue = sample_spectra(EnsembleKind.GUE_NUMERIC, 6, 50, RngStream(seed, 1))
+        ref = np.linalg.eigvalsh(sample_gue_hamiltonians(6, 50, RngStream(seed, 1).generator()))
+        assert np.array_equal(gue, ref)
 
 
-def test_evolve_diag_matches_matrix_product(gen):
-    x = random_complex(gen, 4)
-    e = gen.standard_normal(4)
-    t = 0.83
-    phases = np.exp(-1j * e * t)
-    full = np.diag(phases) @ x @ np.diag(np.exp(1j * e * t))
-    assert np.allclose(evolve_diag(x, phases), full, atol=1e-13)
-
-
-def test_evolve_diag_length_mismatch(gen):
-    with pytest.raises(DimensionError):
-        evolve_diag(random_complex(gen, 3), np.ones(4))
+def test_sample_spectra_rejects_kinds_without_spectra():
+    for kind in (EnsembleKind.UNIFORM, EnsembleKind.GUE_LARGE_D):
+        with pytest.raises(ValueError):
+            sample_spectra(kind, 4, 10, RngStream(1))
 
 
 def test_is_unitary_flags():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from haarmoments.applications import purity_evolution, uniform_purity
-from haarmoments.closed_forms import uniform_average
+from haarmoments.closed_forms import form_factor_inputs, general_average, uniform_average
 from haarmoments.ensembles import EnsembleKind
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import BipartiteDims, RngStream, hs_norm_sq, partial_trace_env
@@ -113,6 +113,30 @@ def test_empirical_purity_gue_mode_runs():
     dims = BipartiteDims(2, 2)
     est = empirical_purity(dims, "gue", product_state(dims), 1.0, 4096, RngStream(8))
     assert 0.5 - 1e-9 <= est.mean <= 1.0 + 1e-9
+
+
+def test_empirical_purity_fixed_spectrum_matches_general_average():
+    # the reduced purity is ||Tr_E rho(t)||^2, whose exact Haar average over
+    # the eigenvectors of a fixed spectrum is general_average of rho0
+    for i, (ds, de, p0, t) in enumerate(((2, 3, 1.0, 0.8), (2, 4, 0.7, 1.7), (3, 3, 0.5, 3.0))):
+        dims = BipartiteDims(ds, de)
+        levels = np.random.default_rng([71, i]).uniform(-2.0, 2.0, dims.d)
+        psi = schmidt_state(dims, p0)
+        est = empirical_purity(dims, levels, psi, t, 20_000, RngStream(72, i))
+        ana = general_average(np.outer(psi, psi.conj()), dims, form_factor_inputs(levels, t))
+        assert abs(est.mean - ana) <= 5 * est.stderr, (ds, de)
+
+
+def test_empirical_purity_takes_kind_or_its_value():
+    dims = BipartiteDims(2, 3)
+    psi = product_state(dims)
+    for value, kind in (("poi", EnsembleKind.POISSON), ("uniform", EnsembleKind.UNIFORM)):
+        by_value = empirical_purity(dims, value, psi, 1.3, 3000, RngStream(73))
+        by_kind = empirical_purity(dims, kind, psi, 1.3, 3000, RngStream(73))
+        assert (by_value.mean, by_value.stderr) == (by_kind.mean, by_kind.stderr)
+    for bad in ("goe", EnsembleKind.GUE_LARGE_D):
+        with pytest.raises(ValueError):
+            empirical_purity(dims, bad, psi, 1.0, 100, RngStream(74))
 
 
 def test_reproducible_across_worker_counts(gen):
