@@ -45,7 +45,6 @@ from .ensembles import (
     AveragedFormFactors,
     averaged_form_factors,
     averaged_time_coeffs,
-    bessel_j1,
     gue_form_factors,
     gue_h,
     poisson_form_factors,

@@ -8,7 +8,6 @@ import csv
 import json
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -213,7 +212,7 @@ _FIGURE_DEFAULTS = {
     "equilibration": (0.0, 30.0, 601),
 }
 
-_MC_FIGURES = {"purity-poi", "gibbs-beta", "gibbs-d"}
+_MC_FIGURES = {"purity-poi"}
 
 
 class UsageError(Exception):
@@ -244,9 +243,7 @@ def _write_figure(args) -> int:
 
     start = time.time()
     rng = RngStream(args.seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        header, rows = _FIGURE_BUILDERS[name](args, rng)
+    header, rows = _FIGURE_BUILDERS[name](args, rng)
 
     out = args.out or f"{name}.csv"
     if args.format == "csv":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -361,9 +360,7 @@ CRITERIA = [
 
 def run_criterion(index: int, seed: int = 42, quick: bool = False, workers=None) -> CriterionResult:
     """Run one criterion by 0-based index."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return CRITERIA[index](seed, quick, workers)
+    return CRITERIA[index](seed, quick, workers)
 
 
 def run_validation(seed: int = 42, quick: bool = False, workers=None) -> dict:

@@ -86,7 +86,8 @@ def test_figure_purity_poi_with_mc(tmp_path):
 
 
 def test_figure_with_mc_rejected_for_analytic_figures():
-    assert main(["figure", "equilibration", "--with-mc", "--out", "/tmp/x.csv"]) == 2
+    for name in ("equilibration", "gibbs-beta", "gibbs-d"):
+        assert main(["figure", name, "--with-mc", "--out", "/tmp/x.csv"]) == 2, name
 
 
 def test_figure_purity_compare_with_mc_rejected(tmp_path, capsys):

@@ -8,10 +8,7 @@ from haarmoments.ensembles import (
     _gue_block,
     _gue_grid,
     _hermite_functions,
-    _j1_asymptotic,
-    _j1_series,
     averaged_time_coeffs,
-    bessel_j1,
     bessel_j1_over_t,
     gue_form_factors,
     gue_h,
@@ -42,34 +39,42 @@ J1_REFERENCE = [
 ]
 
 
+def j1(x):
+    return 0.5 * x * bessel_j1_over_t(0.5 * x)
+
+
 def test_bessel_j1_reference_values():
     for x, ref in J1_REFERENCE:
-        assert abs(bessel_j1(x) - ref) <= 1e-10
-        assert abs(bessel_j1(-x) + ref) <= 1e-10
-    assert bessel_j1(0.0) == 0.0
+        assert abs(bessel_j1_over_t(0.5 * x) - 2.0 * ref / x) <= 1e-15, x
+        assert j1(-x) == -j1(x)
+    assert j1(0.0) == 0.0
 
 
 def test_bessel_j1_small_argument_series():
     x = 1e-3
-    assert bessel_j1(x) == pytest.approx(x / 2 - x**3 / 16, abs=1e-13)
-    assert bessel_j1(x) == pytest.approx(4.999999375e-4, abs=1e-12)
-
-
-def test_bessel_branch_continuity():
-    assert abs(_j1_series(8.0) - _j1_asymptotic(8.0)) <= 1e-9
-    assert abs(_j1_series(16.0) - _j1_asymptotic(16.0)) <= 1e-9
+    assert j1(x) == pytest.approx(x / 2 - x**3 / 16, abs=1e-13)
+    assert j1(x) == pytest.approx(4.999999375e-4, abs=1e-12)
 
 
 def test_bessel_first_zero_by_bisection():
     lo, hi = 3.0, 4.5
-    assert bessel_j1(lo) > 0 > bessel_j1(hi)
+    assert j1(lo) > 0 > j1(hi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if bessel_j1(mid) > 0:
+        if j1(mid) > 0:
             lo = mid
         else:
             hi = mid
     assert 0.5 * (lo + hi) == pytest.approx(3.8317059702, abs=1e-3)
+
+
+def test_bessel_j1_over_t_node_doubling():
+    # the trapezoidal rule on twice the panels agrees to rounding level
+    for t in np.linspace(0.01, 1000.0, 400):
+        n = 2 * (2 * int(np.ceil(t)) + 32)
+        theta = np.pi / n * np.arange(1, n)
+        doubled = 2.0 / n * np.sum(np.sin(theta) ** 2 * np.cos(2.0 * t * np.cos(theta)))
+        assert abs(bessel_j1_over_t(t) - doubled) <= 1e-13, t
 
 
 def test_bessel_j1_over_t_limit():
@@ -89,10 +94,28 @@ def test_poisson_f2_at_quarter_period():
 
 
 def test_poisson_f2_transcription():
-    d = 7
-    for t in np.linspace(0.001, 20, 1000):
-        expected = 1 / d + (d - 1) / d * (np.sin(2 * t) / (2 * t)) ** 2
-        assert poisson_form_factors(t, d).f2 == pytest.approx(expected, abs=1e-15)
+    # the hand-expanded coincidence polynomials with c2 = cos 2t, s2 = sinc 2t
+    # and s4 = sinc 4t, against the set-partition expansion
+    for d in (1, 2, 3, 7, 64, 4096):
+        for t in np.linspace(0.001, 20, 1000):
+            c2, s2, s4 = np.cos(2 * t), np.sin(2 * t) / (2 * t), np.sin(4 * t) / (4 * t)
+            expected = (
+                1 / d + (d - 1) / d * s2**2,
+                1 / d + (d - 1) / d * s4**2,
+                (1 + (d - 1) * s4**2 + 2 * (d - 1) * s2**2 + (d - 2) * (d - 1) * c2 * s2**3)
+                / d**2,
+                (
+                    (2 * d - 1)
+                    + (d - 1) * s4**2
+                    + 4 * (d - 1) ** 2 * s2**2
+                    + 2 * (d - 1) * (d - 2) * c2 * s2**3
+                    + (d - 1) * (d - 2) * (d - 3) * s2**4
+                )
+                / d**3,
+            )
+            ff = poisson_form_factors(t, d)
+            got = (ff.f2, ff.f2_2t, ff.re_f2fc2t, ff.f4)
+            assert np.max(np.abs(np.subtract(got, expected))) <= 1e-15, (d, t)
 
 
 def test_poisson_form_factors_against_sampled_spectra():
