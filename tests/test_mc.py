@@ -7,12 +7,22 @@ from haarmoments.applications import purity_evolution, uniform_purity
 from haarmoments.closed_forms import form_factor_inputs, general_average, uniform_average
 from haarmoments.ensembles import EnsembleKind
 from haarmoments.errors import DimensionError
-from haarmoments.linalg import BipartiteDims, RngStream, hs_norm_sq, partial_trace_env
+from haarmoments.linalg import (
+    BipartiteDims,
+    RngStream,
+    as_matrix,
+    hs_norm_sq,
+    partial_trace_env,
+    sample_haar_unitaries,
+)
 from haarmoments.mc import (
     CHUNK,
+    WORD_CAP,
+    McEstimate,
     accumulate_chunks,
     empirical_fixed_spectrum,
     empirical_moment,
+    empirical_moments,
     empirical_purity,
     empirical_reduced_norm,
     product_state,
@@ -21,7 +31,7 @@ from haarmoments.mc import (
 )
 from haarmoments.weingarten import fourth_moment_closed
 
-from conftest import random_hermitian
+from conftest import random_complex, random_hermitian
 
 
 def test_empirical_moment_zero_matrices():
@@ -40,6 +50,45 @@ def test_empirical_moment_second_and_fourth_order(gen):
     est4 = empirical_moment(xs, d, 20_000, RngStream(22))
     closed = fourth_moment_closed(*xs, d)
     assert np.all(np.abs(est4.mean - closed) <= 5 * est4.stderr + 1e-12)
+
+
+def _moments_one_pattern_at_a_time(patterns, d, n, rng, workers):
+    # reference: each pattern's word built on its own, one pattern after another
+    mats = [[as_matrix(x) for x in xs] for xs in patterns]
+
+    def chunk(gen, count):
+        u = sample_haar_unitaries(d, count, gen)
+        uh = u.conj().swapaxes(-1, -2)
+        for xs in mats:
+            w = u
+            for k, x in enumerate(xs):
+                w = w @ x
+                w = w @ (uh if k % 2 == 0 else u)
+            yield w.view(float)
+
+    estimates = []
+    for moments in accumulate_chunks(chunk, n, rng, workers=workers):
+        se = moments.estimate().stderr.reshape(d, d, 2)
+        estimates.append(McEstimate(moments.mean.view(complex), np.hypot(se[..., 0], se[..., 1]), n))
+    return estimates
+
+
+def test_stacked_words_bit_identical_to_one_pattern_at_a_time(gen):
+    n = 2 * CHUNK + 5
+    per_block = max(1, WORD_CAP // (CHUNK * 4 * 4))
+    cases = (
+        (3, [[random_complex(gen, 3) for _ in range(k)] for k in (1, 3, 5, 3, 1)]),
+        (4, [[random_complex(gen, 4) for _ in range(3)] for _ in range(2 * per_block + 1)]),
+    )
+    for d, patterns in cases:
+        for workers in (1, 2):
+            stacked = empirical_moments(patterns, d, n, RngStream(12, d), workers=workers)
+            looped = _moments_one_pattern_at_a_time(patterns, d, n, RngStream(12, d), workers)
+            assert len(stacked) == len(looped) == len(patterns)
+            for a, b in zip(stacked, looped):
+                assert a.n == b.n == n
+                assert np.array_equal(a.mean, b.mean), (d, workers)
+                assert np.array_equal(a.stderr, b.stderr), (d, workers)
 
 
 def test_worker_count_env(monkeypatch):
@@ -94,10 +143,21 @@ def test_empirical_purity_t0_is_p0():
 
 
 def test_empirical_purity_uniform_matches_closed_form():
+    for dims, p0, stream in ((BipartiteDims(2, 3), 1.0, 6), (BipartiteDims(4, 4), 0.6, 61)):
+        psi = schmidt_state(dims, p0)
+        est = empirical_purity(dims, "uniform", psi, 0.0, 20_000, RngStream(stream))
+        mean, _ = uniform_purity(1.0, dims)
+        assert abs(est.mean - mean) <= 5 * est.stderr, dims
+
+
+def test_empirical_purity_uniform_scales_with_state_norm():
+    # the purity is quartic in psi0, and doubling is exact in floating point
     dims = BipartiteDims(2, 3)
-    est = empirical_purity(dims, "uniform", product_state(dims), 0.0, 20_000, RngStream(6))
-    mean, _ = uniform_purity(1.0, dims)
-    assert abs(est.mean - mean) <= 5 * est.stderr
+    psi = schmidt_state(dims, 0.8)
+    one = empirical_purity(dims, EnsembleKind.UNIFORM, psi, 0.0, 3000, RngStream(62))
+    two = empirical_purity(dims, EnsembleKind.UNIFORM, 2 * psi, 0.0, 3000, RngStream(62))
+    assert two.mean == 16 * one.mean
+    assert two.stderr == 16 * one.stderr
 
 
 def test_empirical_purity_matches_poisson_evolution():
