@@ -147,15 +147,22 @@ def sample_haar_unitaries(d: int, n: int, rng) -> np.ndarray:
     if d < 1:
         raise DimensionError(f"d must be >= 1, got {d}")
     gen = _as_generator(rng)
-    z = gen.standard_normal((n, d, d)) + 1j * gen.standard_normal((n, d, d))
+    z = np.empty((n, d, d), dtype=complex)
+    z.real = gen.standard_normal((n, d, d))
+    z.imag = gen.standard_normal((n, d, d))
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    phases = diag.conj() / np.abs(diag)
-    return q * phases[:, None, :]
+    q *= (diag.conj() / np.abs(diag))[:, None, :]
+    return q
 
 
 def sample_gue_hamiltonians(d: int, n: int, rng) -> np.ndarray:
-    """Stack of n GUE matrices normalized to <|H_ij|^2> = 1/d (semicircle on [-2, 2])."""
+    """Stack of n GUE matrices normalized to <|H_ij|^2> = 1/d (semicircle on [-2, 2]).
+
+    The dense reference route, from 2d^2 normals per matrix.  ``sample_spectra``
+    draws GUE levels from a tridiagonal model and never calls this, so checks
+    that diagonalize these matrices are independent of it.
+    """
     if d < 1:
         raise DimensionError(f"d must be >= 1, got {d}")
     gen = _as_generator(rng)
@@ -166,13 +173,25 @@ def sample_gue_hamiltonians(d: int, n: int, rng) -> np.ndarray:
 def sample_spectra(kind: EnsembleKind, d: int, n: int, rng) -> np.ndarray:
     """n sampled spectra of d levels each, shape (n, d), on the spectral span [-2, 2].
 
-    POISSON levels are i.i.d. uniform; GUE_NUMERIC levels are the ascending
-    eigenvalues of ``sample_gue_hamiltonians``.  No other kind has spectra to
-    sample.
+    POISSON levels are i.i.d. uniform.  GUE_NUMERIC levels are the ascending
+    eigenvalues of the beta = 2 Hermite tridiagonal model (Dumitriu & Edelman,
+    J. Math. Phys. 43, 5830 (2002)): diagonal N(0, 1), off-diagonals
+    b_k = sqrt(chi^2_{2k} / 2) for k = d - 1, ..., 1, all divided by sqrt(d).
+    That is exactly the eigenvalue law of ``sample_gue_hamiltonians``
+    (<|H_ij|^2> = 1/d, semicircle on [-2, 2]) from 2d - 1 variates and a real
+    symmetric matrix instead of 2d^2 normals and a complex Hermitian one.  No
+    other kind has spectra to sample.
     """
     gen = _as_generator(rng)
     if kind == EnsembleKind.POISSON:
         return gen.uniform(-2.0, 2.0, size=(n, d))
     if kind == EnsembleKind.GUE_NUMERIC:
-        return np.linalg.eigvalsh(sample_gue_hamiltonians(d, n, gen))
+        if d < 1:
+            raise DimensionError(f"d must be >= 1, got {d}")
+        idx = np.arange(d)
+        t = np.zeros((n, d, d))
+        t[:, idx, idx] = gen.standard_normal((n, d))
+        # chi^2_{2k} / 2 is Gamma(k, 1); eigvalsh reads only the lower triangle
+        t[:, idx[1:], idx[:-1]] = np.sqrt(gen.standard_gamma(idx[:0:-1], size=(n, d - 1)))
+        return np.linalg.eigvalsh(t) / np.sqrt(d)
     raise ValueError(f"no spectra to sample for ensemble {kind}")

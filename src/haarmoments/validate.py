@@ -255,7 +255,7 @@ def criterion_08_gibbs_ordering(seed: int, quick: bool, workers) -> CriterionRes
     the opposite ordering at beta = 10 (level repulsion suppresses small
     ground-state gaps and therefore *raises* low-temperature purity); see the
     decisions ledger, DECISIONS.md.  The stated ordering does hold for beta
-    below ~0.79.
+    below ~0.81.
     """
     n = 1_000 if quick else 10_000
     p_mean, p_se = gibbs_purity_mc(

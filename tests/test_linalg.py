@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from haarmoments.ensembles import gue_h
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import (
     BipartiteDims,
@@ -127,6 +128,17 @@ def test_haar_unitarity():
     assert np.max(np.abs(prods - np.eye(5))) <= 1e-10
 
 
+def test_haar_bit_identical_to_ginibre_expression():
+    # the in-place fill gives the bits of A + 1j*B -> QR -> q * phases
+    for d in (1, 2, 3, 4, 8, 16, 32):
+        gen = np.random.default_rng([81, d])
+        z = gen.standard_normal((40, d, d)) + 1j * gen.standard_normal((40, d, d))
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        expect = q * (diag.conj() / np.abs(diag))[:, None, :]
+        assert np.array_equal(sample_haar_unitaries(d, 40, np.random.default_rng([81, d])), expect), d
+
+
 def test_haar_reproducible():
     a = sample_haar_unitaries(3, 10, RngStream(123, 4))
     b = sample_haar_unitaries(3, 10, RngStream(123, 4))
@@ -177,9 +189,61 @@ def test_sample_spectra_matches_inline_draws():
     for seed in (3, 4):
         poi = sample_spectra(EnsembleKind.POISSON, 6, 50, np.random.default_rng(seed))
         assert np.array_equal(poi, np.random.default_rng(seed).uniform(-2.0, 2.0, size=(50, 6)))
-        gue = sample_spectra(EnsembleKind.GUE_NUMERIC, 6, 50, RngStream(seed, 1))
-        ref = np.linalg.eigvalsh(sample_gue_hamiltonians(6, 50, RngStream(seed, 1).generator()))
-        assert np.array_equal(gue, ref)
+
+
+def _chunked_levels(draw, n, seed):
+    # levels drawn in chunks, so the dense route stays small at d = 16
+    gen = np.random.default_rng(seed)
+    return np.concatenate([draw(4096, gen) for _ in range(n // 4096)])
+
+
+def _gue_statistics(levels):
+    d = levels.shape[1]
+    stats = {"largest": levels[:, -1], "sum_sq": np.sum(levels**2, axis=1) / d}
+    if d > 1:
+        stats["first_gap"] = levels[:, 1] - levels[:, 0]
+    for t in (0.5, 1.0, 2.0):
+        f = np.exp(-1j * levels * t).mean(axis=1)
+        stats[f"|f({t})|^2"] = np.abs(f) ** 2
+        stats[f"re f({t})"] = f.real
+        stats[f"im f({t})"] = f.imag
+    return stats
+
+
+def _mean_se(vals):
+    return vals.mean(), vals.std(ddof=1) / np.sqrt(len(vals))
+
+
+@pytest.mark.parametrize("d, n", [(1, 98_304), (2, 98_304), (4, 98_304), (16, 20_480)])
+def test_sample_spectra_gue_law_matches_dense_sampler(d, n):
+    # the tridiagonal model against eigvalsh of dense GUE matrices on an
+    # independent stream, statistic by statistic at 5 sigma
+    tri = _chunked_levels(lambda k, gen: sample_spectra(EnsembleKind.GUE_NUMERIC, d, k, gen), n, [61, d])
+    dense = _chunked_levels(lambda k, gen: np.linalg.eigvalsh(sample_gue_hamiltonians(d, k, gen)), n, [62, d])
+    assert tri.shape == (n, d)
+    assert np.all(np.diff(tri, axis=1) >= 0)
+    tri_stats, dense_stats = _gue_statistics(tri), _gue_statistics(dense)
+    for name, vals in tri_stats.items():
+        (m_tri, se_tri), (m_dense, se_dense) = _mean_se(vals), _mean_se(dense_stats[name])
+        assert abs(m_tri - m_dense) <= 5 * np.hypot(se_tri, se_dense), (d, name)
+    # <f(t)> of the tridiagonal draws against the exact finite-d mean
+    for t in (0.5, 1.0, 2.0):
+        exact = gue_h(t, d, EnsembleKind.GUE_NUMERIC)
+        for name, value in ((f"re f({t})", exact.real), (f"im f({t})", exact.imag)):
+            m, se = _mean_se(tri_stats[name])
+            assert abs(m - value) <= 5 * se, (d, name)
+
+
+def test_sample_spectra_gue_reproducible_and_d1():
+    a = sample_spectra(EnsembleKind.GUE_NUMERIC, 5, 40, RngStream(71, 2))
+    b = sample_spectra(EnsembleKind.GUE_NUMERIC, 5, 40, RngStream(71, 2))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, sample_spectra(EnsembleKind.GUE_NUMERIC, 5, 40, RngStream(71, 3)))
+    # at d = 1 the model is the one N(0, 1) diagonal entry; no chi variate is drawn
+    one = sample_spectra(EnsembleKind.GUE_NUMERIC, 1, 40, np.random.default_rng(72))
+    assert np.array_equal(one, np.random.default_rng(72).standard_normal((40, 1)))
+    with pytest.raises(DimensionError):
+        sample_spectra(EnsembleKind.GUE_NUMERIC, 0, 40, RngStream(1))
 
 
 def test_sample_spectra_rejects_kinds_without_spectra():
