@@ -46,7 +46,6 @@ from .ensembles import (
     averaged_form_factors,
     averaged_time_coeffs,
     gue_form_factors,
-    gue_h,
     poisson_form_factors,
 )
 from .applications import (

@@ -198,13 +198,6 @@ def poisson_form_factors(t: float, d: int) -> AveragedFormFactors:
     return _form_factors(EnsembleKind.POISSON, float(t), d)
 
 
-def gue_h(t: float, d: int, mode: EnsembleKind) -> complex:
-    """Ensemble mean of f(t): Tr G(t)/d for GUE_NUMERIC, h(t) for GUE_LARGE_D."""
-    if mode not in (EnsembleKind.GUE_NUMERIC, EnsembleKind.GUE_LARGE_D):
-        raise ValueError(f"gue_h expects a GUE mode, got {mode}")
-    return complex(_moment_function(mode, d)((float(t),)) / d)
-
-
 def gue_form_factors(t: float, d: int, mode: EnsembleKind) -> AveragedFormFactors:
     """GUE averages of the spectral functions at time t.
 

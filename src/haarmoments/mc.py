@@ -1,10 +1,15 @@
 """Monte Carlo oracle for the analytic averages.
 
-Every estimator samples Haar unitaries, and spectra where needed, with the
-samplers of ``linalg``, which also holds the ensemble vocabulary
-(``EnsembleKind``); nothing here touches the Weingarten sums, the closed-form
-coefficients or the ensemble averages, so agreement between the two routes
-is a real cross-check.
+Every estimator samples from the Haar measure, and spectra where needed,
+with the samplers of ``linalg``, which also holds the ensemble vocabulary
+(``EnsembleKind``).  Most draw full Haar unitaries; ``empirical_purity``
+draws only the evolved state, from Gaussian vectors whose law follows from
+Haar invariance alone.  Nothing here touches the Weingarten sums, the
+closed-form coefficients or the ensemble averages, so agreement between the
+two routes is a real cross-check.
+
+Only ``empirical_reduced_norm`` reports a variance, so only its chunks keep
+the third and fourth central sums.
 
 Sampling is chunked: chunk i uses the generator derived from
 (seed, stream, i), and per-chunk central moments are merged in chunk order, so
@@ -52,43 +57,56 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class McMoments:
-    """Sample count, mean and central sums sum (x - mean)^p, p = 2, 3, 4, entrywise."""
+    """Sample count, mean and central sums sum (x - mean)^p, entrywise.
+
+    m2 is always kept.  m3 and m4 (p = 3, 4) are kept only when the moments
+    were taken with ``variance=True``; they are None otherwise, and only
+    ``variance()`` reads them.
+    """
 
     n: int
     mean: np.ndarray | float
     m2: np.ndarray | float
-    m3: np.ndarray | float
-    m4: np.ndarray | float
+    m3: np.ndarray | float | None = None
+    m4: np.ndarray | float | None = None
 
     @classmethod
-    def of(cls, x) -> McMoments:
+    def of(cls, x, variance: bool = False) -> McMoments:
         """Two passes over the samples on the first axis of x: the mean (of the
         offsets from the first sample, so a common offset never enters a sum),
         then the central sums."""
         x = np.asarray(x, dtype=float)
+        n = x.shape[0]
         dev = x - x[0]
-        shift = dev.mean(axis=0)
+        # the same sum and division as dev.mean(axis=0), without its Python wrapper
+        shift = dev.sum(axis=0) / n
         dev -= shift
         mean = x[0] + shift
+        if not variance:
+            dev *= dev
+            return cls(n, mean, dev.sum(axis=0))
         power = dev * dev
         m2 = power.sum(axis=0)
         power *= dev
         m3 = power.sum(axis=0)
         power *= dev
-        return cls(x.shape[0], mean, m2, m3, power.sum(axis=0))
+        return cls(n, mean, m2, m3, power.sum(axis=0))
 
     def merge(self, other: McMoments) -> McMoments:
         """Pooled moments of two disjoint samples (Chan-Golub-LeVeque, Pebay)."""
         na, nb, n = self.n, other.n, self.n + other.n
         delta = other.mean - self.mean
         dn = delta / n
+        mean = self.mean + nb * dn
         m2 = self.m2 + other.m2 + delta * dn * na * nb
+        if self.m4 is None:
+            return McMoments(n, mean, m2)
         m3 = (self.m3 + other.m3 + delta * dn**2 * na * nb * (na - nb)
               + 3 * dn * (na * other.m2 - nb * self.m2))
         m4 = (self.m4 + other.m4 + delta * dn**3 * na * nb * (na * na - na * nb + nb * nb)
               + 6 * dn**2 * (na * na * other.m2 + nb * nb * self.m2)
               + 4 * dn * (na * other.m3 - nb * self.m3))
-        return McMoments(n, self.mean + nb * dn, m2, m3, m4)
+        return McMoments(n, mean, m2, m3, m4)
 
     def estimate(self) -> McEstimate:
         """The mean, with standard error sqrt(M2 / (n (n - 1)))."""
@@ -97,6 +115,8 @@ class McMoments:
 
     def variance(self) -> McEstimate:
         """The sample variance M2 / (n - 1), with standard error sqrt((m4 - m2^2) / n)."""
+        if self.m4 is None:
+            raise ValueError("these moments carry no m3, m4: accumulate with variance=True")
         n = self.n
         var = self.m2 / (n - 1)
         spread = np.maximum(self.m4 / n - var**2, 0.0)
@@ -113,14 +133,15 @@ def worker_count(explicit: int | None = None) -> int:
 
 
 def accumulate_chunks(
-    chunk_fn, n: int, rng: RngStream, workers: int | None = None
+    chunk_fn, n: int, rng: RngStream, workers: int | None = None, variance: bool = False
 ) -> list[McMoments]:
     """Moments of the samples chunk_fn(generator, count) draws over fixed-size chunks.
 
     chunk_fn returns an iterable of real per-sample arrays, samples on the
     first axis.  Each chunk is reduced to McMoments in its worker; the chunks
     are merged in chunk order, so the result is bit-identical for any worker
-    count.  Returns one McMoments per array.
+    count.  Returns one McMoments per array, with m3 and m4 only when
+    ``variance`` is set.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -129,7 +150,7 @@ def accumulate_chunks(
         sizes.append(n % CHUNK)
 
     def run(i: int) -> list[McMoments]:
-        return [McMoments.of(x) for x in chunk_fn(rng.generator(i), sizes[i])]
+        return [McMoments.of(x, variance) for x in chunk_fn(rng.generator(i), sizes[i])]
 
     with ThreadPoolExecutor(max_workers=worker_count(workers)) as executor:
         parts = executor.map(run, range(len(sizes)))
@@ -169,12 +190,12 @@ def empirical_moments(
     order = sorted(range(len(mats)), key=lambda i: len(mats[i]))
     per_block = max(1, WORD_CAP // (CHUNK * d * d))
     rows = d * max(1, GEMM_CAP // d**3)
-    stacks = []
+    blocks, stacks = [], []
     for _, group in itertools.groupby(order, key=lambda i: len(mats[i])):
         group = list(group)
         for start in range(0, len(group), per_block):
-            block = [mats[i] for i in group[start : start + per_block]]
-            stacks.append(np.array(list(zip(*block))))
+            blocks.append(group[start : start + per_block])
+            stacks.append(np.array(list(zip(*(mats[i] for i in blocks[-1])))))
 
     def chunk(gen: np.random.Generator, count: int):
         u = sample_haar_unitaries(d, count, gen)
@@ -196,16 +217,18 @@ def empirical_moments(
                 if k + 1 < len(ops):
                     src.reshape(p, count, d, d)[...] = dst.reshape(count, p, d, d).swapaxes(0, 1)
                     w = src.reshape(by_pattern)
-            words = dst.reshape(count, p, d, d)
-            for j in range(p):
-                # reduced by the caller before the next block overwrites it
-                yield words[:, j].view(float)
+            # one row of p words per sample, reduced by the caller before the
+            # next block overwrites it
+            yield dst.reshape(count, -1).view(float)
 
     merged = accumulate_chunks(chunk, n, rng, workers=workers)
     estimates = [None] * len(order)
-    for i, moments in zip(order, merged):
-        se = moments.estimate().stderr.reshape(d, d, 2)
-        estimates[i] = McEstimate(moments.mean.view(complex), np.hypot(se[..., 0], se[..., 1]), n)
+    for block, moments in zip(blocks, merged):
+        est = moments.estimate()
+        means = est.mean.view(complex).reshape(-1, d, d)
+        se = est.stderr.reshape(-1, d, d, 2)
+        for j, i in enumerate(block):
+            estimates[i] = McEstimate(means[j], np.hypot(se[j, ..., 0], se[j, ..., 1]), n)
     return estimates
 
 
@@ -230,7 +253,7 @@ def empirical_reduced_norm(
         pt = partial_trace_env(a, dims)
         return (np.sum(pt.real**2 + pt.imag**2, axis=(1, 2)),)
 
-    (moments,) = accumulate_chunks(chunk, n, rng, workers=workers)
+    (moments,) = accumulate_chunks(chunk, n, rng, workers=workers, variance=True)
     return moments.estimate(), moments.variance()
 
 
@@ -292,6 +315,14 @@ def product_state(dims: BipartiteDims) -> np.ndarray:
     return psi
 
 
+def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian entries, real parts drawn first."""
+    z = np.empty(shape, dtype=complex)
+    z.real = gen.standard_normal(shape)
+    z.imag = gen.standard_normal(shape)
+    return z
+
+
 def empirical_purity(
     dims: BipartiteDims,
     spectra,
@@ -303,11 +334,22 @@ def empirical_purity(
 ) -> McEstimate:
     """Mean reduced purity of the evolved pure state psi0.
 
-    ``spectra`` selects the evolution: an array of levels evolves with that
+    ``spectra`` selects the evolution: an array of levels E evolves with that
     fixed spectrum and Haar eigenvectors W; an ``EnsembleKind`` (or its
-    value, e.g. "poi") either applies a Haar unitary directly (UNIFORM, drawn
-    as a random vector of norm ||psi0||) or draws a fresh spectrum per sample
-    with ``sample_spectra`` after W.
+    value, e.g. "poi") either applies a Haar unitary directly (UNIFORM) or
+    draws a fresh spectrum per sample with ``sample_spectra``.
+
+    No unitary is formed: the evolved state is drawn from two complex
+    Gaussian vectors with its exact law, by Haar invariance alone.  For
+    UNIFORM, W psi0 is uniform on the sphere of radius ||psi0|| (Mezzadri,
+    Notices AMS 54, 592 (2007)).  Otherwise, with u = psi0 / ||psi0|| and
+    p = exp(-iEt), v = W^dag u is uniform on the unit sphere, and p o v =
+    c v + r with c = sum_k p_k |v_k|^2 and r orthogonal to v.  W maps v to u,
+    and given v it maps r to a vector uniform on the sphere of radius ||r||
+    in the complement of u, so W e^{-iEt} W^dag psi0 = ||psi0|| (c u + ||r|| xi)
+    with xi a complex Gaussian vector whose u component is removed, then
+    normalized.  ||r|| comes from the residual itself, not from
+    sqrt(1 - |c|^2), which keeps t = 0 exact to rounding.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (dims.d,):
@@ -315,22 +357,29 @@ def empirical_purity(
     if isinstance(spectra, (str, EnsembleKind)):
         kind, fixed_phases = EnsembleKind(spectra), None
     else:
-        kind, fixed_phases = None, np.exp(-1j * np.asarray(spectra, dtype=float) * t)
+        levels = np.asarray(spectra, dtype=float)
+        if levels.shape != (dims.d,):
+            raise DimensionError(f"spectrum length {levels.shape} != d = {dims.d}")
+        kind, fixed_phases = None, np.exp(-1j * levels * t)
+    norm = np.linalg.norm(psi0)
+    # psi0 = 0 evolves to 0 whatever unit vector stands in for u
+    u = psi0 / norm if norm else product_state(dims)
 
     def chunk(gen: np.random.Generator, count: int):
+        z = _complex_normal(gen, (count, dims.d))
         if kind == EnsembleKind.UNIFORM:
-            # W psi0 is uniform on the sphere of radius ||psi0|| (Mezzadri,
-            # Notices AMS 54, 592 (2007)): a normalized complex Gaussian
-            # vector has that law, without a QR per sample
-            z = gen.standard_normal((count, dims.d)) + 1j * gen.standard_normal((count, dims.d))
-            phi = z * (np.linalg.norm(psi0) / np.linalg.norm(z, axis=1, keepdims=True))
+            phi = z * (norm / np.linalg.norm(z, axis=1, keepdims=True))
         else:
-            w = sample_haar_unitaries(dims.d, count, gen)
             phases = fixed_phases
             if kind is not None:
                 phases = np.exp(-1j * sample_spectra(kind, dims.d, count, gen) * t)
-            inner = np.einsum("sji,j->si", w.conj(), psi0)
-            phi = np.einsum("sij,sj->si", w, phases * inner)
+            v = z / np.linalg.norm(z, axis=1, keepdims=True)
+            c = np.sum(phases * (v.real**2 + v.imag**2), axis=1, keepdims=True)
+            r_norm = np.linalg.norm((phases - c) * v, axis=1, keepdims=True)
+            xi = _complex_normal(gen, (count, dims.d))
+            xi -= (xi @ u.conj())[:, None] * u
+            xi *= r_norm / np.linalg.norm(xi, axis=1, keepdims=True)
+            phi = norm * (c * u + xi)
         phi = phi.reshape(count, dims.d_s, dims.d_e)
         rho_s = np.einsum("sae,sbe->sab", phi, phi.conj())
         return (np.sum(rho_s.real**2 + rho_s.imag**2, axis=(1, 2)),)

@@ -8,10 +8,10 @@ from haarmoments.ensembles import (
     _gue_block,
     _gue_grid,
     _hermite_functions,
+    _moment_function,
     averaged_time_coeffs,
     bessel_j1_over_t,
     gue_form_factors,
-    gue_h,
     poisson_form_factors,
     sinc,
 )
@@ -155,25 +155,28 @@ def test_gue_level_density_normalization():
         assert np.max(np.abs(step * phi @ phi.T - np.eye(d))) <= 1e-12, d
 
 
+def _mean_f(t, d, kind):
+    # the ensemble mean of f(t): the normalized first moment of S
+    return _moment_function(kind, d)((float(t),)) / d
+
+
 def test_gue_h_normalization_and_modes():
-    assert gue_h(0.0, 8, EnsembleKind.GUE_NUMERIC) == 1.0
-    assert gue_h(0.0, 8, EnsembleKind.GUE_LARGE_D) == 1.0
+    assert _mean_f(0.0, 8, EnsembleKind.GUE_NUMERIC) == 1.0
+    assert _mean_f(0.0, 8, EnsembleKind.GUE_LARGE_D) == 1.0
     with pytest.raises(DimensionError):
-        gue_h(1.0, 17, EnsembleKind.GUE_NUMERIC)
-    with pytest.raises(ValueError):
-        gue_h(1.0, 4, EnsembleKind.POISSON)
+        _mean_f(1.0, 17, EnsembleKind.GUE_NUMERIC)
 
 
 def test_gue_h_large_d_zero_at_first_bessel_root():
     t_zero = 3.8317059702 / 2
-    assert abs(gue_h(t_zero, 64, EnsembleKind.GUE_LARGE_D).real) < 1e-6
+    assert abs(_mean_f(t_zero, 64, EnsembleKind.GUE_LARGE_D).real) < 1e-6
 
 
 def test_gue_h_numeric_close_to_large_d():
     diffs = [
         abs(
-            gue_h(t, 16, EnsembleKind.GUE_NUMERIC).real
-            - gue_h(t, 16, EnsembleKind.GUE_LARGE_D).real
+            _mean_f(t, 16, EnsembleKind.GUE_NUMERIC).real
+            - _mean_f(t, 16, EnsembleKind.GUE_LARGE_D).real
         )
         for t in np.linspace(0, 6, 25)
     ]
@@ -227,7 +230,7 @@ GUE_QUADRATURE_TABLE = [
 
 def test_gue_numeric_matches_quadrature_table():
     for d, t, h, f2 in GUE_QUADRATURE_TABLE:
-        assert abs(gue_h(t, d, EnsembleKind.GUE_NUMERIC) - h) <= 1e-10, (d, t)
+        assert abs(_mean_f(t, d, EnsembleKind.GUE_NUMERIC) - h) <= 1e-10, (d, t)
         assert abs(gue_form_factors(t, d, EnsembleKind.GUE_NUMERIC).f2 - f2) <= 1e-10, (d, t)
 
 
@@ -244,7 +247,7 @@ def test_gue_h_against_laguerre_closed_form():
     for d in (2, 4, 8, 16):
         for t in np.linspace(0.1, 5.0, 50):
             exact = np.exp(-(t**2) / (2 * d)) * _laguerre1(d - 1, t**2 / d) / d
-            assert abs(np.trace(_gue_block(t, d)) / d - exact) <= 1e-12, (d, t)
+            assert abs(_mean_f(t, d, EnsembleKind.GUE_NUMERIC) - exact) <= 1e-12, (d, t)
 
 
 def _jacobi_blocks(d, times):

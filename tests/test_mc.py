@@ -14,7 +14,9 @@ from haarmoments.linalg import (
     hs_norm_sq,
     partial_trace_env,
     sample_haar_unitaries,
+    sample_spectra,
 )
+from haarmoments import mc
 from haarmoments.mc import (
     CHUNK,
     WORD_CAP,
@@ -150,14 +152,87 @@ def test_empirical_purity_uniform_matches_closed_form():
         assert abs(est.mean - mean) <= 5 * est.stderr, dims
 
 
+def _all_spectra(dims):
+    # the four evolutions empirical_purity takes: three kinds and fixed levels
+    levels = np.random.default_rng([80, dims.d]).uniform(-2.0, 2.0, dims.d)
+    return (EnsembleKind.UNIFORM, EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC, levels)
+
+
 def test_empirical_purity_uniform_scales_with_state_norm():
     # the purity is quartic in psi0, and doubling is exact in floating point
     dims = BipartiteDims(2, 3)
     psi = schmidt_state(dims, 0.8)
-    one = empirical_purity(dims, EnsembleKind.UNIFORM, psi, 0.0, 3000, RngStream(62))
-    two = empirical_purity(dims, EnsembleKind.UNIFORM, 2 * psi, 0.0, 3000, RngStream(62))
-    assert two.mean == 16 * one.mean
-    assert two.stderr == 16 * one.stderr
+    for spectra in _all_spectra(dims):
+        one = empirical_purity(dims, spectra, psi, 1.3, 3000, RngStream(62))
+        two = empirical_purity(dims, spectra, 2 * psi, 1.3, 3000, RngStream(62))
+        assert two.mean == 16 * one.mean
+        assert two.stderr == 16 * one.stderr
+
+
+def test_empirical_purity_zero_state_is_exactly_zero():
+    dims = BipartiteDims(2, 3)
+    for spectra in _all_spectra(dims):
+        est = empirical_purity(dims, spectra, np.zeros(dims.d), 1.3, 2000, RngStream(63))
+        assert est.mean == 0.0 and est.stderr == 0.0
+
+
+def test_empirical_purity_draws_no_haar_unitary(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("empirical_purity must not draw a Haar unitary")
+
+    monkeypatch.setattr(mc, "sample_haar_unitaries", refuse)
+    dims = BipartiteDims(2, 4)
+    for spectra in _all_spectra(dims):
+        est = empirical_purity(dims, spectra, schmidt_state(dims, 0.7), 1.3, 2000, RngStream(64))
+        assert 1 / 2 - 1e-9 <= est.mean <= 1.0 + 1e-9
+
+
+def _purity_dense_w(dims, spectra, psi0, t, n, rng):
+    # reference: a full Haar W per sample, applied as W e^{-iEt} W^dag psi0
+    def chunk(gen, count):
+        w = sample_haar_unitaries(dims.d, count, gen)
+        if isinstance(spectra, EnsembleKind):
+            phases = np.exp(-1j * sample_spectra(spectra, dims.d, count, gen) * t)
+        else:
+            phases = np.exp(-1j * spectra * t)
+        inner = np.einsum("sji,j->si", w.conj(), psi0)
+        phi = np.einsum("sij,sj->si", w, phases * inner).reshape(count, dims.d_s, dims.d_e)
+        rho_s = np.einsum("sae,sbe->sab", phi, phi.conj())
+        return (np.sum(rho_s.real**2 + rho_s.imag**2, axis=(1, 2)),)
+
+    return accumulate_chunks(chunk, n, rng)[0].estimate()
+
+
+# (d_s, d_e, p0, times, kinds); the dense reference costs about 3 s per
+# 40 000 samples at d = 32, so the largest spaces run a subset of the kinds
+_ALL_KINDS = ("poi", "gue", "fixed")
+PURITY_LAW_CASES = [
+    (2, 2, 0.8, (0.0, 1.3), _ALL_KINDS),
+    (2, 3, 1.0, (0.7,), _ALL_KINDS),
+    (3, 3, 0.5, (0.0, 2.5), _ALL_KINDS),
+    (4, 4, 0.6, (1.0,), _ALL_KINDS),
+    (2, 8, 0.75, (0.4,), ("gue", "fixed")),
+    (4, 8, 0.4, (1.8,), ("poi",)),
+]
+
+
+@pytest.mark.parametrize("ds, de, p0, times, kinds", PURITY_LAW_CASES)
+def test_empirical_purity_law_matches_dense_haar_reference(ds, de, p0, times, kinds):
+    # the two-vector sampler and a dense Haar W, each on its own stream, at 5 sigma;
+    # at t = 0 both equal p0 to rounding and both stderrs are ~1e-17
+    dims = BipartiteDims(ds, de)
+    psi = schmidt_state(dims, p0)
+    spectra = {
+        "poi": EnsembleKind.POISSON,
+        "gue": EnsembleKind.GUE_NUMERIC,
+        "fixed": np.random.default_rng([81, dims.d]).uniform(-2.0, 2.0, dims.d),
+    }
+    for i, t in enumerate(times):
+        for k, name in enumerate(kinds):
+            est = empirical_purity(dims, spectra[name], psi, t, 40_000, RngStream(82, 10 * i + k))
+            ref = _purity_dense_w(dims, spectra[name], psi, t, 40_000, RngStream(83, 10 * i + k))
+            floor = 1e-12 if t == 0 else 0.0
+            assert abs(est.mean - ref.mean) <= 5 * np.hypot(est.stderr, ref.stderr) + floor, (name, t)
 
 
 def test_empirical_purity_matches_poisson_evolution():
@@ -197,6 +272,10 @@ def test_empirical_purity_takes_kind_or_its_value():
     for bad in ("goe", EnsembleKind.GUE_LARGE_D):
         with pytest.raises(ValueError):
             empirical_purity(dims, bad, psi, 1.0, 100, RngStream(74))
+    # one level would broadcast over all d as a degenerate spectrum
+    for levels in ([0.3], np.zeros(dims.d + 1)):
+        with pytest.raises(DimensionError):
+            empirical_purity(dims, levels, psi, 1.0, 100, RngStream(74))
 
 
 def test_reproducible_across_worker_counts(gen):
@@ -234,7 +313,7 @@ def test_accumulate_chunks_matches_numpy_on_offset_data():
     n = 2 * CHUNK + 1
     rng = RngStream(30)
     samples = [_offset_chunk(rng.generator(i), c) for i, c in enumerate((CHUNK, CHUNK, 1))]
-    for k, moments in enumerate(accumulate_chunks(_offset_chunk, n, rng)):
+    for k, moments in enumerate(accumulate_chunks(_offset_chunk, n, rng, variance=True)):
         x = np.concatenate([part[k] for part in samples])
         est = moments.estimate()
         assert moments.n == n
@@ -243,10 +322,24 @@ def test_accumulate_chunks_matches_numpy_on_offset_data():
         np.testing.assert_allclose(moments.variance().mean, np.var(x, axis=0, ddof=1), rtol=1e-11)
 
 
+def test_lean_moments_equal_full_and_refuse_variance():
+    # without variance=True only the mean and m2 are kept, with the same bits
+    n = 2 * CHUNK + 1
+    full = accumulate_chunks(_offset_chunk, n, RngStream(34), variance=True)
+    lean = accumulate_chunks(_offset_chunk, n, RngStream(34))
+    for a, b in zip(full, lean, strict=True):
+        assert a.n == b.n
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.m2, b.m2)
+        assert b.m3 is None and b.m4 is None
+        with pytest.raises(ValueError):
+            b.variance()
+
+
 def test_accumulate_chunks_bit_identical_across_worker_counts():
     n = 2 * CHUNK + 1
-    one = accumulate_chunks(_offset_chunk, n, RngStream(31), workers=1)
-    three = accumulate_chunks(_offset_chunk, n, RngStream(31), workers=3)
+    one = accumulate_chunks(_offset_chunk, n, RngStream(31), workers=1, variance=True)
+    three = accumulate_chunks(_offset_chunk, n, RngStream(31), workers=3, variance=True)
     for a, b in zip(one, three):
         assert a.n == b.n
         for field in ("mean", "m2", "m3", "m4"):
@@ -258,8 +351,9 @@ def test_accumulate_chunks_accepts_generator_chunks():
         yield from _offset_chunk(gen, count)
 
     n = 2 * CHUNK + 1
-    eager = accumulate_chunks(_offset_chunk, n, RngStream(33), workers=2)
-    for a, b in zip(eager, accumulate_chunks(lazy, n, RngStream(33), workers=2), strict=True):
+    eager = accumulate_chunks(_offset_chunk, n, RngStream(33), workers=2, variance=True)
+    lazy_moments = accumulate_chunks(lazy, n, RngStream(33), workers=2, variance=True)
+    for a, b in zip(eager, lazy_moments, strict=True):
         assert a.n == b.n
         for field in ("mean", "m2", "m3", "m4"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
