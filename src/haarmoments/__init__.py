@@ -42,7 +42,6 @@ from .closed_forms import (
     variance_coeffs,
 )
 from .ensembles import (
-    AveragedFormFactors,
     averaged_form_factors,
     averaged_time_coeffs,
     gue_form_factors,

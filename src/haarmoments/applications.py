@@ -11,32 +11,15 @@ import numpy as np
 from .closed_forms import (
     FormFactorInputs,
     general_average,
-    time_coeffs,
     uniform_average,
     uniform_coeffs,
     uniform_variance,
 )
-from .ensembles import (
-    AveragedFormFactors,
-    EnsembleKind,
-    averaged_form_factors,
-    averaged_time_coeffs,
-    bessel_j1_over_t,
-    sinc,
-)
+from .ensembles import EnsembleKind, averaged_time_coeffs, bessel_j1_over_t, sinc
 from .errors import DimensionError
-from .linalg import (
-    BipartiteDims,
-    RngStream,
-    check_state,
-    hs_norm_sq,
-    partial_trace_env,
-    partial_trace_sys,
-    sample_spectra,
-)
+from .linalg import BipartiteDims, RngStream, check_state, sample_spectra
 from .mc import accumulate_chunks
 
-MARGINAL_MATCH_TOL = 1e-9
 ENVELOPE_WINDOW = math.pi / 2  # oscillation period of the sin(2t)-type factors
 
 
@@ -62,7 +45,6 @@ class ThermalizationParams:
     p_rho0: float = 1.0
     p_s0: float = 1.0
     p_e0: float = 1.0
-    beta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -74,6 +56,12 @@ class ThermalizationCurve:
     meta: dict = field(default_factory=dict)
 
 
+def _check_purity(name: str, p: float, dim: int) -> None:
+    """A purity of a dim-dimensional state lies in [1/dim, 1], up to rounding."""
+    if not 1.0 / dim - 1e-12 <= p <= 1.0 + 1e-12:
+        raise ValueError(f"{name} = {p} outside [1/{dim}, 1]")
+
+
 def two_state_uniform(rho, rho_p, dims: BipartiteDims) -> tuple[float, float]:
     """Mean and variance of ||Tr_E{U (rho - rho') U^dag}||^2 over Haar U."""
     m = check_state(rho) - check_state(rho_p)
@@ -83,19 +71,10 @@ def two_state_uniform(rho, rho_p, dims: BipartiteDims) -> tuple[float, float]:
 def two_state_general(rho, rho_p, dims: BipartiteDims, ff: FormFactorInputs) -> float:
     """Time-dependent mean distance of two evolving reduced states.
 
-    When both marginals of rho and rho' agree the average collapses to
-    ct1(t) * ||rho - rho'||^2; otherwise the full four-term average applies.
+    When both marginals of rho and rho' agree only the ct1(t) ||rho - rho'||^2
+    term of the general average survives.
     """
-    rho = check_state(rho)
-    rho_p = check_state(rho_p)
-    m = rho - rho_p
-    if m.shape[0] != dims.d:
-        raise DimensionError(f"state dim {m.shape[0]} != d = {dims.d}")
-    env_gap = np.max(np.abs(partial_trace_env(m, dims)))
-    sys_gap = np.max(np.abs(partial_trace_sys(m, dims)))
-    if env_gap <= MARGINAL_MATCH_TOL and sys_gap <= MARGINAL_MATCH_TOL:
-        return time_coeffs(ff, dims).ct1 * hs_norm_sq(m)
-    return general_average(m, dims, ff)
+    return general_average(check_state(rho) - check_state(rho_p), dims, ff)
 
 
 def depolarizing_average(rho0, f2: float, d: int) -> np.ndarray:
@@ -118,10 +97,10 @@ def uniform_purity(p_total: float, dims: BipartiteDims) -> tuple[float, float | 
     closed form holds for pure total states only and is None otherwise.
     """
     d = dims.d
-    if not 1.0 / d - 1e-12 <= p_total <= 1.0 + 1e-12:
-        raise ValueError(f"total purity {p_total} outside [1/{d}, 1]")
+    _check_purity("total purity", p_total, d)
     ds, de = dims.d_s, dims.d_e
-    mean = ((ds**2 * de - de) * p_total + ds * de**2 - ds) / (ds**2 * de**2 - 1)
+    c1, c2 = uniform_coeffs(dims)
+    mean = c1 * p_total + c2
     variance = None
     if abs(p_total - 1.0) <= 1e-12:
         variance = (
@@ -133,38 +112,24 @@ def uniform_purity(p_total: float, dims: BipartiteDims) -> tuple[float, float | 
     return mean, variance
 
 
-def _purity_value(ff: AveragedFormFactors, dims: BipartiteDims, p0: float) -> float:
-    ds, de, d = dims.d_s, dims.d_e, dims.d
-    g = 4.0 * ff.f2 - ff.f2_2t - d**2 * ff.f4
-    re = ff.re_f2fc2t
-    return (
-        (ds + de) / (d + 1)
-        + (ds + de) * (g - 2 * d * re) / ((d - 1) * (d + 1) * (d + 3))
-        + (2 * d * re - g) / ((d - 1) * (d + 3)) * p0
-    )
-
-
 def purity_evolution(
     ensemble: EnsembleKind, dims: BipartiteDims, p0: float, times
 ) -> PurityTrajectory:
     """Mean reduced purity of an initially pure total state along a time grid.
 
     p0 is the initial reduced purity; the trajectory starts at p0 exactly and
-    relaxes towards (d_S + d_E)/(d_S d_E + 1), i.e. 1/d_S for large d_E.
+    relaxes towards (d_S + d_E)/(d_S d_E + 1), i.e. 1/d_S for large d_E.  A
+    pure total state has ||rho0||^2 = Tr rho0 = 1 and two marginals of purity
+    p0, so the general average reads ct1 + ct2 + (ct3 + ct4) p0.
     """
-    if not 1.0 / dims.d_s - 1e-12 <= p0 <= 1.0 + 1e-12:
-        raise ValueError(f"reduced purity {p0} outside [1/{dims.d_s}, 1]")
+    _check_purity("reduced purity", p0, dims.d_s)
     times = np.asarray(times, dtype=float)
     if ensemble == EnsembleKind.UNIFORM:
         mean, _ = uniform_purity(1.0, dims)
         values = np.full(times.shape, mean)
     else:
-        values = np.array(
-            [
-                _purity_value(averaged_form_factors(ensemble, t, dims.d), dims, p0)
-                for t in times
-            ]
-        )
+        coeffs = [averaged_time_coeffs(ensemble, t, dims) for t in times]
+        values = np.array([c.ct1 + c.ct2 + (c.ct3 + c.ct4) * p0 for c in coeffs])
     return PurityTrajectory(times=times, values=values, ensemble=ensemble, dims=dims, p0=p0)
 
 
@@ -204,9 +169,8 @@ def gibbs_purity_mc(
 
 def closed_thermalization(p_gibbs: float, p0: float, d: int) -> float:
     """Time-independent mean squared distance to the Gibbs state (closed system)."""
-    for name, p in (("p_gibbs", p_gibbs), ("p0", p0)):
-        if not 1.0 / d - 1e-12 <= p <= 1.0 + 1e-12:
-            raise ValueError(f"{name} = {p} outside [1/{d}, 1]")
+    _check_purity("p_gibbs", p_gibbs, d)
+    _check_purity("p0", p0, d)
     return p_gibbs + p0 - 2.0 / d
 
 
@@ -216,18 +180,10 @@ def open_thermalization(
     """Mean squared reduced distance to the Gibbs state along a time grid."""
     dims = params.dims
     d = dims.d
-    for name, p in (
-        ("p_gibbs", params.p_gibbs),
-        ("p_rho0", params.p_rho0),
-    ):
-        if not 1.0 / d - 1e-12 <= p <= 1.0 + 1e-12:
-            raise ValueError(f"{name} = {p} outside [1/{d}, 1]")
-    for name, p, dim in (
-        ("p_s0", params.p_s0, dims.d_s),
-        ("p_e0", params.p_e0, dims.d_e),
-    ):
-        if not 1.0 / dim - 1e-12 <= p <= 1.0 + 1e-12:
-            raise ValueError(f"{name} = {p} outside [1/{dim}, 1]")
+    _check_purity("p_gibbs", params.p_gibbs, d)
+    _check_purity("p_rho0", params.p_rho0, d)
+    _check_purity("p_s0", params.p_s0, dims.d_s)
+    _check_purity("p_e0", params.p_e0, dims.d_e)
     c1, c2 = uniform_coeffs(dims)
     base = c1 * params.p_gibbs + c2 - 2.0 / dims.d_s
     times = np.asarray(times, dtype=float)

@@ -27,7 +27,6 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +36,6 @@ from .linalg import BipartiteDims, EnsembleKind
 from .weingarten import cycles_of
 
 GUE_NUMERIC_MAX_DIM = 16
-
-
-@dataclass(frozen=True)
-class AveragedFormFactors(FormFactorInputs):
-    """Ensemble means of the four spectral functions at a given time."""
-
-    ensemble: EnsembleKind = EnsembleKind.POISSON
-    t: float = 0.0
-    d: int = 0
 
 
 def sinc(x: float) -> float:
@@ -181,24 +171,23 @@ def _moment_function(kind: EnsembleKind, d: int):
     return moment
 
 
-def _form_factors(kind: EnsembleKind, t: float, d: int) -> AveragedFormFactors:
+def _form_factors(kind: EnsembleKind, t: float, d: int) -> FormFactorInputs:
     """The four spectral functions at time t as normalized moments of S."""
     moment = _moment_function(kind, d)
-    return AveragedFormFactors(
+    return FormFactorInputs(
         f2=moment((t, -t)).real / d**2,
         f2_2t=moment((2.0 * t, -2.0 * t)).real / d**2,
         re_f2fc2t=moment((t, t, -2.0 * t)).real / d**3,
         f4=moment((t, t, -t, -t)).real / d**4,
-        ensemble=kind, t=t, d=d,
     )
 
 
-def poisson_form_factors(t: float, d: int) -> AveragedFormFactors:
+def poisson_form_factors(t: float, d: int) -> FormFactorInputs:
     """Poisson (uncorrelated uniform levels) averages at time t."""
     return _form_factors(EnsembleKind.POISSON, float(t), d)
 
 
-def gue_form_factors(t: float, d: int, mode: EnsembleKind) -> AveragedFormFactors:
+def gue_form_factors(t: float, d: int, mode: EnsembleKind) -> FormFactorInputs:
     """GUE averages of the spectral functions at time t.
 
     GUE_NUMERIC: all four functions exact at finite d, from the blocks
@@ -211,7 +200,7 @@ def gue_form_factors(t: float, d: int, mode: EnsembleKind) -> AveragedFormFactor
     return _form_factors(mode, float(t), d)
 
 
-def averaged_form_factors(ensemble: EnsembleKind, t: float, d: int) -> AveragedFormFactors:
+def averaged_form_factors(ensemble: EnsembleKind, t: float, d: int) -> FormFactorInputs:
     """Dispatch to the ensemble's averaged spectral functions."""
     if ensemble == EnsembleKind.POISSON:
         return poisson_form_factors(t, d)

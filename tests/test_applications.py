@@ -17,8 +17,19 @@ from haarmoments.applications import (
     two_state_uniform,
     uniform_purity,
 )
-from haarmoments.closed_forms import form_factor_inputs, time_coeffs, uniform_coeffs
-from haarmoments.ensembles import EnsembleKind, bessel_j1_over_t, sinc
+from haarmoments.closed_forms import (
+    form_factor_inputs,
+    general_average,
+    time_coeffs,
+    uniform_average,
+    uniform_coeffs,
+)
+from haarmoments.ensembles import (
+    EnsembleKind,
+    averaged_form_factors,
+    bessel_j1_over_t,
+    sinc,
+)
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import (
     BipartiteDims,
@@ -32,6 +43,7 @@ from haarmoments.mc import (
     empirical_reduced_norm,
     empirical_thermal_distance,
     product_state,
+    schmidt_state,
 )
 
 from conftest import random_complex, random_state
@@ -85,8 +97,6 @@ def test_two_state_general_falls_back_to_full_average(gen):
     rho, rho_p = random_state(gen, 4), random_state(gen, 4)
     levels = gen.uniform(-2, 2, size=4)
     ff = form_factor_inputs(levels, 0.8)
-    from haarmoments.closed_forms import general_average
-
     assert two_state_general(rho, rho_p, dims, ff) == pytest.approx(
         general_average(rho - rho_p, dims, ff), rel=1e-12
     )
@@ -137,6 +147,34 @@ def test_uniform_purity_large_de_expansion():
     ds, de = 2, 1000
     mean, _ = uniform_purity(1.0, BipartiteDims(ds, de))
     assert abs(mean - (1 / ds + (1 - 1 / ds**2) / de)) <= 1e-4
+
+
+def test_uniform_purity_is_the_uniform_average_of_the_state(gen):
+    for ds, de in ((2, 2), (2, 3), (3, 4)):
+        dims = BipartiteDims(ds, de)
+        for _ in range(3):
+            rho = random_state(gen, dims.d)
+            mean, _ = uniform_purity(hs_norm_sq(rho), dims)
+            assert mean == pytest.approx(uniform_average(rho, dims), rel=1e-12)
+
+
+def test_purity_evolution_is_the_general_average_of_the_state():
+    times = [0.0, 0.3, 1.7, 6.0]
+    for kind, dims in (
+        (EnsembleKind.POISSON, BipartiteDims(2, 4)),
+        (EnsembleKind.POISSON, BipartiteDims(4, 8)),
+        (EnsembleKind.GUE_NUMERIC, BipartiteDims(2, 4)),
+        (EnsembleKind.GUE_NUMERIC, BipartiteDims(4, 4)),
+        (EnsembleKind.GUE_LARGE_D, BipartiteDims(4, 16)),
+    ):
+        for p0 in (1.0 / dims.d_s, 0.5 * (1.0 / dims.d_s + 1.0), 1.0):
+            psi = schmidt_state(dims, p0)
+            rho0 = np.outer(psi, psi.conj())
+            values = purity_evolution(kind, dims, p0, times).values
+            for t, value in zip(times, values):
+                ff = averaged_form_factors(kind, t, dims.d)
+                expect = general_average(rho0, dims, ff)
+                assert value == pytest.approx(expect, rel=1e-12), (kind, dims, p0, t)
 
 
 def test_purity_evolution_starts_at_p0():

@@ -105,3 +105,20 @@ def test_every_module_constant_is_read():
     for path in sorted(SRC.glob("*.py")):
         unread = _module_constants(path) - read
         assert not unread, (path.name, unread)
+
+
+def test_no_unused_imports():
+    # __init__.py is left out: its imports are the package's re-exports.
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        unused = imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not unused, (path.name, unused)
