@@ -4,7 +4,7 @@ purity/entanglement evolution, and closed/open thermalization."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,6 @@ ENVELOPE_WINDOW = math.pi / 2  # oscillation period of the sin(2t)-type factors
 class PurityTrajectory:
     times: np.ndarray
     values: np.ndarray
-    ensemble: EnsembleKind
-    dims: BipartiteDims
-    p0: float
 
 
 @dataclass(frozen=True)
@@ -51,9 +48,6 @@ class ThermalizationParams:
 class ThermalizationCurve:
     times: np.ndarray
     values: np.ndarray
-    ensemble: EnsembleKind
-    params: ThermalizationParams | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def _check_purity(name: str, p: float, dim: int) -> None:
@@ -130,7 +124,7 @@ def purity_evolution(
     else:
         coeffs = [averaged_time_coeffs(ensemble, t, dims) for t in times]
         values = np.array([c.ct1 + c.ct2 + (c.ct3 + c.ct4) * p0 for c in coeffs])
-    return PurityTrajectory(times=times, values=values, ensemble=ensemble, dims=dims, p0=p0)
+    return PurityTrajectory(times=times, values=values)
 
 
 def gibbs_purity(levels, beta: float) -> float:
@@ -197,7 +191,7 @@ def open_thermalization(
             + c.ct3 * params.p_s0
             + c.ct4 * params.p_e0
         )
-    return ThermalizationCurve(times=times, values=values, ensemble=ensemble, params=params)
+    return ThermalizationCurve(times=times, values=values)
 
 
 def equilibration_large_de(
@@ -218,12 +212,7 @@ def equilibration_large_de(
         values = np.array([c0 * bessel_j1_over_t(t) ** 4 for t in times])
     else:
         raise ValueError(f"no large-d_E limit curve for ensemble {ensemble}")
-    return ThermalizationCurve(
-        times=times,
-        values=values,
-        ensemble=ensemble,
-        meta={"d_s": d_s, "p_s0": p_s0, "c0": c0},
-    )
+    return ThermalizationCurve(times=times, values=values)
 
 
 def fit_decay_exponent(curve: ThermalizationCurve, t_window: tuple[float, float]) -> float:

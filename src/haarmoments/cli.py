@@ -225,7 +225,7 @@ def _write_figure(args) -> int:
         args.t1 = args.t1 if args.t1 is not None else 1.0
         args.nt = args.nt if args.nt is not None else 2
 
-    start = time.time()
+    start = time.perf_counter()
     rng = RngStream(args.seed)
     header, rows = _FIGURE_BUILDERS[name](args, rng)
 
@@ -257,7 +257,7 @@ def _write_figure(args) -> int:
         },
         "seed": args.seed,
         "version": __version__,
-        "wall_time_s": time.time() - start,
+        "wall_time_s": time.perf_counter() - start,
     }
     with open(out + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)

@@ -1,19 +1,28 @@
 """Spectral-ensemble averages of the form-factor functions.
 
-Every ensemble is one moment function taus -> E[prod_a S(tau_a)] of
-S(tau) = sum_j exp(-i E_j tau) = d f(tau).  Grouping coinciding level
+Each spectral function is a moment E[prod_a S(k_a t)] of
+S(tau) = sum_j exp(-i E_j tau) = d f(tau) with integer multipliers k:
+(1, -1), (2, -2), (1, 1, -2) and (1, 1, -1, -1).  Grouping coinciding level
 indices by a set partition pi of the factors leaves one factor per block B,
-at the summed time tau_B:
+at the summed multiplier k_B:
 
 - POISSON, independent levels flat on [-2, 2]: pi contributes
-  d!/(d - |pi|)! prod_B sinc(2 tau_B).
+  d!/(d - |pi|)! prod_B sinc(2 k_B t).
 - GUE_NUMERIC, exact at finite d: the levels form a determinantal process
   with a projection kernel of scaled Hermite functions phi_k, and pi
   contributes sum_{sigma in S_|pi|} prod_{cycles c of sigma}
-  (-1)^(|c| - 1) Tr prod_{B in c} G(tau_B), with the d x d blocks
+  (-1)^(|c| - 1) Tr prod_{B in c} G(k_B t), with the d x d blocks
   G(tau)_kl = int phi_k phi_l exp(-i E tau) dE.
-- GUE_LARGE_D, the factorized large-d limit: prod_a d h(tau_a), with the
+- GUE_LARGE_D, the factorized large-d limit: prod_a d h(k_a t), with the
   semicircle transform h(t) = J1(2t)/t.
+
+The sum is compiled once per tuple k into integer-coefficient terms: for
+POISSON keyed by |pi| and the sorted |k_B| (sinc is even), for the GUE as
+monomials in cycle traces keyed up to rotation.  Three identities leave two
+blocks to build per time point, G(t) and G(2t), and at most |c| - 2 matrix
+products per trace: G(0) = I, so zero multipliers drop out of a key;
+G(-tau) = conj G(tau), as the phi_k are real, so a negated key gives the
+conjugate trace; G is symmetric, so a trace's last factor enters elementwise.
 
 Both GUE flavours share the <|H_ij|^2> = 1/d normalization, so every
 ensemble lives on the spectral span [-2, 2].  ``EnsembleKind`` and the
@@ -23,6 +32,7 @@ them without this module.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -123,11 +133,31 @@ def _set_partitions(items: list) -> list:
     return out
 
 
-_PARTITIONS = {k: _set_partitions(list(range(k))) for k in range(1, 5)}
+def _cycle_key(ks: list[int]) -> tuple[int, ...]:
+    """Trace key of a cycle: zero multipliers dropped, then its least rotation."""
+    ks = tuple(k for k in ks if k)
+    return min((ks[i:] + ks[:i] for i in range(len(ks))), default=())
 
 
-def _moment_function(kind: EnsembleKind, d: int):
-    """taus -> E[prod_a S(tau_a)] by the expansion of the module docstring.
+@functools.cache
+def _expansion(kind: EnsembleKind, ks: tuple[int, ...]) -> tuple:
+    """E[prod_a S(k_a t)] as (key, integer coefficient) pairs: a POISSON key is
+    (|pi|, sorted nonzero |k_B|), a GUE key the trace keys of one monomial."""
+    terms = collections.Counter()
+    for p in _set_partitions(list(ks)):
+        sums = [sum(b) for b in p]
+        if kind == EnsembleKind.POISSON:
+            terms[len(sums), tuple(sorted(abs(s) for s in sums if s))] += 1
+            continue
+        for perm in itertools.permutations(range(len(sums))):
+            cycles = cycles_of(perm)
+            key = tuple(sorted(_cycle_key([sums[i] for i in c]) for c in cycles))
+            terms[key] += (-1) ** (len(sums) - len(cycles))
+    return tuple((key, c) for key, c in terms.items() if c)
+
+
+def _moment_function(kind: EnsembleKind, d: int, t: float):
+    """ks -> E[prod_a S(k_a t)] by the compiled expansion of the module docstring.
 
     Blocks, traces and h values are cached for the life of the returned
     function, so the moments of one time point share them.
@@ -135,50 +165,51 @@ def _moment_function(kind: EnsembleKind, d: int):
     if d < 1:
         raise DimensionError(f"d must be >= 1, got {d}")
     if kind == EnsembleKind.GUE_LARGE_D:
-        h = functools.cache(bessel_j1_over_t)
-        return lambda taus: math.prod(d * h(abs(tau)) for tau in taus)
+        h = functools.cache(lambda k: d * bessel_j1_over_t(k * t))
+        return lambda ks: math.prod(h(abs(k)) for k in ks)
     if kind == EnsembleKind.POISSON:
-        def terms(sums):
-            yield math.perm(d, len(sums)) * math.prod(sinc(2.0 * s) for s in sums)
-
-    elif kind == EnsembleKind.GUE_NUMERIC:
-        if d > GUE_NUMERIC_MAX_DIM:
-            raise DimensionError(f"GUE_NUMERIC needs d <= {GUE_NUMERIC_MAX_DIM}, got {d}")
-        block = functools.cache(lambda tau: _gue_block(tau, d))
-        trace = functools.cache(
-            lambda cycle: np.trace(
-                functools.reduce(lambda a, b: np.einsum("ij,jk->ik", a, b), map(block, cycle))
-            )
+        s = functools.cache(lambda k: sinc(2.0 * k * t))
+        return lambda ks: sum(
+            c * math.perm(d, n) * math.prod(map(s, sums))
+            for (n, sums), c in _expansion(kind, tuple(ks))
         )
-
-        def terms(sums):
-            for perm in itertools.permutations(range(len(sums))):
-                term = 1.0 + 0j
-                for cycle in cycles_of(perm):
-                    term *= (-1) ** (len(cycle) - 1) * trace(tuple(sums[i] for i in cycle))
-                yield term
-
-    else:
+    if kind != EnsembleKind.GUE_NUMERIC:
         raise ValueError(f"no spectral moments for ensemble {kind}")
+    if d > GUE_NUMERIC_MAX_DIM:
+        raise DimensionError(f"GUE_NUMERIC needs d <= {GUE_NUMERIC_MAX_DIM}, got {d}")
 
-    def moment(taus) -> complex:
-        total = 0j
-        for partition in _PARTITIONS[len(taus)]:
-            for term in terms([sum(taus[i] for i in b) for b in partition]):
-                total += term
-        return complex(total)
+    @functools.cache
+    def block(k):
+        return _gue_block(k * t, d) if k > 0 else block(-k).conj()
 
-    return moment
+    @functools.cache
+    def trace(key):
+        flipped = _cycle_key([-k for k in key])  # the conjugate blocks
+        if flipped < key:
+            return trace(flipped).conjugate()
+        if len(key) < 2:
+            return np.trace(block(key[0])) if key else d
+        head = functools.reduce(lambda a, b: np.einsum("ij,jk->ik", a, b), map(block, key[:-1]))
+        return np.einsum("ij,ij->", head, block(key[-1]))  # G symmetric
+
+    return lambda ks: complex(
+        sum(c * math.prod(map(trace, key)) for key, c in _expansion(kind, tuple(ks)))
+    )
 
 
+@functools.cache
 def _form_factors(kind: EnsembleKind, t: float, d: int) -> FormFactorInputs:
-    """The four spectral functions at time t as normalized moments of S."""
-    moment = _moment_function(kind, d)
+    """The four spectral functions at time t as normalized moments of S.
+
+    Cached on (kind, t, d), so curves that differ only in the initial state
+    share one evaluation.
+    """
+    moment = _moment_function(kind, d, t)
     return FormFactorInputs(
-        f2=moment((t, -t)).real / d**2,
-        f2_2t=moment((2.0 * t, -2.0 * t)).real / d**2,
-        re_f2fc2t=moment((t, t, -2.0 * t)).real / d**3,
-        f4=moment((t, t, -t, -t)).real / d**4,
+        f2=moment((1, -1)).real / d**2,
+        f2_2t=moment((2, -2)).real / d**2,
+        re_f2fc2t=moment((1, 1, -2)).real / d**3,
+        f4=moment((1, 1, -1, -1)).real / d**4,
     )
 
 

@@ -349,9 +349,7 @@ def test_fit_decay_exponent_pure_power_law():
     times = np.linspace(2.0, 30.0, 4000)
     from haarmoments.applications import ThermalizationCurve
 
-    curve = ThermalizationCurve(
-        times=times, values=3.0 * times**-4.0, ensemble=EnsembleKind.POISSON
-    )
+    curve = ThermalizationCurve(times=times, values=3.0 * times**-4.0)
     assert fit_decay_exponent(curve, (2.0, 30.0)) == pytest.approx(-4.0, abs=1e-6)
 
 
@@ -359,15 +357,11 @@ def test_fit_decay_exponent_errors():
     from haarmoments.applications import ThermalizationCurve
 
     times = np.linspace(2.0, 4.0, 50)
-    curve = ThermalizationCurve(
-        times=times, values=times**-4.0, ensemble=EnsembleKind.POISSON
-    )
+    curve = ThermalizationCurve(times=times, values=times**-4.0)
     with pytest.raises(ValueError):
         fit_decay_exponent(curve, (2.0, 3.0))  # fewer than 4 envelope windows
     with pytest.raises(ValueError):
         fit_decay_exponent(curve, (1.0, 3.0))  # window outside the curve
-    zero_curve = ThermalizationCurve(
-        times=times, values=np.zeros_like(times), ensemble=EnsembleKind.POISSON
-    )
+    zero_curve = ThermalizationCurve(times=times, values=np.zeros_like(times))
     with pytest.raises(ValueError):
         fit_decay_exponent(zero_curve, (2.0, 4.0))

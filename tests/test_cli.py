@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from haarmoments import ensembles
 from haarmoments.cli import dump_matrix_json, load_matrix_json, main
 from haarmoments.ensembles import sinc
 from haarmoments.weingarten import fourth_moment_closed
@@ -139,6 +140,24 @@ def test_figure_purity_compare(tmp_path):
     row0 = dict(zip(header, (float(v) for v in rows[0])))
     assert row0["poi_de4_pure"] == pytest.approx(1.0, abs=1e-10)
     assert row0["poi_de4_mixed"] == pytest.approx(0.25, abs=1e-10)
+
+
+def test_figure_purity_compare_builds_two_blocks_per_time(tmp_path, monkeypatch):
+    # The pure and mixed columns share one form-factor evaluation, and a time
+    # point builds only G(t) and G(2t): G(-tau) is the conjugate of G(tau).
+    calls = []
+    build = ensembles._gue_block
+
+    def counted(tau, d):
+        calls.append((tau, d))
+        return build(tau, d)
+
+    monkeypatch.setattr(ensembles, "_gue_block", counted)
+    ensembles._form_factors.cache_clear()
+    out = tmp_path / "pc.csv"
+    assert main(["figure", "purity-compare", "--nt", "3", "--out", str(out)]) == 0
+    assert 0 < len(calls) <= 2 * 3
+    assert {d for _, d in calls} == {16}
 
 
 def test_figure_gibbs_d(tmp_path):

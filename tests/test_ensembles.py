@@ -1,3 +1,6 @@
+import functools
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 
 from haarmoments.ensembles import (
     EnsembleKind,
+    _expansion,
     _gue_block,
     _gue_grid,
     _hermite_functions,
@@ -17,6 +21,7 @@ from haarmoments.ensembles import (
 )
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import BipartiteDims, RngStream, sample_gue_hamiltonians, sample_spectra
+from haarmoments.weingarten import cycles_of
 
 # high-precision reference values (Abramowitz & Stegun conventions)
 J1_REFERENCE = [
@@ -157,7 +162,61 @@ def test_gue_level_density_normalization():
 
 def _mean_f(t, d, kind):
     # the ensemble mean of f(t): the normalized first moment of S
-    return _moment_function(kind, d)((float(t),)) / d
+    return _moment_function(kind, d, float(t))((1,)) / d
+
+
+def _set_partitions(items):
+    if not items:
+        return [[]]
+    first, rest = items[0], items[1:]
+    out = []
+    for p in _set_partitions(rest):
+        out.append([[first], *p])
+        out += [[*p[:i], [first, *b], *p[i + 1 :]] for i, b in enumerate(p)]
+    return out
+
+
+def _brute_force_moment(kind, d, t, ks):
+    # E[prod_a S(k_a t)] summed term by term: every set partition of the
+    # factors and, for the GUE, every permutation of its blocks, with each
+    # block G(tau) built directly, negative tau and tau = 0 included.
+    block = functools.cache(lambda tau: _gue_block(tau, d))
+    total = 0j
+    for partition in _set_partitions(list(ks)):
+        taus = [sum(b) * t for b in partition]
+        if kind == EnsembleKind.POISSON:
+            total += math.perm(d, len(taus)) * math.prod(sinc(2.0 * tau) for tau in taus)
+            continue
+        for perm in itertools.permutations(range(len(taus))):
+            term = 1.0 + 0j
+            for cycle in cycles_of(perm):
+                product = functools.reduce(np.matmul, [block(taus[i]) for i in cycle])
+                term *= (-1) ** (len(cycle) - 1) * np.trace(product)
+            total += term
+    return total
+
+
+MULTIPLIERS = [(1, -1), (2, -2), (1, 1, -2), (1, 1, -1, -1), (1,), (2, -1, -1), (1, -1, 2, -2)]
+
+
+def test_compiled_expansion_matches_brute_force_sum():
+    for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC):
+        for d in (1, 2, 3, 4, 8, 16):
+            for t in (0.0, 1e-3, 0.7, 15.0, 100.0):
+                moment = _moment_function(kind, d, t)
+                for ks in MULTIPLIERS:
+                    got = moment(ks) / d ** len(ks)
+                    ref = _brute_force_moment(kind, d, t, ks) / d ** len(ks)
+                    assert abs(got - ref) <= 1e-13, (kind, d, t, ks, got, ref)
+                    if t == 0.0:
+                        assert got == 1.0, (kind, d, ks, got)
+
+
+def test_gue_expansion_size():
+    # the four spectral functions need 17 distinct traces in 41 monomials
+    expansions = [_expansion(EnsembleKind.GUE_NUMERIC, ks) for ks in MULTIPLIERS[:4]]
+    assert sum(map(len, expansions)) == 41
+    assert len({key for e in expansions for keys, _ in e for key in keys}) == 17
 
 
 def test_gue_h_normalization_and_modes():

@@ -88,14 +88,20 @@ def _module_constants(path: Path) -> set[str]:
     return names
 
 
+def _attributes_read(path: Path) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def _names_read(path: Path) -> set[str]:
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found.add(node.attr)
-    return found
+    return _attributes_read(path) | {
+        node.id
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def test_every_module_constant_is_read():
@@ -104,6 +110,36 @@ def test_every_module_constant_is_read():
     )
     for path in sorted(SRC.glob("*.py")):
         unread = _module_constants(path) - read
+        assert not unread, (path.name, unread)
+
+
+def _dataclass_fields(path: Path) -> set[str]:
+    """Annotated field names of the @dataclass classes a source file defines."""
+    fields = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(dec) for dec in node.decorator_list
+        ):
+            fields.update(
+                item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            )
+    return fields
+
+
+def test_every_dataclass_field_is_read():
+    # A field is read when some code takes it as an attribute; passing it to
+    # the constructor alone does not count.
+    read = set().union(
+        *(
+            _attributes_read(p)
+            for d in ("src", "tests", "perfbench")
+            for p in (ROOT / d).rglob("*.py")
+        )
+    )
+    for path in sorted(SRC.glob("*.py")):
+        unread = _dataclass_fields(path) - read
         assert not unread, (path.name, unread)
 
 
