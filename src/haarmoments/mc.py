@@ -42,7 +42,10 @@ CHUNK = 1024
 WORD_CAP = 2**15
 # m n k of one X-step GEMM in empirical_moments: OpenBLAS threads a GEMM from
 # m n k = 2^16 on, which made a 4096 x 4 x 4 product take 8.6 ms instead of
-# 0.27 ms for 4095 x 4 x 4 (2-vCPU Xeon, OpenBLAS 0.3.31)
+# 0.27 ms for 4095 x 4 x 4 (2-vCPU Xeon, OpenBLAS 0.3.31).  It threads a
+# matrix-vector product too: with two workers, the 1024 x 16 zgemv of a
+# purity chunk took 11 ms against 0.02 ms on one BLAS thread.  Small
+# matrix-vector products, here and in weingarten, are einsum: no BLAS call.
 GEMM_CAP = 2**15
 
 
@@ -377,7 +380,7 @@ def empirical_purity(
             c = np.sum(phases * (v.real**2 + v.imag**2), axis=1, keepdims=True)
             r_norm = np.linalg.norm((phases - c) * v, axis=1, keepdims=True)
             xi = _complex_normal(gen, (count, dims.d))
-            xi -= (xi @ u.conj())[:, None] * u
+            xi -= np.einsum("si,i->s", xi, u.conj())[:, None] * u
             xi *= r_norm / np.linalg.norm(xi, axis=1, keepdims=True)
             phi = norm * (c * u + xi)
         phi = phi.reshape(count, dims.d_s, dims.d_e)

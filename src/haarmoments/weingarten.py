@@ -9,15 +9,22 @@ outer indices, each pair weighted by Wg(tau sigma^{-1}).
 The Weingarten matrix is the inverse of the Gram matrix
 G_{sigma,tau} = d^{#cycles(tau sigma^{-1})} (Collins & Sniady, CMP 264, 773
 (2006)).  The odd-side traced words depend on tau alone and the even-side
-words on sigma alone, so a plan built once per m holds them and the double
-sum becomes one matrix-vector product.
+words on sigma alone, so the double sum is one matrix-vector product.
+
+The contraction is compiled once per m, independent of d: the distinct
+traced words and the distinct open words, each set as a prefix trie by
+length, and index arrays from every permutation to its words.  A call builds
+each trie length with one stacked matmul and takes each trace as an
+elementwise sum against the word's last operator, which needs no product:
+0, 0, 4, 25 and 122 d x d products for m = 1..5, against 0, 1, 10, 65 and
+408 when every word was multiplied out on its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from .linalg import as_matrix
 Permutation = tuple[int, ...]
 Partition = tuple[int, ...]
 Word = tuple[int, ...]
+Step = tuple[np.ndarray, np.ndarray]  # per trie length: (parent nodes, letters)
 
 MAX_HALF_ORDER = 5  # largest supported m; moments up to E^(10)
 
@@ -70,19 +78,63 @@ def conjugacy_class_of(p: Permutation) -> Partition:
     return tuple(sorted((len(c) for c in cycles_of(p)), reverse=True))
 
 
+def _trie(words: list[Word], letters: int) -> tuple[tuple[Step, ...], dict[Word, int]]:
+    """Prefix trie of the products ``words`` need, one level per length.
+
+    Length 1 is the ``letters`` operators themselves, so the steps start at
+    length 2: node k of length n is node parent[k] of length n - 1 times
+    operator letter[k].  Returns the steps and every word's node within its
+    length (the empty word is node 0 of length 0).
+    """
+    index: dict[Word, int] = {(): 0} | {(a,): a for a in range(letters)}
+    prefixes = {w[:n] for w in words for n in range(2, len(w) + 1)}
+    steps = []
+    for n in range(2, max(map(len, words), default=0) + 1):
+        level = sorted(w for w in prefixes if len(w) == n)
+        index |= {w: k for k, w in enumerate(level)}
+        steps.append(
+            (np.array([index[w[:-1]] for w in level], dtype=np.intp),
+             np.array([w[-1] for w in level], dtype=np.intp))
+        )
+    return tuple(steps), index
+
+
+def _positions(words_per_perm: list[list[Word]], position: dict[Word, int]) -> np.ndarray:
+    """[:, p] = positions of the words of permutation p, padded with one past the last."""
+    width = max(map(len, words_per_perm))
+    out = np.full((width, len(words_per_perm)), len(position), dtype=np.intp)
+    for p, words in enumerate(words_per_perm):
+        out[: len(words), p] = [position[w] for w in words]
+    return out
+
+
 @dataclass(frozen=True)
 class _Plan:
-    """The contractions of S_m, indexed like ``perms`` (perms[0] is the identity).
+    """The contraction of S_m x S_m, compiled once per m and independent of d.
 
-    Traced words are cycles, so they start at their smallest letter: that is
-    the canonical rotation, and equal traces share one key.
+    Indexed like ``perms`` (perms[0] is the identity).  Letters index the
+    operator stack X1, X2, ..., X_{2m-1}: the odd operators are the even
+    letters.  Traced words are cycles, so they start at their smallest letter:
+    that is the canonical rotation, and equal traces share one word.
+
+    The traced words of both sides are every single letter, then the longer
+    ones by length n.  Tr(X_w1 ... X_wn) = sum_ij (X_w1 ... X_w(n-1))_ij
+    (X_wn)_ji, so only the head of a word, its first n - 1 letters, is a
+    product: ``heads[n - 2]`` holds the nodes of the heads of the words of
+    length n in the trie ``steps``, and ``lasts[n - 2]`` their last letters.
+    A word position one past the last stands for a trace of 1.  The open
+    words are the nodes of their own trie ``free_steps``, by length from 0.
     """
 
     perms: list[Permutation]
     ncycles: np.ndarray  # ncycles[s, t] = #cycles(tau sigma^{-1})
-    free: list[Word]  # per sigma: even-operator indices of the open word
-    even: list[list[Word]]  # per sigma: traced words of the even operators
-    odd: list[list[Word]]  # per tau: traced words of the odd operators
+    steps: tuple[Step, ...]
+    heads: tuple[np.ndarray, ...]
+    lasts: tuple[np.ndarray, ...]
+    odd_words: np.ndarray  # [:, t] = positions of the traced words of tau
+    even_words: np.ndarray  # [:, s] = positions of the traced words of sigma
+    free_steps: tuple[Step, ...]
+    free_sums: np.ndarray  # [k, s] = 1 if trie node k (by length) is sigma's open word
 
 
 @lru_cache(maxsize=None)
@@ -94,15 +146,40 @@ def _plan(m: int) -> _Plan:
         [[len(cycles_of(compose(tau, inverse(sigma)))) for tau in perms] for sigma in perms]
     )
     ncycles.flags.writeable = False
+    letters = 2 * m - 1
     free, even = [], []
     for sigma in perms:
-        # Even side: block a (holding X_{2a}, block 0 = open slot) is followed
-        # by block (sigma(a) + 1) mod m; the cycle through 0 is the open word.
+        # Even side: block a (holding X_{2a}, letter 2a - 1; block 0 = open
+        # slot) is followed by block (sigma(a) + 1) mod m; the cycle through 0
+        # is the open word.
         open_cycle, *closed = cycles_of(tuple((sigma[a] + 1) % m for a in range(m)))
-        free.append(tuple(b - 1 for b in open_cycle[1:]))
-        even.append([tuple(b - 1 for b in cyc) for cyc in closed])
-    odd = [cycles_of(inverse(tau)) for tau in perms]
-    return _Plan(perms, ncycles, free, even, odd)
+        free.append(tuple(2 * b - 1 for b in open_cycle[1:]))
+        even.append([tuple(2 * b - 1 for b in cyc) for cyc in closed])
+    odd = [[tuple(2 * a for a in cyc) for cyc in cycles_of(inverse(tau))] for tau in perms]
+
+    longer = sorted({w for ws in odd + even for w in ws if len(w) > 1}, key=lambda w: (len(w), w))
+    steps, index = _trie([w[:-1] for w in longer], letters)
+    by_length = [
+        [w for w in longer if len(w) == n] for n in range(2, max(map(len, longer), default=1) + 1)
+    ]
+    position = {w: k for k, w in enumerate([(a,) for a in range(letters)] + longer)}
+
+    free_steps, free_index = _trie(free, letters)
+    offsets = np.cumsum([0, 1, letters, *(len(parent) for parent, _ in free_steps)])
+    free_sums = np.zeros((offsets[-1], len(perms)))
+    for s, word in enumerate(free):
+        free_sums[offsets[len(word)] + free_index[word], s] = 1.0
+    return _Plan(
+        perms,
+        ncycles,
+        steps,
+        tuple(np.array([index[w[:-1]] for w in ws], dtype=np.intp) for ws in by_length),
+        tuple(np.array([w[-1] for w in ws], dtype=np.intp) for ws in by_length),
+        _positions(odd, position),
+        _positions(even, position),
+        free_steps,
+        free_sums,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -131,20 +208,15 @@ def weingarten(sigma_class: Partition, d: int) -> float:
     return weingarten_table(m, d)[sigma_class]
 
 
-def _product(ops: list[np.ndarray], word: Word) -> np.ndarray:
-    return reduce(np.matmul, (ops[i] for i in word))
-
-
-def _traced_scalars(ops: list[np.ndarray], words_per_perm: list[list[Word]]) -> np.ndarray:
-    """Per permutation, the product of the traces of its words."""
-    traces: dict[Word, complex] = {}
-    out = np.ones(len(words_per_perm), dtype=complex)
-    for i, words in enumerate(words_per_perm):
-        for word in words:
-            if word not in traces:
-                traces[word] = complex(np.trace(_product(ops, word)))
-            out[i] *= traces[word]
-    return out
+def _levels(ops: np.ndarray, steps: tuple[Step, ...]):
+    """Yield the products of the trie nodes by length from 1: ``ops``, then
+    one stacked matmul per longer length.  Only the current length is kept
+    alive, which bounds the memory of a call to a few stacks of d x d."""
+    level = ops
+    yield level
+    for parent, letter in steps:
+        level = level[parent] @ ops[letter]
+        yield level
 
 
 def moment_function(xs, d: int) -> np.ndarray:
@@ -153,6 +225,15 @@ def moment_function(xs, d: int) -> np.ndarray:
     ``xs`` holds the n-1 fixed operators (n even, 2 <= n <= 2 MAX_HALF_ORDER);
     all contractions come from the per-m plan rather than hand-expanded term
     lists.  Requires d >= n/2.
+
+    Each trie length costs one stacked d x d matmul, 0, 0, 4, 25 and 122
+    products in all for m = 1..5, and the traces of each word length one
+    ``einsum``.  The Weingarten sum and the open-word sums are ``einsum`` as
+    well: OpenBLAS threads a matrix-vector product as it does a GEMM, which
+    made an m = 5, d = 8 call take 8.0 ms instead of 1.7 ms on one BLAS
+    thread (2-vCPU Xeon, OpenBLAS 0.3.31); it now takes 0.25 ms either way.
+    Each product of a stack is its own d x d GEMM, below the threading
+    threshold m n k = 2^16 for d <= 40.
     """
     mats = [as_matrix(x) for x in xs]
     if len(mats) % 2 != 1 or not 1 <= len(mats) <= 2 * MAX_HALF_ORDER - 1:
@@ -167,16 +248,22 @@ def moment_function(xs, d: int) -> np.ndarray:
     wg = _wg_matrix(m, d)  # raises SingularWeingartenError for d < m
     plan = _plan(m)
 
-    odd_ops = mats[0::2]  # X1, X3, ..., X_{2m-1}; traced among themselves
-    even_ops = mats[1::2]  # X2, X4, ..., X_{2m-2}; chained with the open slot
+    ops = np.stack(mats)
+    traces = [np.einsum("nii->n", ops)]
+    traces += [
+        np.einsum("nij,nji->n", level[heads], ops[lasts])
+        for heads, lasts, level in zip(plan.heads, plan.lasts, _levels(ops, plan.steps))
+    ]
+    traces = np.concatenate([*traces, [1.0]])
+    coef = np.einsum("st,t->s", wg, traces[plan.odd_words].prod(axis=0))
+    coef *= traces[plan.even_words].prod(axis=0)
 
-    coef = (wg @ _traced_scalars(odd_ops, plan.odd)) * _traced_scalars(even_ops, plan.even)
-    weights: dict[Word, complex] = {}
-    for word, c in zip(plan.free, coef):
-        weights[word] = weights.get(word, 0.0) + c
-    result = np.zeros((d, d), dtype=complex)
-    for word, c in weights.items():
-        result += c * (_product(even_ops, word) if word else np.eye(d))
+    weights = np.einsum("ks,s->k", plan.free_sums, coef)
+    result = np.diag(np.full(d, weights[0]))  # the empty open word
+    weights = weights[1:]
+    for level in _levels(ops, plan.free_steps):
+        result += np.einsum("k,kij->ij", weights[: len(level)], level)
+        weights = weights[len(level) :]
     return result
 
 

@@ -1,9 +1,10 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from haarmoments.errors import SingularWeingartenError
+from haarmoments.errors import DimensionError, SingularWeingartenError
 from haarmoments.linalg import RngStream, sample_haar_unitaries
 from haarmoments.mc import empirical_moment
 from haarmoments.weingarten import (
@@ -12,6 +13,7 @@ from haarmoments.weingarten import (
     all_permutations,
     compose,
     conjugacy_class_of,
+    cycles_of,
     fourth_moment_closed,
     inverse,
     moment_function,
@@ -195,6 +197,78 @@ def test_moment_function_rejects_bad_patterns(gen):
         moment_function([np.eye(2)] * 2, 2)
     with pytest.raises(ValueError, match="between 1 and 9"):
         moment_function([np.eye(6)] * 11, 6)
+
+
+def test_moment_function_checks_dimensions_first():
+    # mixed shapes would fail to stack with a plain ValueError
+    with pytest.raises(DimensionError):
+        moment_function([np.eye(3), np.eye(2), np.eye(3)], 3)
+    with pytest.raises(DimensionError):
+        moment_function([np.eye(2)] * 3, 3)
+    with pytest.raises(DimensionError):
+        moment_function([np.ones((3, 2))], 3)
+
+
+def _reference_moment(xs, d):
+    """The per-permutation Collins-Sniady sum that the compiled plan replaced:
+    every product and trace built one word at a time."""
+    m = (len(xs) + 1) // 2
+    perms = all_permutations(m)
+    odd_ops, even_ops = xs[0::2], xs[1::2]
+
+    def product(ops, word):
+        return reduce(np.matmul, (ops[i] for i in word), np.eye(d, dtype=complex))
+
+    def traced(ops, words_per_perm):
+        out = np.ones(len(words_per_perm), dtype=complex)
+        for i, words in enumerate(words_per_perm):
+            for word in words:
+                out[i] *= np.trace(product(ops, word))
+        return out
+
+    free, even = [], []
+    for sigma in perms:
+        open_cycle, *closed = cycles_of(tuple((sigma[a] + 1) % m for a in range(m)))
+        free.append(tuple(b - 1 for b in open_cycle[1:]))
+        even.append([tuple(b - 1 for b in cyc) for cyc in closed])
+    odd = [cycles_of(inverse(tau)) for tau in perms]
+    coef = (_wg_matrix(m, d) @ traced(odd_ops, odd)) * traced(even_ops, even)
+    return sum(c * product(even_ops, word) for word, c in zip(free, coef))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_compiled_contraction_matches_reference(m):
+    gen = np.random.default_rng([1313, m])
+    for d in (m, m + 1, 8, 32):
+        ops = [random_complex(gen, d) / np.sqrt(d) for _ in range(2 * m - 1)]
+        v, w = gen.standard_normal((2, d)) + 1j * gen.standard_normal((2, d))
+        rank_one = np.outer(v, w.conj()) / d
+        patterns = [ops]
+        for slot in {0, m - 1, 2 * m - 2}:
+            patterns.append(ops[:slot] + [np.eye(d)] + ops[slot + 1 :])
+            patterns.append(ops[:slot] + [rank_one] + ops[slot + 1 :])
+        for xs in patterns:
+            ref = _reference_moment(xs, d)
+            got = moment_function(xs, d)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (m, d)
+
+
+def test_contraction_plan_size():
+    # distinct odd traced, even traced and open words, and d x d products
+    sizes, products = [], []
+    for m in range(1, 6):
+        plan = _plan(m)
+        pad = 2 * m - 1 + sum(map(len, plan.lasts))
+        sizes.append(
+            (
+                len(np.setdiff1d(plan.odd_words, [pad])),
+                len(np.setdiff1d(plan.even_words, [pad])),
+                int(np.count_nonzero(plan.free_sums.any(axis=1))),
+            )
+        )
+        products.append(sum(len(parent) for parent, _ in plan.steps + plan.free_steps))
+    assert sizes == [(1, 0, 1), (3, 1, 2), (8, 3, 5), (24, 8, 16), (89, 24, 65)]
+    assert products == [0, 0, 4, 25, 122]
 
 
 @pytest.mark.parametrize("d", [5, 6, 9])
