@@ -8,8 +8,6 @@ from .errors import (
     DimensionError,
     HaarMomentsError,
     NegativeVarianceError,
-    SingularDimensionError,
-    SingularWeingartenError,
 )
 from .linalg import (
     BipartiteDims,

@@ -220,10 +220,6 @@ def _write_figure(args) -> int:
             args.t1 = defaults[1]
         if args.nt is None:
             args.nt = defaults[2]
-    else:
-        args.t0 = args.t0 if args.t0 is not None else 0.0
-        args.t1 = args.t1 if args.t1 is not None else 1.0
-        args.nt = args.nt if args.nt is not None else 2
 
     start = time.perf_counter()
     rng = RngStream(args.seed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NegativeVarianceError, SingularDimensionError
+from .errors import DimensionError, NegativeVarianceError
 from .linalg import (
     BipartiteDims,
     as_matrix,
@@ -122,15 +122,11 @@ def time_coeffs(ff: FormFactorInputs, dims: BipartiteDims) -> TimeCoeffs:
     """The four time-dependent coefficients of the general average.
 
     At t = 0 (all spectral inputs equal to 1) the coefficients collapse to
-    (0, 0, 1, 0) by construction.
+    (0, 0, 1, 0) by construction.  BipartiteDims has d >= 4, so the
+    denominator d^4 - 10 d^2 + 9 = (d^2 - 1)(d^2 - 9) never vanishes.
     """
-    d = dims.d
-    if d in (1, 3):
-        raise SingularDimensionError(
-            f"coefficient denominator d^4 - 10 d^2 + 9 vanishes at d = {d}"
-        )
     de = float(dims.d_e)
-    d = float(d)
+    d = float(dims.d)
     a_t = d**4 - 10 * d**2 + 9
     b_t = 4 * ff.f2 - ff.f2_2t - d**2 * ff.f4
     re = ff.re_f2fc2t

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class is raised somewhere in the package, or is the base of one that is.
+"""
 
 
 class HaarMomentsError(Exception):
@@ -6,15 +9,7 @@ class HaarMomentsError(Exception):
 
 
 class DimensionError(HaarMomentsError, ValueError):
-    """Mismatched or unsupported matrix dimensions."""
-
-
-class SingularWeingartenError(HaarMomentsError, ValueError):
-    """Weingarten function requested for d < m, where the closed forms blow up."""
-
-
-class SingularDimensionError(HaarMomentsError, ValueError):
-    """Coefficient formulas undefined at this total dimension (d in {1, 3})."""
+    """Mismatched matrix dimensions, or a dimension a formula does not support."""
 
 
 class NegativeVarianceError(HaarMomentsError, ArithmeticError):

@@ -6,10 +6,12 @@ double sum over permutation pairs (sigma, tau) in S_m x S_m whose delta
 contractions split the X's into traced words plus one free word carrying the
 outer indices, each pair weighted by Wg(tau sigma^{-1}).
 
-The Weingarten matrix is the inverse of the Gram matrix
+The Weingarten matrix is the Moore-Penrose pseudo-inverse of the Gram matrix
 G_{sigma,tau} = d^{#cycles(tau sigma^{-1})} (Collins & Sniady, CMP 264, 773
-(2006)).  The odd-side traced words depend on tau alone and the even-side
-words on sigma alone, so the double sum is one matrix-vector product.
+(2006); Collins & Matsumoto, ALEA 14, 631 (2017)): its inverse for d >= m,
+and still the Weingarten matrix where G is singular, so every d >= 1 works.
+The odd-side traced words depend on tau alone and the even-side words on
+sigma alone, so the double sum is one matrix-vector product.
 
 The contraction is compiled once per m, independent of d: the distinct
 traced words and the distinct open words, each set as a prefix trie by
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, SingularWeingartenError
+from .errors import DimensionError
 from .linalg import as_matrix
 
 Permutation = tuple[int, ...]
@@ -184,13 +186,14 @@ def _plan(m: int) -> _Plan:
 
 @lru_cache(maxsize=None)
 def _wg_matrix(m: int, d: int) -> np.ndarray:
-    """Wg[s, t] = Wg(tau sigma^{-1}) at dimension d: the inverse Gram matrix."""
-    ncycles = _plan(m).ncycles
-    if d < m:
-        raise SingularWeingartenError(
-            f"Weingarten function needs d >= m; got d={d}, m={m}"
-        )
-    wg = np.linalg.inv(float(d) ** ncycles)
+    """Wg[s, t] = Wg(tau sigma^{-1}) at dimension d: the pseudo-inverse Gram matrix.
+
+    For d < m the Gram matrix has rank sum (f^lambda)^2 over the partitions
+    lambda of m with at most d rows.  Its nonzero eigenvalues are at least 1;
+    the zero ones come out below 2e-12, at least 1000 times below the cut,
+    1e-12 times the largest.  ``rcond``, not ``rtol``, which needs numpy >= 2.
+    """
+    wg = np.linalg.pinv(float(d) ** _plan(m).ncycles, rcond=1e-12, hermitian=True)
     wg.flags.writeable = False
     return wg
 
@@ -224,7 +227,8 @@ def moment_function(xs, d: int) -> np.ndarray:
 
     ``xs`` holds the n-1 fixed operators (n even, 2 <= n <= 2 MAX_HALF_ORDER);
     all contractions come from the per-m plan rather than hand-expanded term
-    lists.  Requires d >= n/2.
+    lists.  Every d >= 1 is supported: below d = n/2 the Weingarten matrix is
+    the Gram pseudo-inverse.
 
     Each trie length costs one stacked d x d matmul, 0, 0, 4, 25 and 122
     products in all for m = 1..5, and the traces of each word length one
@@ -245,7 +249,7 @@ def moment_function(xs, d: int) -> np.ndarray:
         if x.shape[0] != d:
             raise DimensionError(f"operator dim {x.shape[0]} != d = {d}")
     m = (len(mats) + 1) // 2
-    wg = _wg_matrix(m, d)  # raises SingularWeingartenError for d < m
+    wg = _wg_matrix(m, d)
     plan = _plan(m)
 
     ops = np.stack(mats)
@@ -270,7 +274,7 @@ def moment_function(xs, d: int) -> np.ndarray:
 def fourth_moment_closed(x1, x2, x3, d: int) -> np.ndarray:
     """Closed form of the fourth moment average of U X1 U^dag X2 U X3 U^dag."""
     if d < 2:
-        raise SingularWeingartenError(f"fourth moment needs d >= 2, got d={d}")
+        raise DimensionError(f"fourth moment closed form needs d >= 2, got d={d}")
     x1 = as_matrix(x1)
     x2 = as_matrix(x2)
     x3 = as_matrix(x3)

@@ -51,6 +51,9 @@ def test_figure_coeff_variance_decay(tmp_path):
     last = [float(v) for v in rows[-1]]
     assert last[0] == 1024
     assert all(c < 1e-6 for c in last[1:])
+    # the figure has no time grid, so the sidecar records none
+    meta = json.loads((tmp_path / "cv.csv.meta.json").read_text())
+    assert meta["config"]["t0"] is None and meta["config"]["nt"] is None
 
 
 def test_figure_gibbs_beta_quick(tmp_path):
@@ -216,12 +219,13 @@ def test_moment_matches_fourth_closed(tmp_path, gen):
 
 
 def test_moment_singular_weingarten(tmp_path, capsys):
+    # d = 2 < m = 3: the Gram matrix is singular, its pseudo-inverse is used
     pattern = tmp_path / "pattern.json"
     pattern.write_text(json.dumps([_matrix_payload(np.eye(2))] * 5))
     rc = main(["moment", "--pattern", str(pattern), "--d", "2"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "d >= m" in err and "m=3" in err
+    assert rc == 0
+    result = load_matrix_json(json.loads(capsys.readouterr().out))
+    assert np.allclose(result, np.eye(2), atol=1e-14)
 
 
 def test_moment_pattern_length_cap(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import types
-
 import numpy as np
 import pytest
 
@@ -16,11 +14,7 @@ from haarmoments.closed_forms import (
     variance_coeffs,
 )
 from haarmoments.ensembles import EnsembleKind, poisson_form_factors
-from haarmoments.errors import (
-    DimensionError,
-    NegativeVarianceError,
-    SingularDimensionError,
-)
+from haarmoments.errors import DimensionError, NegativeVarianceError
 from haarmoments.linalg import (
     BipartiteDims,
     RngStream,
@@ -136,15 +130,6 @@ def test_time_coeffs_at_zero():
         assert abs(c.ct2) <= 1e-12
         assert abs(c.ct3 - 1.0) <= 1e-12
         assert abs(c.ct4) <= 1e-12
-
-
-def test_time_coeffs_singular_dimension():
-    stub = types.SimpleNamespace(d=3, d_e=1)
-    with pytest.raises(SingularDimensionError):
-        time_coeffs(FormFactorInputs(1.0, 1.0, 1.0, 1.0), stub)
-    stub1 = types.SimpleNamespace(d=1, d_e=1)
-    with pytest.raises(SingularDimensionError):
-        time_coeffs(FormFactorInputs(1.0, 1.0, 1.0, 1.0), stub1)
 
 
 def test_time_coeffs_gue_long_time_matches_uniform():

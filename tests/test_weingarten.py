@@ -1,10 +1,11 @@
+import itertools
 import math
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from haarmoments.errors import DimensionError, SingularWeingartenError
+from haarmoments.errors import DimensionError
 from haarmoments.linalg import RngStream, sample_haar_unitaries
 from haarmoments.mc import empirical_moment
 from haarmoments.weingarten import (
@@ -70,12 +71,39 @@ def test_weingarten_closed_forms():
                 assert val == pytest.approx(ref, rel=1e-14), (m, d, cls)
 
 
+def _partitions(m, largest=None):
+    """Partitions of m as weakly decreasing tuples."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest or m), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first, *rest)
+
+
+def _irrep_dim(shape):
+    """f^lambda, the number of standard Young tableaux, by the hook-length formula."""
+    columns = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    hooks = math.prod(
+        (row - j) + (columns[j] - i) - 1 for i, row in enumerate(shape) for j in range(row)
+    )
+    return math.factorial(sum(shape)) // hooks
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_gram_identity(m):
-    # Wg is the inverse of G[s, t] = d^{#cycles(tau sigma^-1)}, also at d = m
-    for d in (m, m + 1, 10):
+    # Wg is the pseudo-inverse of G[s, t] = d^{#cycles(tau sigma^-1)}: its
+    # inverse for d >= m, and for d < m of rank sum (f^lambda)^2 over the
+    # partitions of m with at most d rows
+    for d in (*range(1, m + 2), 10):
         gram = float(d) ** _plan(m).ncycles
-        assert np.max(np.abs(gram @ _wg_matrix(m, d) - np.eye(len(gram)))) <= 1e-13, d
+        wg = _wg_matrix(m, d)
+        assert np.max(np.abs(gram @ wg @ gram - gram)) <= 1e-13 * np.max(gram), d
+        assert np.max(np.abs(wg @ gram @ wg - wg)) <= 1e-13 * np.max(np.abs(wg)), d
+        if d >= m:
+            assert np.max(np.abs(gram @ wg - np.eye(len(gram)))) <= 1e-13, d
+        rank = sum(_irrep_dim(shape) ** 2 for shape in _partitions(m) if len(shape) <= d)
+        assert np.linalg.matrix_rank(gram, hermitian=True) == rank, d
 
 
 def test_weingarten_values():
@@ -86,10 +114,19 @@ def test_weingarten_values():
 
 
 def test_weingarten_singular_below_m():
-    with pytest.raises(SingularWeingartenError):
-        weingarten_table(3, 2)
-    with pytest.raises(SingularWeingartenError):
-        moment_function([np.eye(2)] * 5, 2)
+    # the Gram matrix is singular for d < m, and its pseudo-inverse still gives
+    # the Haar average: at d = 1, U is a phase, G is all ones, Wg = 1/(m!)^2
+    # and E^(2m) is the product of the 1 x 1 operators
+    gen = np.random.default_rng(1001)
+    for m in range(1, 6):
+        for cls, value in weingarten_table(m, 1).items():
+            assert value == pytest.approx(1 / math.factorial(m) ** 2, rel=1e-14), (m, cls)
+        xs = [random_complex(gen, 1) for _ in range(2 * m - 1)]
+        product = math.prod(x[0, 0] for x in xs)
+        assert abs(moment_function(xs, 1)[0, 0] - product) <= 1e-14 * abs(product), m
+    # the closed form divides by d (d^2 - 1)
+    with pytest.raises(DimensionError):
+        fourth_moment_closed(*[np.eye(1)] * 3, 1)
 
 
 def test_second_moment():
@@ -271,7 +308,7 @@ def test_contraction_plan_size():
     assert products == [0, 0, 4, 25, 122]
 
 
-@pytest.mark.parametrize("d", [5, 6, 9])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 9])
 def test_u00_moments_all_orders(d):
     # <|U00|^(2m)> = m! (d-1)! / (d+m-1)!, the (0, 0) entry of E^(2m)(P0, ..., P0)
     p0 = np.zeros((d, d))
@@ -288,12 +325,14 @@ def _near_identity_unitary(gen, d, s):
     return (v * np.exp(1j * s * ev)) @ v.conj().T
 
 
-def test_tenth_moment_against_mc():
+@pytest.mark.parametrize("d, order", [(3, 8), (3, 10), (4, 10), (5, 10)])
+def test_tenth_moment_against_mc(d, order):
     # unitary operators keep each word unitary, so the entrywise stderr is
-    # small enough to resolve misordered odd-side traces or free words
-    d, n = 5, 40_000
+    # small enough to resolve misordered odd-side traces or free words; the
+    # d < order / 2 cases take the Gram pseudo-inverse
+    n = 40_000
     gen = np.random.default_rng(1010)
-    xs = [_near_identity_unitary(gen, d, 0.4) for _ in range(9)]
+    xs = [_near_identity_unitary(gen, d, 0.4) for _ in range(order - 1)]
     exact = moment_function(xs, d)
     est = empirical_moment(xs, d, n, RngStream(1010))
     assert np.all(np.abs(exact - est.mean) <= 5 * est.stderr)
@@ -347,3 +386,50 @@ def test_moment_function_matches_character_table_route():
         value = moment_function(_pinned_inputs(m, d), d)
         for got, ref in ((value[0, 0], e00), (value[d - 1, 1], e_last1), (np.trace(value), tr)):
             assert abs(got - ref) <= 1e-13 * abs(ref), (m, d)
+
+
+def _binary_icosahedral_group():
+    """The 120 unit quaternions of the binary icosahedral group as SU(2)
+    matrices: the 24 Hurwitz units, and the 96 even permutations of
+    (+-phi, +-1, +-1/phi, 0) / 2.  It is a unitary 5-design (Gross, Audenaert
+    & Eisert, J. Math. Phys. 48, 052104 (2007)), so its average equals the
+    Haar average of any word with at most five U and five U^dag."""
+    phi = (1 + math.sqrt(5)) / 2
+    quats = [tuple(s * (k == j) for k in range(4)) for j in range(4) for s in (1, -1)]
+    quats += list(itertools.product((0.5, -0.5), repeat=4))
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        if inversions % 2 == 0:
+            for signs in itertools.product((1, -1), repeat=3):
+                base = [s * v / 2 for s, v in zip(signs, (phi, 1.0, 1 / phi))] + [0.0]
+                quats.append(tuple(base[perm[k]] for k in range(4)))
+    a, b, c, e = np.array(quats).T
+    return np.stack([[a + 1j * b, c + 1j * e], [-c + 1j * e, a - 1j * b]]).transpose(2, 0, 1)
+
+
+def test_binary_icosahedral_group_is_a_5_design_only():
+    group = _binary_icosahedral_group()
+    assert len(group) == 120
+    # closed under products, each product one of the 120 elements
+    keys = {tuple(np.round(g.ravel(), 12)) for g in group}
+    products = np.round((group[:, None] @ group[None]).reshape(-1, 4), 12)
+    assert len(keys) == 120 and {tuple(p) for p in products} == keys
+    # frame potentials: the Catalan numbers of U(2) up to t = 5, not at t = 6
+    traces = np.abs(np.trace(group, axis1=1, axis2=2)) ** 2
+    potentials = [float(np.mean(traces**t)) for t in range(1, 7)]
+    assert potentials == pytest.approx([1, 2, 5, 14, 42, 133], rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_moment_function_matches_design_at_d2(m):
+    # exact oracle for d = 2 < m: the group average of U X1 U^dag X2 U ... U^dag
+    group = _binary_icosahedral_group()
+    gen = np.random.default_rng([1202, m])
+    for _ in range(4):
+        xs = [random_complex(gen, 2) for _ in range(2 * m - 1)]
+        word = group
+        for k, x in enumerate(xs):
+            word = word @ x @ (group.conj().transpose(0, 2, 1) if k % 2 == 0 else group)
+        exact = word.mean(axis=0)
+        got = moment_function(xs, 2)
+        assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact)), m
