@@ -127,14 +127,17 @@ def purity_evolution(
     return PurityTrajectory(times=times, values=values)
 
 
-def gibbs_purity(levels, beta: float) -> float:
-    """Purity of the thermal state of the spectrum: Tr e^{-2 b D} / (Tr e^{-b D})^2."""
+def gibbs_purity(levels, beta: float) -> float | np.ndarray:
+    """Purity of the thermal state of the spectrum: Tr e^{-2 b D} / (Tr e^{-b D})^2.
+
+    The spectrum runs along the last axis, so a stack of spectra gives an
+    array of purities and a single spectrum a scalar.
+    """
     if beta < 0:
         raise ValueError(f"inverse temperature must be >= 0, got {beta}")
     e = np.asarray(levels, dtype=float)
-    shifted = e - e.min()
-    w = np.exp(-beta * shifted)
-    return float(np.sum(w**2) / np.sum(w) ** 2)
+    w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
+    return np.sum(w**2, axis=-1) / np.sum(w, axis=-1) ** 2
 
 
 def gibbs_purity_mc(
@@ -148,14 +151,12 @@ def gibbs_purity_mc(
     """Monte Carlo mean and standard error of the Gibbs purity over spectra.
 
     The spectra come from ``sample_spectra``, so only POISSON and GUE_NUMERIC
-    are accepted; beta = 0 gives exactly (1/d, 0) for n >= 2.
+    are accepted; beta = 0 gives exactly (1/d, 0) for n >= 2, and beta < 0
+    raises ValueError.
     """
 
     def chunk(gen: np.random.Generator, count: int):
-        levels = sample_spectra(ensemble, d, count, gen)
-        shifted = levels - levels.min(axis=1, keepdims=True)
-        w = np.exp(-beta * shifted)
-        return (np.sum(w**2, axis=1) / np.sum(w, axis=1) ** 2,)
+        return (gibbs_purity(sample_spectra(ensemble, d, count, gen), beta),)
 
     est = accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
     return est.mean, est.stderr

@@ -43,7 +43,7 @@ def _t_grid(args) -> np.ndarray:
     return np.linspace(args.t0, args.t1, args.nt)
 
 
-def _fig_coeff_variance(args, rng):
+def _fig_coeff_variance(args):
     header = ["de", "c1", "c2", "c3", "c4", "c5"]
     rows = []
     for de in _DE_SCAN:
@@ -52,7 +52,7 @@ def _fig_coeff_variance(args, rng):
     return header, rows
 
 
-def _fig_c1_of_t(args, rng):
+def _fig_c1_of_t(args):
     de_values = (4, 16, 64)
     times = _t_grid(args)
     header = ["t"]
@@ -68,7 +68,7 @@ def _fig_c1_of_t(args, rng):
     return header, rows
 
 
-def _fig_purity_vs_de(args, rng):
+def _fig_purity_vs_de(args):
     ds_values = (2, 3, 4, 5)
     header = ["de"]
     for ds in ds_values:
@@ -83,22 +83,23 @@ def _fig_purity_vs_de(args, rng):
     return header, rows
 
 
-def _purity_curves(args, rng, configs):
-    """Shared builder: configs is a list of (label, ensemble, dims, p0)."""
+def _purity_curves(args, configs, with_mc=False):
+    """Shared builder: configs is a list of (label, ensemble, dims, p0);
+    with_mc adds sampled columns of args.samples draws per point."""
     times = _t_grid(args)
     header = ["t"]
     columns = []
     for ci, (label, kind, dims, p0) in enumerate(configs):
         header.append(label)
         columns.append(purity_evolution(kind, dims, p0, times).values)
-        if args.with_mc:
+        if with_mc:
             header += [f"{label}_mc", f"{label}_se"]
             psi0 = schmidt_state(dims, p0)
             mc_m, mc_se = [], []
             for ti, t in enumerate(times):
                 est = empirical_purity(
                     dims, kind, psi0, float(t), args.samples,
-                    RngStream(rng.seed, ci * 100_000 + ti),
+                    RngStream(args.seed, ci * 100_000 + ti),
                 )
                 mc_m.append(est.mean)
                 mc_se.append(est.stderr)
@@ -107,7 +108,7 @@ def _purity_curves(args, rng, configs):
     return header, rows
 
 
-def _fig_purity_poi(args, rng):
+def _fig_purity_poi(args):
     configs = []
     for ds, de in ((2, 2), (4, 4)):
         dims = BipartiteDims(ds, de)
@@ -115,20 +116,20 @@ def _fig_purity_poi(args, rng):
             (f"pure_{ds}x{de}", EnsembleKind.POISSON, dims, 1.0),
             (f"mixed_{ds}x{de}", EnsembleKind.POISSON, dims, 1.0 / ds),
         ]
-    return _purity_curves(args, rng, configs)
+    return _purity_curves(args, configs, args.with_mc)
 
 
-def _fig_purity_init_dep(args, rng):
+def _fig_purity_init_dep(args):
     dims = BipartiteDims(32, 128)
     p_values = np.linspace(1.0 / dims.d_s, 1.0, 5)
     configs = []
     for kind, tag in ((EnsembleKind.POISSON, "poi"), (EnsembleKind.GUE_LARGE_D, "gue")):
         for j, p0 in enumerate(p_values):
             configs.append((f"{tag}_p{j + 1}", kind, dims, float(p0)))
-    return _purity_curves(args, rng, configs)
+    return _purity_curves(args, configs)
 
 
-def _fig_purity_compare(args, rng):
+def _fig_purity_compare(args):
     configs = []
     for de in (4, 16, 64):
         dims = BipartiteDims(4, de)
@@ -139,12 +140,12 @@ def _fig_purity_compare(args, rng):
             (f"gue_de{de}_pure", gue, dims, 1.0),
             (f"gue_de{de}_mixed", gue, dims, 0.25),
         ]
-    return _purity_curves(args, rng, configs)
+    return _purity_curves(args, configs)
 
 
-def _fig_gibbs_beta(args, rng):
+def _fig_gibbs_beta(args):
     d = args.ds * args.de
-    betas = np.linspace(args.t0, args.t1, args.nt)
+    betas = _t_grid(args)
     header = ["beta", "poi", "poi_se", "gue", "gue_se"]
     rows = []
     for i, beta in enumerate(betas):
@@ -158,7 +159,7 @@ def _fig_gibbs_beta(args, rng):
     return header, rows
 
 
-def _fig_gibbs_d(args, rng):
+def _fig_gibbs_d(args):
     header = ["d", "poi", "poi_se"]
     rows = []
     for i, d in enumerate((2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)):
@@ -169,7 +170,7 @@ def _fig_gibbs_d(args, rng):
     return header, rows
 
 
-def _fig_equilibration(args, rng):
+def _fig_equilibration(args):
     times = _t_grid(args)
     poi = equilibration_large_de(EnsembleKind.POISSON, args.ds, 1.0, times)
     gue = equilibration_large_de(EnsembleKind.GUE_LARGE_D, args.ds, 1.0, times)
@@ -178,30 +179,26 @@ def _fig_equilibration(args, rng):
     return header, rows
 
 
-_FIGURE_BUILDERS = {
-    "coeff-variance": _fig_coeff_variance,
-    "c1-of-t": _fig_c1_of_t,
-    "purity-vs-de": _fig_purity_vs_de,
-    "purity-poi": _fig_purity_poi,
-    "purity-init-dep": _fig_purity_init_dep,
-    "purity-compare": _fig_purity_compare,
-    "gibbs-beta": _fig_gibbs_beta,
-    "gibbs-d": _fig_gibbs_d,
-    "equilibration": _fig_equilibration,
-}
-FIGURES = tuple(_FIGURE_BUILDERS)
+_TIME_GRID = {"t0": 0.0, "t1": 15.0, "nt": 301}
 
-_FIGURE_DEFAULTS = {
-    # (t0, t1, nt) for the independent-variable grid where applicable
-    "c1-of-t": (0.0, 15.0, 301),
-    "purity-poi": (0.0, 15.0, 301),
-    "purity-init-dep": (0.0, 15.0, 301),
-    "purity-compare": (0.0, 15.0, 301),
-    "gibbs-beta": (0.0, 20.0, 41),
-    "equilibration": (0.0, 30.0, 601),
+# A figure declares exactly the flags its builder reads, each with its default:
+# every other figure flag is refused, so the sidecar records only used values.
+_FIGURES = {
+    "coeff-variance": (_fig_coeff_variance, {"ds": 2}),
+    "c1-of-t": (_fig_c1_of_t, {"ds": 2, **_TIME_GRID}),
+    "purity-vs-de": (_fig_purity_vs_de, {}),
+    "purity-poi": (_fig_purity_poi, {**_TIME_GRID, "samples": 10_000, "with_mc": False}),
+    "purity-init-dep": (_fig_purity_init_dep, _TIME_GRID),
+    "purity-compare": (_fig_purity_compare, _TIME_GRID),
+    "gibbs-beta": (
+        _fig_gibbs_beta,
+        {"ds": 2, "de": 2, "t0": 0.0, "t1": 20.0, "nt": 41, "samples": 10_000},
+    ),
+    "gibbs-d": (_fig_gibbs_d, {"beta": 10.0, "samples": 10_000}),
+    "equilibration": (_fig_equilibration, {"ds": 2, "t0": 0.0, "t1": 30.0, "nt": 601}),
 }
-
-_MC_FIGURES = {"purity-poi"}
+FIGURES = tuple(_FIGURES)
+_FIGURE_FLAGS = ("ds", "de", "t0", "t1", "nt", "beta", "samples", "with_mc")
 
 
 class UsageError(Exception):
@@ -210,20 +207,17 @@ class UsageError(Exception):
 
 def _write_figure(args) -> int:
     name = args.name
-    if args.with_mc and name not in _MC_FIGURES:
-        raise UsageError(f"--with-mc is not available for figure {name!r}")
-    defaults = _FIGURE_DEFAULTS.get(name)
-    if defaults is not None:
-        if args.t0 is None:
-            args.t0 = defaults[0]
-        if args.t1 is None:
-            args.t1 = defaults[1]
-        if args.nt is None:
-            args.nt = defaults[2]
+    builder, declared = _FIGURES[name]
+    for flag in _FIGURE_FLAGS:
+        value = getattr(args, flag)
+        if value is not None and flag not in declared:
+            option = "--" + flag.replace("_", "-")
+            raise UsageError(f"{option} is not available for figure {name!r}")
+        if value is None:
+            setattr(args, flag, declared.get(flag))
 
     start = time.perf_counter()
-    rng = RngStream(args.seed)
-    header, rows = _FIGURE_BUILDERS[name](args, rng)
+    header, rows = builder(args)
 
     out = args.out or f"{name}.csv"
     if args.format == "csv":
@@ -240,17 +234,7 @@ def _write_figure(args) -> int:
 
     sidecar = {
         "figure": name,
-        "config": {
-            "ds": args.ds,
-            "de": args.de,
-            "t0": args.t0,
-            "t1": args.t1,
-            "nt": args.nt,
-            "beta": args.beta,
-            "samples": args.samples,
-            "with_mc": args.with_mc,
-            "format": args.format,
-        },
+        "config": {flag: getattr(args, flag) for flag in (*_FIGURE_FLAGS, "format")},
         "seed": args.seed,
         "version": __version__,
         "wall_time_s": time.perf_counter() - start,
@@ -330,17 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("figure", help="write a paper figure as plot-ready CSV")
     fig.add_argument("name", choices=FIGURES)
-    fig.add_argument("--ds", type=int, default=2)
-    fig.add_argument("--de", type=int, default=2)
-    fig.add_argument("--t0", type=float, default=None)
-    fig.add_argument("--t1", type=float, default=None)
-    fig.add_argument("--nt", type=int, default=None)
-    fig.add_argument("--beta", type=float, default=10.0)
+    # None marks a figure flag not given: _write_figure fills in the figure's default
+    fig.add_argument("--ds", type=int)
+    fig.add_argument("--de", type=int)
+    fig.add_argument("--t0", type=float)
+    fig.add_argument("--t1", type=float)
+    fig.add_argument("--nt", type=int)
+    fig.add_argument("--beta", type=float)
+    fig.add_argument("--samples", type=int)
+    fig.add_argument("--with-mc", action="store_true", default=None, dest="with_mc")
     fig.add_argument("--seed", type=int, default=42)
-    fig.add_argument("--samples", type=int, default=10_000)
     fig.add_argument("--out", default=None)
     fig.add_argument("--format", choices=("csv", "json"), default="csv")
-    fig.add_argument("--with-mc", action="store_true", dest="with_mc")
     fig.set_defaults(func=_write_figure)
 
     val = sub.add_parser("validate", help="run the acceptance-criteria suite")

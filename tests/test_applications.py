@@ -253,6 +253,10 @@ def test_gibbs_purity_limits(gen):
     expect = (np.exp(2) + np.exp(-2)) / (np.exp(1) + np.exp(-1)) ** 2
     assert val == pytest.approx(expect, rel=1e-14)
     assert val == pytest.approx(0.7900128291929869, abs=1e-12)
+    # a stack of spectra gives one purity per row
+    stack = gen.uniform(-2, 2, size=(3, 6))
+    rows = [gibbs_purity(e, 1.5) for e in stack]
+    assert gibbs_purity(stack, 1.5) == pytest.approx(rows, rel=1e-14)
 
 
 def test_gibbs_purity_mc_beta_zero():
@@ -260,6 +264,11 @@ def test_gibbs_purity_mc_beta_zero():
         0.25,
         0.0,
     )
+
+
+def test_gibbs_purity_mc_rejects_negative_beta():
+    with pytest.raises(ValueError, match="inverse temperature"):
+        gibbs_purity_mc(EnsembleKind.POISSON, 4, -0.5, 100, RngStream(55))
 
 
 def test_gibbs_purity_mc_needs_sampled_spectra():

@@ -1,10 +1,13 @@
+import argparse
 import csv
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
-from haarmoments import ensembles
+from haarmoments import cli, ensembles
 from haarmoments.cli import dump_matrix_json, load_matrix_json, main
 from haarmoments.ensembles import sinc
 from haarmoments.weingarten import fourth_moment_closed
@@ -100,6 +103,86 @@ def test_figure_purity_compare_with_mc_rejected(tmp_path, capsys):
     assert main(["figure", "purity-compare", "--with-mc", "--nt", "2", "--out", str(out)]) == 2
     assert "not available" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+_FLAG_ARGV = {
+    "ds": ["--ds", "3"], "de": ["--de", "3"], "t0": ["--t0", "1"], "t1": ["--t1", "9"],
+    "nt": ["--nt", "5"], "beta": ["--beta", "3"], "samples": ["--samples", "7"],
+    "with_mc": ["--with-mc"],
+}
+_UNDECLARED = [
+    (name, flag)
+    for name, (_, declared) in cli._FIGURES.items()
+    for flag in cli._FIGURE_FLAGS
+    if flag not in declared
+]
+
+
+@pytest.mark.parametrize("name,flag", _UNDECLARED)
+def test_figure_refuses_undeclared_flag(tmp_path, capsys, name, flag):
+    out = tmp_path / "f.csv"
+    assert main(["figure", name, *_FLAG_ARGV[flag], "--out", str(out)]) == 2
+    assert f"is not available for figure {name!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+class _RecordingArgs(argparse.Namespace):
+    """Namespace that records which figure flags a builder reads."""
+
+    def __init__(self, reads, **kwargs):
+        super().__init__(**kwargs)
+        self._reads = reads
+
+    def __getattribute__(self, name):
+        if name in cli._FIGURE_FLAGS:
+            super().__getattribute__("_reads").add(name)
+        return super().__getattribute__(name)
+
+
+# small enough to run every builder in a moment; with_mc on so that purity-poi
+# reaches its samples flag
+_TINY = {
+    "ds": 2, "de": 2, "t0": 0.0, "t1": 0.5, "nt": 2, "beta": 1.0, "samples": 16,
+    "with_mc": True,
+}
+
+
+@pytest.mark.parametrize("name", cli.FIGURES)
+def test_figure_reads_exactly_its_declared_flags(name):
+    builder, declared = cli._FIGURES[name]
+    reads = set()
+    values = {flag: _TINY[flag] if flag in declared else None for flag in cli._FIGURE_FLAGS}
+    args = _RecordingArgs(reads, name=name, seed=3, **values)
+    header, rows = builder(args)
+    assert rows and len(rows[0]) == len(header)
+    assert reads == set(declared)
+
+
+@pytest.mark.parametrize(
+    "name,argv,given",
+    [("coeff-variance", [], {}), ("equilibration", ["--nt", "11"], {"nt": 11})],
+)
+def test_figure_sidecar_config_records_declared_flags_only(tmp_path, name, argv, given):
+    out = tmp_path / "f.csv"
+    assert main(["figure", name, *argv, "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "f.csv.meta.json").read_text())["config"]
+    _, declared = cli._FIGURES[name]
+    expect = {**dict.fromkeys(cli._FIGURE_FLAGS), **declared, **given, "format": "csv"}
+    assert config == expect
+
+
+def test_figure_gibbs_beta_single_point_grid_rejected(tmp_path, capsys):
+    out = tmp_path / "gb.csv"
+    assert main(["figure", "gibbs-beta", "--nt", "1", "--out", str(out)]) == 1
+    assert "--nt must be >= 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["haarmoments", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("haarmoments", run_name="__main__")
+    assert exc.value.code == 0
 
 
 def test_figure_purity_init_dep_runs(tmp_path):
