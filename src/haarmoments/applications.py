@@ -17,7 +17,7 @@ from .closed_forms import (
 )
 from .ensembles import EnsembleKind, averaged_time_coeffs, bessel_j1_over_t, sinc
 from .errors import DimensionError
-from .linalg import BipartiteDims, RngStream, check_state, sample_spectra
+from .linalg import BipartiteDims, RngStream, check_sampled_kind, check_state, sample_spectra
 from .mc import accumulate_chunks
 
 ENVELOPE_WINDOW = math.pi / 2  # oscillation period of the sin(2t)-type factors
@@ -127,14 +127,18 @@ def purity_evolution(
     return PurityTrajectory(times=times, values=values)
 
 
+def _check_beta(beta: float) -> None:
+    if beta < 0:
+        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
+
+
 def gibbs_purity(levels, beta: float) -> float | np.ndarray:
     """Purity of the thermal state of the spectrum: Tr e^{-2 b D} / (Tr e^{-b D})^2.
 
     The spectrum runs along the last axis, so a stack of spectra gives an
     array of purities and a single spectrum a scalar.
     """
-    if beta < 0:
-        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
+    _check_beta(beta)
     e = np.asarray(levels, dtype=float)
     w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
     return np.sum(w**2, axis=-1) / np.sum(w, axis=-1) ** 2
@@ -152,8 +156,10 @@ def gibbs_purity_mc(
 
     The spectra come from ``sample_spectra``, so only POISSON and GUE_NUMERIC
     are accepted; beta = 0 gives exactly (1/d, 0) for n >= 2, and beta < 0
-    raises ValueError.
+    raises ValueError.  Both refusals come before any spectrum is drawn.
     """
+    _check_beta(beta)
+    check_sampled_kind(ensemble)
 
     def chunk(gen: np.random.Generator, count: int):
         return (gibbs_purity(sample_spectra(ensemble, d, count, gen), beta),)

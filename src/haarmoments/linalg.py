@@ -170,6 +170,12 @@ def sample_gue_hamiltonians(d: int, n: int, rng) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / (2.0 * np.sqrt(d))
 
 
+def check_sampled_kind(kind: EnsembleKind) -> None:
+    """ValueError unless ``sample_spectra`` draws spectra of this kind."""
+    if kind not in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC):
+        raise ValueError(f"no spectra to sample for ensemble {kind}")
+
+
 def sample_spectra(kind: EnsembleKind, d: int, n: int, rng) -> np.ndarray:
     """n sampled spectra of d levels each, shape (n, d), on the spectral span [-2, 2].
 
@@ -182,16 +188,15 @@ def sample_spectra(kind: EnsembleKind, d: int, n: int, rng) -> np.ndarray:
     symmetric matrix instead of 2d^2 normals and a complex Hermitian one.  No
     other kind has spectra to sample.
     """
+    check_sampled_kind(kind)
     gen = _as_generator(rng)
     if kind == EnsembleKind.POISSON:
         return gen.uniform(-2.0, 2.0, size=(n, d))
-    if kind == EnsembleKind.GUE_NUMERIC:
-        if d < 1:
-            raise DimensionError(f"d must be >= 1, got {d}")
-        idx = np.arange(d)
-        t = np.zeros((n, d, d))
-        t[:, idx, idx] = gen.standard_normal((n, d))
-        # chi^2_{2k} / 2 is Gamma(k, 1); eigvalsh reads only the lower triangle
-        t[:, idx[1:], idx[:-1]] = np.sqrt(gen.standard_gamma(idx[:0:-1], size=(n, d - 1)))
-        return np.linalg.eigvalsh(t) / np.sqrt(d)
-    raise ValueError(f"no spectra to sample for ensemble {kind}")
+    if d < 1:
+        raise DimensionError(f"d must be >= 1, got {d}")
+    idx = np.arange(d)
+    t = np.zeros((n, d, d))
+    t[:, idx, idx] = gen.standard_normal((n, d))
+    # chi^2_{2k} / 2 is Gamma(k, 1); eigvalsh reads only the lower triangle
+    t[:, idx[1:], idx[:-1]] = np.sqrt(gen.standard_gamma(idx[:0:-1], size=(n, d - 1)))
+    return np.linalg.eigvalsh(t) / np.sqrt(d)

@@ -136,21 +136,27 @@ def worker_count(explicit: int | None = None) -> int:
 
 
 def accumulate_chunks(
-    chunk_fn, n: int, rng: RngStream, workers: int | None = None, variance: bool = False
+    chunk_fn,
+    n: int,
+    rng: RngStream,
+    workers: int | None = None,
+    variance: bool = False,
+    chunk_size: int = CHUNK,
 ) -> list[McMoments]:
     """Moments of the samples chunk_fn(generator, count) draws over fixed-size chunks.
 
     chunk_fn returns an iterable of real per-sample arrays, samples on the
-    first axis.  Each chunk is reduced to McMoments in its worker; the chunks
-    are merged in chunk order, so the result is bit-identical for any worker
-    count.  Returns one McMoments per array, with m3 and m4 only when
-    ``variance`` is set.
+    first axis.  Chunks hold ``chunk_size`` samples, the last one the rest.
+    Each chunk is reduced to McMoments in its worker; the chunks are merged
+    in chunk order, so the result is bit-identical for any worker count.
+    Returns one McMoments per array, with m3 and m4 only when ``variance``
+    is set.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    sizes = [CHUNK] * (n // CHUNK)
-    if n % CHUNK:
-        sizes.append(n % CHUNK)
+    sizes = [chunk_size] * (n // chunk_size)
+    if n % chunk_size:
+        sizes.append(n % chunk_size)
 
     def run(i: int) -> list[McMoments]:
         return [McMoments.of(x, variance) for x in chunk_fn(rng.generator(i), sizes[i])]
@@ -161,6 +167,20 @@ def accumulate_chunks(
         for part in parts:
             total = [a.merge(b) for a, b in zip(total, part)]
     return total
+
+
+def word_sizes(d: int) -> tuple[int, int]:
+    """Samples per chunk and patterns per block of the word kernel at dimension d.
+
+    The chunk is sized from the buffers: s = min(CHUNK, GEMM_CAP // d^3,
+    WORD_CAP // (8 d^2)), at least 1, so an X-step GEMM of s samples stays
+    within GEMM_CAP (for d <= 32; past that one sample's product is above
+    it) and a block of WORD_CAP // (s d^2) patterns fills at most WORD_CAP
+    entries.  That is at least 8 patterns up to d = 64.  Both depend on d
+    alone.
+    """
+    samples = max(1, min(CHUNK, GEMM_CAP // d**3, WORD_CAP // (8 * d * d)))
+    return samples, max(1, WORD_CAP // (samples * d * d))
 
 
 def empirical_moments(
@@ -176,9 +196,14 @@ def empirical_moments(
     out as (c, P d, d), a step by U or U^dag is one (P d x d)(d x d) product
     per sample; one copy moves the words between the two layouts.  Every word
     entry takes the same BLAS sums as when the words are built one at a time,
-    so the estimates are bit-identical to that route.  A block holds at most
-    max(1, WORD_CAP // (CHUNK d^2)) patterns, because each worker holds both
-    buffers: stacking every pattern at once raised peak memory by ~19%.
+    so the estimates are bit-identical to that route.
+
+    The per-sample U-step costs one BLAS call whatever P is, so the sizing
+    runs from the buffers to the chunk: ``word_sizes(d)`` gives c and P,
+    with both buffers at most WORD_CAP entries (each worker holds both) and
+    P >= 8, so the patterns of one length usually share one block.  The
+    chunk depends on d only, never on the pattern list, so each estimate is
+    bit-identical to evaluating its pattern alone.
     """
     mats = [[as_matrix(x) for x in xs] for xs in patterns]
     for xs in mats:
@@ -191,8 +216,7 @@ def empirical_moments(
     # blocks of at most per_block patterns of one length, in stable length
     # order; a block is stacked as (length, P, d, d), its k-th operators first
     order = sorted(range(len(mats)), key=lambda i: len(mats[i]))
-    per_block = max(1, WORD_CAP // (CHUNK * d * d))
-    rows = d * max(1, GEMM_CAP // d**3)
+    chunk_size, per_block = word_sizes(d)
     blocks, stacks = [], []
     for _, group in itertools.groupby(order, key=lambda i: len(mats[i])):
         group = list(group)
@@ -211,9 +235,7 @@ def empirical_moments(
             src, dst = a[: p * count * d * d], b[: p * count * d * d]
             w = u.reshape(count * d, d)
             for k, x in enumerate(ops):
-                out = dst.reshape(by_pattern)
-                for r in range(0, count * d, rows):
-                    np.matmul(w[..., r : r + rows, :], x, out=out[:, r : r + rows])
+                np.matmul(w, x, out=dst.reshape(by_pattern))
                 src.reshape(count, p, d, d)[...] = dst.reshape(p, count, d, d).swapaxes(0, 1)
                 right = uh if k % 2 == 0 else u
                 np.matmul(src.reshape(by_sample), right, out=dst.reshape(by_sample))
@@ -224,7 +246,7 @@ def empirical_moments(
             # next block overwrites it
             yield dst.reshape(count, -1).view(float)
 
-    merged = accumulate_chunks(chunk, n, rng, workers=workers)
+    merged = accumulate_chunks(chunk, n, rng, workers=workers, chunk_size=chunk_size)
     estimates = [None] * len(order)
     for block, moments in zip(blocks, merged):
         est = moments.estimate()

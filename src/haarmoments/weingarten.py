@@ -144,9 +144,14 @@ def _plan(m: int) -> _Plan:
     if not 1 <= m <= MAX_HALF_ORDER:
         raise ValueError(f"unsupported order m={m}")
     perms = all_permutations(m)
-    ncycles = np.array(
-        [[len(cycles_of(compose(tau, inverse(sigma)))) for tau in perms] for sigma in perms]
-    )
+    # #cycles(tau sigma^-1) depends on the product alone: count the cycles of
+    # the m! permutations once and look each product up by its rank, its
+    # digits read in base m (all_permutations is in lexicographic order)
+    table = np.array(perms)
+    place = m ** np.arange(m - 1, -1, -1)
+    counts = np.array([len(cycles_of(p)) for p in perms])
+    products = table[np.arange(len(perms))[None, :, None], np.argsort(table)[:, None, :]]
+    ncycles = counts[np.searchsorted(table @ place, products @ place)]
     ncycles.flags.writeable = False
     letters = 2 * m - 1
     free, even = [], []

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from haarmoments import applications
 from haarmoments.applications import (
     ThermalizationParams,
     closed_thermalization,
@@ -37,6 +38,7 @@ from haarmoments.linalg import (
     hs_norm_sq,
     partial_trace_env,
     partial_trace_sys,
+    sample_spectra,
 )
 from haarmoments.mc import (
     empirical_purity,
@@ -45,6 +47,7 @@ from haarmoments.mc import (
     product_state,
     schmidt_state,
 )
+from haarmoments.weingarten import moment_function
 
 from conftest import random_complex, random_state
 
@@ -130,6 +133,19 @@ def test_depolarizing_output_is_state_for_valid_f2(gen):
 def test_depolarizing_guards(gen):
     with pytest.raises(ValueError):
         depolarizing_average(random_state(gen, 3), 1.2, 3)
+
+
+def test_depolarizing_is_the_weingarten_twirl(gen):
+    # U D U^dag rho U D^dag U^dag averaged over Haar U: the evolution by a
+    # fixed spectrum in Haar eigenvectors, with f = Tr D / d
+    t = 0.7
+    for d in (2, 3, 5, 8):
+        levels = gen.uniform(-2, 2, size=d)
+        diag = np.diag(np.exp(-1j * levels * t))
+        f = np.trace(diag) / d
+        rho = random_state(gen, d)
+        twirl = moment_function([diag, rho, diag.conj().T], d)
+        assert np.max(np.abs(depolarizing_average(rho, abs(f) ** 2, d) - twirl)) <= 1e-12, d
 
 
 def test_uniform_purity_values():
@@ -266,15 +282,34 @@ def test_gibbs_purity_mc_beta_zero():
     )
 
 
-def test_gibbs_purity_mc_rejects_negative_beta():
+def _count_spectrum_draws(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_spectra(*args, **kwargs)
+
+    monkeypatch.setattr(applications, "sample_spectra", counted)
+    return calls
+
+
+def test_gibbs_purity_mc_rejects_negative_beta(monkeypatch):
+    calls = _count_spectrum_draws(monkeypatch)
     with pytest.raises(ValueError, match="inverse temperature"):
         gibbs_purity_mc(EnsembleKind.POISSON, 4, -0.5, 100, RngStream(55))
+    with pytest.raises(ValueError, match="inverse temperature"):
+        gibbs_purity_mc(EnsembleKind.GUE_NUMERIC, 32, -1.0, 20_000, RngStream(1))
+    assert calls == []
 
 
-def test_gibbs_purity_mc_needs_sampled_spectra():
+def test_gibbs_purity_mc_needs_sampled_spectra(monkeypatch):
+    calls = _count_spectrum_draws(monkeypatch)
     for kind in (EnsembleKind.UNIFORM, EnsembleKind.GUE_LARGE_D):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no spectra"):
             gibbs_purity_mc(kind, 4, 1.0, 100, RngStream(54))
+    assert calls == []
+    gibbs_purity_mc(EnsembleKind.POISSON, 4, 1.0, 100, RngStream(54))
+    assert len(calls) == 1
 
 
 def test_gibbs_purity_mc_stderr_scaling():

@@ -19,6 +19,7 @@ from haarmoments.linalg import (
 from haarmoments import mc
 from haarmoments.mc import (
     CHUNK,
+    GEMM_CAP,
     WORD_CAP,
     McEstimate,
     accumulate_chunks,
@@ -29,6 +30,7 @@ from haarmoments.mc import (
     empirical_reduced_norm,
     product_state,
     schmidt_state,
+    word_sizes,
     worker_count,
 )
 from haarmoments.weingarten import fourth_moment_closed
@@ -55,7 +57,8 @@ def test_empirical_moment_second_and_fourth_order(gen):
 
 
 def _moments_one_pattern_at_a_time(patterns, d, n, rng, workers):
-    # reference: each pattern's word built on its own, one pattern after another
+    # reference: each pattern's word built on its own, one pattern after
+    # another, in chunks of the word kernel's size at d
     mats = [[as_matrix(x) for x in xs] for xs in patterns]
 
     def chunk(gen, count):
@@ -69,7 +72,8 @@ def _moments_one_pattern_at_a_time(patterns, d, n, rng, workers):
             yield w.view(float)
 
     estimates = []
-    for moments in accumulate_chunks(chunk, n, rng, workers=workers):
+    chunk_size, _ = word_sizes(d)
+    for moments in accumulate_chunks(chunk, n, rng, workers=workers, chunk_size=chunk_size):
         se = moments.estimate().stderr.reshape(d, d, 2)
         estimates.append(McEstimate(moments.mean.view(complex), np.hypot(se[..., 0], se[..., 1]), n))
     return estimates
@@ -77,10 +81,14 @@ def _moments_one_pattern_at_a_time(patterns, d, n, rng, workers):
 
 def test_stacked_words_bit_identical_to_one_pattern_at_a_time(gen):
     n = 2 * CHUNK + 5
-    per_block = max(1, WORD_CAP // (CHUNK * 4 * 4))
+    _, per_block = word_sizes(4)
     cases = (
+        (1, [[random_complex(gen, 1) for _ in range(k)] for k in (3, 1, 5)]),
         (3, [[random_complex(gen, 3) for _ in range(k)] for k in (1, 3, 5, 3, 1)]),
+        # three blocks of one length
         (4, [[random_complex(gen, 4) for _ in range(3)] for _ in range(2 * per_block + 1)]),
+        # the chunk is bounded by GEMM_CAP here, not by WORD_CAP
+        (16, [[random_complex(gen, 16) for _ in range(k)] for k in (3, 1, 3)]),
     )
     for d, patterns in cases:
         for workers in (1, 2):
@@ -91,6 +99,29 @@ def test_stacked_words_bit_identical_to_one_pattern_at_a_time(gen):
                 assert a.n == b.n == n
                 assert np.array_equal(a.mean, b.mean), (d, workers)
                 assert np.array_equal(a.stderr, b.stderr), (d, workers)
+
+
+def test_word_estimate_independent_of_the_other_patterns(gen):
+    d, n = 3, 3 * CHUNK + 7
+    alone = [random_complex(gen, d) for _ in range(3)]
+    others = [[random_complex(gen, d) for _ in range(k)] for k in (1, 5, 3, 3, 7, 1, 3, 5, 3)]
+    together = others[:4] + [alone] + others[4:]
+    (single,) = empirical_moments([alone], d, n, RngStream(13))
+    mixed = empirical_moments(together, d, n, RngStream(13))[4]
+    assert np.array_equal(single.mean, mixed.mean)
+    assert np.array_equal(single.stderr, mixed.stderr)
+
+
+def test_word_sizes_keep_the_blas_rule():
+    # OpenBLAS threads a GEMM from m n k = 2^16 on (see mc.GEMM_CAP); past
+    # d = 32 a single sample's d x d product is already above the cap, so
+    # the chunk holds one sample there
+    for d in range(1, 65):
+        samples, per_block = word_sizes(d)
+        assert samples >= 1
+        assert samples * d**3 <= max(GEMM_CAP, d**3), d
+        assert per_block * samples * d * d <= WORD_CAP, d
+        assert per_block >= 8, d
 
 
 def test_worker_count_env(monkeypatch):

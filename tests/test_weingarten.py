@@ -290,6 +290,15 @@ def test_compiled_contraction_matches_reference(m):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (m, d)
 
 
+def test_plan_cycle_table_matches_pairwise_construction():
+    for m in range(1, 6):
+        perms = all_permutations(m)
+        pairwise = [
+            [len(cycles_of(compose(tau, inverse(sigma)))) for tau in perms] for sigma in perms
+        ]
+        assert np.array_equal(_plan(m).ncycles, np.array(pairwise)), m
+
+
 def test_contraction_plan_size():
     # distinct odd traced, even traced and open words, and d x d products
     sizes, products = [], []
