@@ -46,8 +46,7 @@ from .ensembles import (
     poisson_form_factors,
 )
 from .applications import (
-    PurityTrajectory,
-    ThermalizationCurve,
+    Curve,
     ThermalizationParams,
     closed_thermalization,
     depolarizing_average,

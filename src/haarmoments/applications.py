@@ -17,14 +17,24 @@ from .closed_forms import (
 )
 from .ensembles import EnsembleKind, averaged_time_coeffs, bessel_j1_over_t, sinc
 from .errors import DimensionError
-from .linalg import BipartiteDims, RngStream, check_sampled_kind, check_state, sample_spectra
+from .linalg import (
+    BipartiteDims,
+    RngStream,
+    as_matrix,
+    check_purity,
+    check_sampled_kind,
+    check_state,
+    sample_spectra,
+)
 from .mc import accumulate_chunks
 
 ENVELOPE_WINDOW = math.pi / 2  # oscillation period of the sin(2t)-type factors
 
 
 @dataclass(frozen=True)
-class PurityTrajectory:
+class Curve:
+    """A quantity sampled on a time grid."""
+
     times: np.ndarray
     values: np.ndarray
 
@@ -42,18 +52,6 @@ class ThermalizationParams:
     p_rho0: float = 1.0
     p_s0: float = 1.0
     p_e0: float = 1.0
-
-
-@dataclass(frozen=True)
-class ThermalizationCurve:
-    times: np.ndarray
-    values: np.ndarray
-
-
-def _check_purity(name: str, p: float, dim: int) -> None:
-    """A purity of a dim-dimensional state lies in [1/dim, 1], up to rounding."""
-    if not 1.0 / dim - 1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"{name} = {p} outside [1/{dim}, 1]")
 
 
 def two_state_uniform(rho, rho_p, dims: BipartiteDims) -> tuple[float, float]:
@@ -75,9 +73,7 @@ def depolarizing_average(rho0, f2: float, d: int) -> np.ndarray:
     """Average evolved state: mixes rho0 with I/d, weights set by |f(t)|^2."""
     if d < 2:
         raise DimensionError(f"depolarizing channel needs d >= 2, got {d}")
-    rho0 = check_state(rho0)
-    if rho0.shape[0] != d:
-        raise DimensionError(f"state dim {rho0.shape[0]} != d = {d}")
+    rho0 = check_state(as_matrix(rho0, d))
     if not 0.0 <= f2 <= 1.0:
         raise ValueError(f"|f(t)|^2 must lie in [0, 1], got {f2}")
     lam = (d**2 * f2 - 1.0) / (d**2 - 1.0)
@@ -91,7 +87,7 @@ def uniform_purity(p_total: float, dims: BipartiteDims) -> tuple[float, float | 
     closed form holds for pure total states only and is None otherwise.
     """
     d = dims.d
-    _check_purity("total purity", p_total, d)
+    check_purity("total purity", p_total, d)
     ds, de = dims.d_s, dims.d_e
     c1, c2 = uniform_coeffs(dims)
     mean = c1 * p_total + c2
@@ -108,7 +104,7 @@ def uniform_purity(p_total: float, dims: BipartiteDims) -> tuple[float, float | 
 
 def purity_evolution(
     ensemble: EnsembleKind, dims: BipartiteDims, p0: float, times
-) -> PurityTrajectory:
+) -> Curve:
     """Mean reduced purity of an initially pure total state along a time grid.
 
     p0 is the initial reduced purity; the trajectory starts at p0 exactly and
@@ -116,7 +112,7 @@ def purity_evolution(
     pure total state has ||rho0||^2 = Tr rho0 = 1 and two marginals of purity
     p0, so the general average reads ct1 + ct2 + (ct3 + ct4) p0.
     """
-    _check_purity("reduced purity", p0, dims.d_s)
+    check_purity("reduced purity", p0, dims.d_s)
     times = np.asarray(times, dtype=float)
     if ensemble == EnsembleKind.UNIFORM:
         mean, _ = uniform_purity(1.0, dims)
@@ -124,7 +120,7 @@ def purity_evolution(
     else:
         coeffs = [averaged_time_coeffs(ensemble, t, dims) for t in times]
         values = np.array([c.ct1 + c.ct2 + (c.ct3 + c.ct4) * p0 for c in coeffs])
-    return PurityTrajectory(times=times, values=values)
+    return Curve(times=times, values=values)
 
 
 def _check_beta(beta: float) -> None:
@@ -170,21 +166,21 @@ def gibbs_purity_mc(
 
 def closed_thermalization(p_gibbs: float, p0: float, d: int) -> float:
     """Time-independent mean squared distance to the Gibbs state (closed system)."""
-    _check_purity("p_gibbs", p_gibbs, d)
-    _check_purity("p0", p0, d)
+    check_purity("p_gibbs", p_gibbs, d)
+    check_purity("p0", p0, d)
     return p_gibbs + p0 - 2.0 / d
 
 
 def open_thermalization(
     params: ThermalizationParams, ensemble: EnsembleKind, times
-) -> ThermalizationCurve:
+) -> Curve:
     """Mean squared reduced distance to the Gibbs state along a time grid."""
     dims = params.dims
     d = dims.d
-    _check_purity("p_gibbs", params.p_gibbs, d)
-    _check_purity("p_rho0", params.p_rho0, d)
-    _check_purity("p_s0", params.p_s0, dims.d_s)
-    _check_purity("p_e0", params.p_e0, dims.d_e)
+    check_purity("p_gibbs", params.p_gibbs, d)
+    check_purity("p_rho0", params.p_rho0, d)
+    check_purity("p_s0", params.p_s0, dims.d_s)
+    check_purity("p_e0", params.p_e0, dims.d_e)
     c1, c2 = uniform_coeffs(dims)
     base = c1 * params.p_gibbs + c2 - 2.0 / dims.d_s
     times = np.asarray(times, dtype=float)
@@ -198,12 +194,12 @@ def open_thermalization(
             + c.ct3 * params.p_s0
             + c.ct4 * params.p_e0
         )
-    return ThermalizationCurve(times=times, values=values)
+    return Curve(times=times, values=values)
 
 
 def equilibration_large_de(
     ensemble: EnsembleKind, d_s: int, p_s0: float, times
-) -> ThermalizationCurve:
+) -> Curve:
     """Infinite-environment limit of the open thermalization curve.
 
     Poisson decays as c0 (cos t sin t / t)^4, the GUE as c0 (J1(2t)/t)^4,
@@ -219,10 +215,10 @@ def equilibration_large_de(
         values = np.array([c0 * bessel_j1_over_t(t) ** 4 for t in times])
     else:
         raise ValueError(f"no large-d_E limit curve for ensemble {ensemble}")
-    return ThermalizationCurve(times=times, values=values)
+    return Curve(times=times, values=values)
 
 
-def fit_decay_exponent(curve: ThermalizationCurve, t_window: tuple[float, float]) -> float:
+def fit_decay_exponent(curve: Curve, t_window: tuple[float, float]) -> float:
     """Power-law exponent of the oscillating decay on a time window.
 
     The envelope is the running maximum over windows of one oscillation

@@ -27,6 +27,7 @@ from .validate import report_json, report_lines, run_validation
 from .weingarten import MAX_HALF_ORDER, moment_function
 
 _DE_SCAN = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
+_GIBBS_BETA_D = 4  # levels per gibbs-beta spectrum, the d of the crossover scan in DECISIONS.md
 
 
 def _fmt(x) -> str:
@@ -144,7 +145,7 @@ def _fig_purity_compare(args):
 
 
 def _fig_gibbs_beta(args):
-    d = args.ds * args.de
+    d = _GIBBS_BETA_D
     betas = _t_grid(args)
     header = ["beta", "poi", "poi_se", "gue", "gue_se"]
     rows = []
@@ -190,10 +191,7 @@ _FIGURES = {
     "purity-poi": (_fig_purity_poi, {**_TIME_GRID, "samples": 10_000, "with_mc": False}),
     "purity-init-dep": (_fig_purity_init_dep, _TIME_GRID),
     "purity-compare": (_fig_purity_compare, _TIME_GRID),
-    "gibbs-beta": (
-        _fig_gibbs_beta,
-        {"ds": 2, "de": 2, "t0": 0.0, "t1": 20.0, "nt": 41, "samples": 10_000},
-    ),
+    "gibbs-beta": (_fig_gibbs_beta, {"t0": 0.0, "t1": 20.0, "nt": 41, "samples": 10_000}),
     "gibbs-d": (_fig_gibbs_d, {"beta": 10.0, "samples": 10_000}),
     "equilibration": (_fig_equilibration, {"ds": 2, "t0": 0.0, "t1": 30.0, "nt": 601}),
 }

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NegativeVarianceError
+from .errors import NegativeVarianceError
 from .linalg import (
     BipartiteDims,
     as_matrix,
@@ -89,9 +89,7 @@ def variance_coeffs(dims: BipartiteDims) -> tuple[float, float, float, float, fl
 
 def uniform_average(m, dims: BipartiteDims) -> float:
     """Haar mean of ||Tr_E{U M U^dag}||^2 for Hermitian M."""
-    m = as_matrix(m)
-    if m.shape[0] != dims.d:
-        raise DimensionError(f"matrix dim {m.shape[0]} != d = {dims.d}")
+    m = as_matrix(m, dims.d)
     c1, c2 = uniform_coeffs(dims)
     tr = trace_power(m, 1).real
     return c1 * hs_norm_sq(m) + c2 * tr**2
@@ -103,9 +101,7 @@ def uniform_variance(m, dims: BipartiteDims) -> float:
     Invariant under M -> M + c I, so it is evaluated without cancellation on
     M0 = M - (Tr M / d) I, where Tr M0 = 0 leaves c4 (Tr M0^2)^2 + c5 Tr M0^4.
     """
-    m = as_matrix(m)
-    if m.shape[0] != dims.d:
-        raise DimensionError(f"matrix dim {m.shape[0]} != d = {dims.d}")
+    m = as_matrix(m, dims.d)
     _, _, _, c4, c5 = variance_coeffs(dims)
     m0 = m - trace_power(m, 1).real / dims.d * np.eye(dims.d)
     var = c4 * trace_power(m0, 2).real ** 2 + c5 * trace_power(m0, 4).real
@@ -147,9 +143,7 @@ def time_coeffs(ff: FormFactorInputs, dims: BipartiteDims) -> TimeCoeffs:
 
 def general_average(m, dims: BipartiteDims, ff: FormFactorInputs) -> float:
     """Mean of ||Tr_E{W e^{-iDt} W^dag M W e^{iDt} W^dag}||^2 over Haar W."""
-    m = as_matrix(m)
-    if m.shape[0] != dims.d:
-        raise DimensionError(f"matrix dim {m.shape[0]} != d = {dims.d}")
+    m = as_matrix(m, dims.d)
     c = time_coeffs(ff, dims)
     tr = trace_power(m, 1).real
     return (

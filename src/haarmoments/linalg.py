@@ -60,12 +60,20 @@ class RngStream:
         return np.random.default_rng([self.seed, self.stream, *subkeys])
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce input to a square complex matrix."""
+def as_matrix(m, d: int | None = None) -> np.ndarray:
+    """Coerce input to a square complex matrix, of size d x d when d is given."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if d is not None and a.shape[0] != d:
+        raise DimensionError(f"matrix dim {a.shape[0]} != d = {d}")
     return a
+
+
+def check_purity(name: str, p: float, dim: int) -> None:
+    """A purity of a dim-dimensional state lies in [1/dim, 1], up to rounding."""
+    if not 1.0 / dim - 1e-12 <= p <= 1.0 + 1e-12:
+        raise ValueError(f"{name} = {p} outside [1/{dim}, 1]")
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
@@ -137,6 +145,14 @@ def _as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator
     return rng.generator() if isinstance(rng, RngStream) else rng
 
 
+def complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian entries, real parts drawn first."""
+    z = np.empty(shape, dtype=complex)
+    z.real = gen.standard_normal(shape)
+    z.imag = gen.standard_normal(shape)
+    return z
+
+
 def sample_haar_unitaries(d: int, n: int, rng) -> np.ndarray:
     """Stack of n Haar-distributed d x d unitaries, shape (n, d, d).
 
@@ -146,11 +162,7 @@ def sample_haar_unitaries(d: int, n: int, rng) -> np.ndarray:
     """
     if d < 1:
         raise DimensionError(f"d must be >= 1, got {d}")
-    gen = _as_generator(rng)
-    z = np.empty((n, d, d), dtype=complex)
-    z.real = gen.standard_normal((n, d, d))
-    z.imag = gen.standard_normal((n, d, d))
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(complex_normal(_as_generator(rng), (n, d, d)))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (diag.conj() / np.abs(diag))[:, None, :]
     return q
@@ -189,11 +201,11 @@ def sample_spectra(kind: EnsembleKind, d: int, n: int, rng) -> np.ndarray:
     other kind has spectra to sample.
     """
     check_sampled_kind(kind)
+    if d < 1:
+        raise DimensionError(f"d must be >= 1, got {d}")
     gen = _as_generator(rng)
     if kind == EnsembleKind.POISSON:
         return gen.uniform(-2.0, 2.0, size=(n, d))
-    if d < 1:
-        raise DimensionError(f"d must be >= 1, got {d}")
     idx = np.arange(d)
     t = np.zeros((n, d, d))
     t[:, idx, idx] = gen.standard_normal((n, d))

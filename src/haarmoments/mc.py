@@ -32,6 +32,9 @@ from .linalg import (
     EnsembleKind,
     RngStream,
     as_matrix,
+    check_purity,
+    check_sampled_kind,
+    complex_normal,
     partial_trace_env,
     sample_haar_unitaries,
     sample_spectra,
@@ -150,10 +153,10 @@ def accumulate_chunks(
     Each chunk is reduced to McMoments in its worker; the chunks are merged
     in chunk order, so the result is bit-identical for any worker count.
     Returns one McMoments per array, with m3 and m4 only when ``variance``
-    is set.
+    is set.  n < 2 has no standard error and is refused before any chunk runs.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    if n < 2:
+        raise ValueError(f"sample count must be >= 2 for a standard error, got {n}")
     sizes = [chunk_size] * (n // chunk_size)
     if n % chunk_size:
         sizes.append(n % chunk_size)
@@ -205,13 +208,9 @@ def empirical_moments(
     chunk depends on d only, never on the pattern list, so each estimate is
     bit-identical to evaluating its pattern alone.
     """
-    mats = [[as_matrix(x) for x in xs] for xs in patterns]
-    for xs in mats:
-        if len(xs) % 2 != 1:
-            raise ValueError("each pattern needs an odd number of operators")
-        for x in xs:
-            if x.shape[0] != d:
-                raise DimensionError(f"operator dim {x.shape[0]} != d = {d}")
+    mats = [[as_matrix(x, d) for x in xs] for xs in patterns]
+    if any(len(xs) % 2 != 1 for xs in mats):
+        raise ValueError("each pattern needs an odd number of operators")
 
     # blocks of at most per_block patterns of one length, in stable length
     # order; a block is stacked as (length, P, d, d), its k-th operators first
@@ -268,9 +267,7 @@ def empirical_reduced_norm(
     m, dims: BipartiteDims, n: int, rng: RngStream, workers: int | None = None
 ) -> tuple[McEstimate, McEstimate]:
     """Mean and variance of ||Tr_E{U M U^dag}||^2 over Haar U, each with stderr."""
-    m = as_matrix(m)
-    if m.shape[0] != dims.d:
-        raise DimensionError(f"matrix dim {m.shape[0]} != d = {dims.d}")
+    m = as_matrix(m, dims.d)
 
     def chunk(gen: np.random.Generator, count: int):
         u = sample_haar_unitaries(dims.d, count, gen)
@@ -292,9 +289,7 @@ def empirical_fixed_spectrum(
     workers: int | None = None,
 ) -> McEstimate:
     """Mean of ||Tr_E{W e^{-iDt} W^dag M W e^{iDt} W^dag}||^2 over Haar W."""
-    m = as_matrix(m)
-    if m.shape[0] != dims.d:
-        raise DimensionError(f"matrix dim {m.shape[0]} != d = {dims.d}")
+    m = as_matrix(m, dims.d)
     e = np.asarray(levels, dtype=float)
     if e.shape != (dims.d,):
         raise DimensionError(f"spectrum length {e.shape} != d = {dims.d}")
@@ -322,8 +317,7 @@ def schmidt_state(dims: BipartiteDims, p0: float) -> np.ndarray:
     ds, de = dims.d_s, dims.d_e
     if de < ds:
         raise DimensionError(f"need d_e >= d_s for Schmidt rank d_s, got {dims}")
-    if not 1.0 / ds - 1e-12 <= p0 <= 1.0 + 1e-12:
-        raise ValueError(f"reduced purity {p0} outside [1/{ds}, 1]")
+    check_purity("reduced purity", p0, ds)
     s = np.sqrt(max(0.0, (p0 - 1.0 / ds) / (1.0 - 1.0 / ds)))
     weights = np.full(ds, (1.0 - s) / ds)
     weights[0] += s
@@ -338,14 +332,6 @@ def product_state(dims: BipartiteDims) -> np.ndarray:
     psi = np.zeros(dims.d, dtype=complex)
     psi[0] = 1.0
     return psi
-
-
-def _complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussian entries, real parts drawn first."""
-    z = np.empty(shape, dtype=complex)
-    z.real = gen.standard_normal(shape)
-    z.imag = gen.standard_normal(shape)
-    return z
 
 
 def empirical_purity(
@@ -381,6 +367,8 @@ def empirical_purity(
         raise DimensionError(f"state vector length {psi0.shape} != d = {dims.d}")
     if isinstance(spectra, (str, EnsembleKind)):
         kind, fixed_phases = EnsembleKind(spectra), None
+        if kind != EnsembleKind.UNIFORM:
+            check_sampled_kind(kind)
     else:
         levels = np.asarray(spectra, dtype=float)
         if levels.shape != (dims.d,):
@@ -391,7 +379,7 @@ def empirical_purity(
     u = psi0 / norm if norm else product_state(dims)
 
     def chunk(gen: np.random.Generator, count: int):
-        z = _complex_normal(gen, (count, dims.d))
+        z = complex_normal(gen, (count, dims.d))
         if kind == EnsembleKind.UNIFORM:
             phi = z * (norm / np.linalg.norm(z, axis=1, keepdims=True))
         else:
@@ -401,7 +389,7 @@ def empirical_purity(
             v = z / np.linalg.norm(z, axis=1, keepdims=True)
             c = np.sum(phases * (v.real**2 + v.imag**2), axis=1, keepdims=True)
             r_norm = np.linalg.norm((phases - c) * v, axis=1, keepdims=True)
-            xi = _complex_normal(gen, (count, dims.d))
+            xi = complex_normal(gen, (count, dims.d))
             xi -= np.einsum("si,i->s", xi, u.conj())[:, None] * u
             xi *= r_norm / np.linalg.norm(xi, axis=1, keepdims=True)
             phi = norm * (c * u + xi)
@@ -428,10 +416,8 @@ def empirical_thermal_distance(
     of the Hilbert-Schmidt norm.
     """
     e = np.asarray(levels, dtype=float)
-    rho0 = as_matrix(rho0)
     d = e.size
-    if rho0.shape[0] != d:
-        raise DimensionError(f"state dim {rho0.shape[0]} != spectrum length {d}")
+    rho0 = as_matrix(rho0, d)
     g = np.exp(-beta * (e - e.min()))
     gibbs_diag = g / g.sum()
     p = np.exp(-1j * e * t)

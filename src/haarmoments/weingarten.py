@@ -244,15 +244,12 @@ def moment_function(xs, d: int) -> np.ndarray:
     Each product of a stack is its own d x d GEMM, below the threading
     threshold m n k = 2^16 for d <= 40.
     """
-    mats = [as_matrix(x) for x in xs]
+    mats = [as_matrix(x, d) for x in xs]
     if len(mats) % 2 != 1 or not 1 <= len(mats) <= 2 * MAX_HALF_ORDER - 1:
         raise ValueError(
             f"need an odd number of operators between 1 and {2 * MAX_HALF_ORDER - 1}, "
             f"got {len(mats)}"
         )
-    for x in mats:
-        if x.shape[0] != d:
-            raise DimensionError(f"operator dim {x.shape[0]} != d = {d}")
     m = (len(mats) + 1) // 2
     wg = _wg_matrix(m, d)
     plan = _plan(m)
@@ -280,9 +277,7 @@ def fourth_moment_closed(x1, x2, x3, d: int) -> np.ndarray:
     """Closed form of the fourth moment average of U X1 U^dag X2 U X3 U^dag."""
     if d < 2:
         raise DimensionError(f"fourth moment closed form needs d >= 2, got d={d}")
-    x1 = as_matrix(x1)
-    x2 = as_matrix(x2)
-    x3 = as_matrix(x3)
+    x1, x2, x3 = (as_matrix(x, d) for x in (x1, x2, x3))
     t1 = np.trace(x1)
     t3 = np.trace(x3)
     t31 = np.trace(x3 @ x1)

@@ -302,6 +302,13 @@ def test_gibbs_purity_mc_rejects_negative_beta(monkeypatch):
     assert calls == []
 
 
+def test_gibbs_purity_mc_refuses_one_sample(monkeypatch):
+    calls = _count_spectrum_draws(monkeypatch)
+    with pytest.raises(ValueError, match=">= 2"):
+        gibbs_purity_mc(EnsembleKind.POISSON, 4, 1.0, 1, RngStream(56))
+    assert calls == []
+
+
 def test_gibbs_purity_mc_needs_sampled_spectra(monkeypatch):
     calls = _count_spectrum_draws(monkeypatch)
     for kind in (EnsembleKind.UNIFORM, EnsembleKind.GUE_LARGE_D):
@@ -391,21 +398,21 @@ def test_equilibration_large_de_curves():
 
 def test_fit_decay_exponent_pure_power_law():
     times = np.linspace(2.0, 30.0, 4000)
-    from haarmoments.applications import ThermalizationCurve
+    from haarmoments.applications import Curve
 
-    curve = ThermalizationCurve(times=times, values=3.0 * times**-4.0)
+    curve = Curve(times=times, values=3.0 * times**-4.0)
     assert fit_decay_exponent(curve, (2.0, 30.0)) == pytest.approx(-4.0, abs=1e-6)
 
 
 def test_fit_decay_exponent_errors():
-    from haarmoments.applications import ThermalizationCurve
+    from haarmoments.applications import Curve
 
     times = np.linspace(2.0, 4.0, 50)
-    curve = ThermalizationCurve(times=times, values=times**-4.0)
+    curve = Curve(times=times, values=times**-4.0)
     with pytest.raises(ValueError):
         fit_decay_exponent(curve, (2.0, 3.0))  # fewer than 4 envelope windows
     with pytest.raises(ValueError):
         fit_decay_exponent(curve, (1.0, 3.0))  # window outside the curve
-    zero_curve = ThermalizationCurve(times=times, values=np.zeros_like(times))
+    zero_curve = Curve(times=times, values=np.zeros_like(times))
     with pytest.raises(ValueError):
         fit_decay_exponent(zero_curve, (2.0, 4.0))

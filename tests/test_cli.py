@@ -160,7 +160,11 @@ def test_figure_reads_exactly_its_declared_flags(name):
 
 @pytest.mark.parametrize(
     "name,argv,given",
-    [("coeff-variance", [], {}), ("equilibration", ["--nt", "11"], {"nt": 11})],
+    [
+        ("coeff-variance", [], {}),
+        ("equilibration", ["--nt", "11"], {"nt": 11}),
+        ("gibbs-beta", ["--nt", "2", "--samples", "20"], {"nt": 2, "samples": 20}),
+    ],
 )
 def test_figure_sidecar_config_records_declared_flags_only(tmp_path, name, argv, given):
     out = tmp_path / "f.csv"
@@ -175,6 +179,13 @@ def test_figure_gibbs_beta_single_point_grid_rejected(tmp_path, capsys):
     out = tmp_path / "gb.csv"
     assert main(["figure", "gibbs-beta", "--nt", "1", "--out", str(out)]) == 1
     assert "--nt must be >= 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure_gibbs_beta_refuses_one_sample(tmp_path, capsys):
+    out = tmp_path / "gb.csv"
+    assert main(["figure", "gibbs-beta", "--samples", "1", "--out", str(out)]) == 1
+    assert "sample count must be >= 2" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

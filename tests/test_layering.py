@@ -113,6 +113,26 @@ def test_every_module_constant_is_read():
         assert not unread, (path.name, unread)
 
 
+def _module_definitions(path: Path) -> set[str]:
+    """Names of the functions and classes a source file defines at module level."""
+    return {
+        node.name
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def test_every_module_function_and_class_has_a_caller():
+    # code with no caller is deleted: every definition is read, as a name or
+    # an attribute, somewhere in src/, tests/ or perfbench/
+    read = set().union(
+        *(_names_read(p) for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    )
+    for path in sorted(SRC.glob("*.py")):
+        uncalled = _module_definitions(path) - read
+        assert not uncalled, (path.name, uncalled)
+
+
 def _dataclass_fields(path: Path) -> set[str]:
     """Annotated field names of the @dataclass classes a source file defines."""
     fields = set()

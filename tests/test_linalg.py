@@ -7,6 +7,8 @@ from haarmoments.linalg import (
     BipartiteDims,
     EnsembleKind,
     RngStream,
+    as_matrix,
+    check_purity,
     hs_norm_sq,
     is_unitary,
     partial_trace_env,
@@ -139,6 +141,23 @@ def test_haar_bit_identical_to_ginibre_expression():
         assert np.array_equal(sample_haar_unitaries(d, 40, np.random.default_rng([81, d])), expect), d
 
 
+def test_as_matrix_checks_the_size_when_given():
+    assert as_matrix(np.eye(3)).dtype == complex
+    assert np.array_equal(as_matrix(np.eye(3), 3), np.eye(3))
+    with pytest.raises(DimensionError, match="matrix dim 3 != d = 2"):
+        as_matrix(np.eye(3), 2)
+    with pytest.raises(DimensionError, match="square"):
+        as_matrix(np.ones((2, 3)), 2)
+
+
+def test_check_purity_range():
+    for p in (0.25 - 1e-13, 0.25, 0.5, 1.0, 1.0 + 1e-13):
+        check_purity("p", p, 4)
+    for p in (0.2, 1.01, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            check_purity("p", p, 4)
+
+
 def test_haar_reproducible():
     a = sample_haar_unitaries(3, 10, RngStream(123, 4))
     b = sample_haar_unitaries(3, 10, RngStream(123, 4))
@@ -244,6 +263,12 @@ def test_sample_spectra_gue_reproducible_and_d1():
     assert np.array_equal(one, np.random.default_rng(72).standard_normal((40, 1)))
     with pytest.raises(DimensionError):
         sample_spectra(EnsembleKind.GUE_NUMERIC, 0, 40, RngStream(1))
+
+
+def test_sample_spectra_refuses_d0_for_every_kind():
+    for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC):
+        with pytest.raises(DimensionError):
+            sample_spectra(kind, 0, 40, RngStream(1))
 
 
 def test_sample_spectra_rejects_kinds_without_spectra():

@@ -11,6 +11,7 @@ from haarmoments.linalg import (
     BipartiteDims,
     RngStream,
     as_matrix,
+    complex_normal,
     hs_norm_sq,
     partial_trace_env,
     sample_haar_unitaries,
@@ -218,6 +219,23 @@ def test_empirical_purity_draws_no_haar_unitary(monkeypatch):
         assert 1 / 2 - 1e-9 <= est.mean <= 1.0 + 1e-9
 
 
+def test_empirical_purity_refuses_unsampled_kind_before_drawing(monkeypatch):
+    draws = []
+
+    def counted(gen, shape):
+        draws.append(shape)
+        return complex_normal(gen, shape)
+
+    monkeypatch.setattr(mc, "complex_normal", counted)
+    dims = BipartiteDims(4, 8)
+    psi = product_state(dims)
+    with pytest.raises(ValueError, match="no spectra"):
+        empirical_purity(dims, EnsembleKind.GUE_LARGE_D, psi, 1.0, 20_000, RngStream(75), workers=2)
+    assert draws == []
+    empirical_purity(dims, "poi", psi, 1.0, 100, RngStream(75))
+    assert len(draws) == 2
+
+
 def _purity_dense_w(dims, spectra, psi0, t, n, rng):
     # reference: a full Haar W per sample, applied as W e^{-iEt} W^dag psi0
     def chunk(gen, count):
@@ -351,6 +369,22 @@ def test_accumulate_chunks_matches_numpy_on_offset_data():
         np.testing.assert_allclose(est.mean, np.mean(x, axis=0), rtol=1e-12)
         np.testing.assert_allclose(est.stderr, np.std(x, axis=0, ddof=1) / np.sqrt(n), rtol=1e-12)
         np.testing.assert_allclose(moments.variance().mean, np.var(x, axis=0, ddof=1), rtol=1e-11)
+
+
+def test_accumulate_chunks_refuses_fewer_than_two_samples():
+    # one sample has no standard error: refused before any chunk is drawn
+    calls = []
+
+    def chunk(gen, count):
+        calls.append(count)
+        return _offset_chunk(gen, count)
+
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=">= 2"):
+            accumulate_chunks(chunk, n, RngStream(35))
+    assert calls == []
+    accumulate_chunks(chunk, 2, RngStream(35))
+    assert calls == [2]
 
 
 def test_lean_moments_equal_full_and_refuse_variance():

@@ -244,6 +244,8 @@ def test_moment_function_checks_dimensions_first():
         moment_function([np.eye(2)] * 3, 3)
     with pytest.raises(DimensionError):
         moment_function([np.ones((3, 2))], 3)
+    with pytest.raises(DimensionError, match="matrix dim 3 != d = 2"):
+        fourth_moment_closed(np.eye(2), np.eye(3), np.eye(2), 2)
 
 
 def _reference_moment(xs, d):
