@@ -21,6 +21,7 @@ from .linalg import (
     BipartiteDims,
     RngStream,
     as_matrix,
+    check_beta,
     check_purity,
     check_sampled_kind,
     check_state,
@@ -123,18 +124,13 @@ def purity_evolution(
     return Curve(times=times, values=values)
 
 
-def _check_beta(beta: float) -> None:
-    if beta < 0:
-        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
-
-
 def gibbs_purity(levels, beta: float) -> float | np.ndarray:
     """Purity of the thermal state of the spectrum: Tr e^{-2 b D} / (Tr e^{-b D})^2.
 
     The spectrum runs along the last axis, so a stack of spectra gives an
     array of purities and a single spectrum a scalar.
     """
-    _check_beta(beta)
+    check_beta(beta)
     e = np.asarray(levels, dtype=float)
     w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
     return np.sum(w**2, axis=-1) / np.sum(w, axis=-1) ** 2
@@ -154,7 +150,7 @@ def gibbs_purity_mc(
     are accepted; beta = 0 gives exactly (1/d, 0) for n >= 2, and beta < 0
     raises ValueError.  Both refusals come before any spectrum is drawn.
     """
-    _check_beta(beta)
+    check_beta(beta)
     check_sampled_kind(ensemble)
 
     def chunk(gen: np.random.Generator, count: int):

@@ -17,6 +17,7 @@ from .linalg import (
     BipartiteDims,
     as_matrix,
     hs_norm_sq,
+    is_hermitian,
     partial_trace_env,
     partial_trace_sys,
     trace_power,
@@ -66,6 +67,14 @@ def form_factor_inputs(levels, t: float) -> FormFactorInputs:
     )
 
 
+def _hermitian(m, dims: BipartiteDims) -> np.ndarray:
+    """M as a d x d matrix; ValueError unless it is Hermitian, which every formula here assumes."""
+    m = as_matrix(m, dims.d)
+    if not is_hermitian(m):
+        raise ValueError("M is not Hermitian")
+    return m
+
+
 def uniform_coeffs(dims: BipartiteDims) -> tuple[float, float]:
     """Coefficients (C1, C2) of the uniform average C1*||M||^2 + C2*(Tr M)^2."""
     ds, de = dims.d_s, dims.d_e
@@ -89,7 +98,7 @@ def variance_coeffs(dims: BipartiteDims) -> tuple[float, float, float, float, fl
 
 def uniform_average(m, dims: BipartiteDims) -> float:
     """Haar mean of ||Tr_E{U M U^dag}||^2 for Hermitian M."""
-    m = as_matrix(m, dims.d)
+    m = _hermitian(m, dims)
     c1, c2 = uniform_coeffs(dims)
     tr = trace_power(m, 1).real
     return c1 * hs_norm_sq(m) + c2 * tr**2
@@ -101,7 +110,7 @@ def uniform_variance(m, dims: BipartiteDims) -> float:
     Invariant under M -> M + c I, so it is evaluated without cancellation on
     M0 = M - (Tr M / d) I, where Tr M0 = 0 leaves c4 (Tr M0^2)^2 + c5 Tr M0^4.
     """
-    m = as_matrix(m, dims.d)
+    m = _hermitian(m, dims)
     _, _, _, c4, c5 = variance_coeffs(dims)
     m0 = m - trace_power(m, 1).real / dims.d * np.eye(dims.d)
     var = c4 * trace_power(m0, 2).real ** 2 + c5 * trace_power(m0, 4).real
@@ -143,7 +152,7 @@ def time_coeffs(ff: FormFactorInputs, dims: BipartiteDims) -> TimeCoeffs:
 
 def general_average(m, dims: BipartiteDims, ff: FormFactorInputs) -> float:
     """Mean of ||Tr_E{W e^{-iDt} W^dag M W e^{iDt} W^dag}||^2 over Haar W."""
-    m = as_matrix(m, dims.d)
+    m = _hermitian(m, dims)
     c = time_coeffs(ff, dims)
     tr = trace_power(m, 1).real
     return (

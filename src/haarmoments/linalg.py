@@ -18,6 +18,10 @@ from .errors import DimensionError
 HERMITIAN_RTOL = 1e-12
 UNITARY_ATOL = 1e-10
 STATE_PSD_TOL = 1e-9
+# complex entries in one working stack (512 KiB): stacked d x d steps run on
+# at most WORD_CAP // d^2 matrices at a time, and the word kernel of ``mc``
+# sizes its two buffers by it
+WORD_CAP = 2**15
 
 
 class EnsembleKind(enum.Enum):
@@ -74,6 +78,12 @@ def check_purity(name: str, p: float, dim: int) -> None:
     """A purity of a dim-dimensional state lies in [1/dim, 1], up to rounding."""
     if not 1.0 / dim - 1e-12 <= p <= 1.0 + 1e-12:
         raise ValueError(f"{name} = {p} outside [1/{dim}, 1]")
+
+
+def check_beta(beta: float) -> None:
+    """An inverse temperature is >= 0."""
+    if beta < 0:
+        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
@@ -153,19 +163,34 @@ def complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
     return z
 
 
+def sub_batches(n: int, d: int) -> list[slice]:
+    """Slices of range(n) holding WORD_CAP // d^2 samples each (at least one), the last the rest.
+
+    A stacked d x d step run over these slices holds at most WORD_CAP entries
+    per temporary.  LAPACK and BLAS factor and multiply a stack matrix by
+    matrix, so each slice's results are the bits of the whole-stack call.
+    """
+    step = max(1, WORD_CAP // (d * d))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 def sample_haar_unitaries(d: int, n: int, rng) -> np.ndarray:
     """Stack of n Haar-distributed d x d unitaries, shape (n, d, d).
 
     Ginibre matrix -> QR -> column phases fixed by conj(r_jj)/|r_jj|, which
     makes the triangular factor's diagonal positive (plain QR alone is not
-    Haar-distributed).
+    Haar-distributed).  All n Ginibre matrices are drawn at once; the QR and
+    phase fix run over ``sub_batches`` and overwrite the draw in place.
     """
     if d < 1:
         raise DimensionError(f"d must be >= 1, got {d}")
-    q, r = np.linalg.qr(complex_normal(_as_generator(rng), (n, d, d)))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (diag.conj() / np.abs(diag))[:, None, :]
-    return q
+    z = complex_normal(_as_generator(rng), (n, d, d))
+    for s in sub_batches(n, d):
+        q, r = np.linalg.qr(z[s])
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        q *= (diag.conj() / np.abs(diag))[:, None, :]
+        z[s] = q
+    return z
 
 
 def sample_gue_hamiltonians(d: int, n: int, rng) -> np.ndarray:
@@ -198,7 +223,8 @@ def sample_spectra(kind: EnsembleKind, d: int, n: int, rng) -> np.ndarray:
     That is exactly the eigenvalue law of ``sample_gue_hamiltonians``
     (<|H_ij|^2> = 1/d, semicircle on [-2, 2]) from 2d - 1 variates and a real
     symmetric matrix instead of 2d^2 normals and a complex Hermitian one.  No
-    other kind has spectra to sample.
+    other kind has spectra to sample.  All variates are drawn at once; the
+    tridiagonal matrices are filled and diagonalized over ``sub_batches``.
     """
     check_sampled_kind(kind)
     if d < 1:
@@ -207,8 +233,14 @@ def sample_spectra(kind: EnsembleKind, d: int, n: int, rng) -> np.ndarray:
     if kind == EnsembleKind.POISSON:
         return gen.uniform(-2.0, 2.0, size=(n, d))
     idx = np.arange(d)
-    t = np.zeros((n, d, d))
-    t[:, idx, idx] = gen.standard_normal((n, d))
+    diag = gen.standard_normal((n, d))
     # chi^2_{2k} / 2 is Gamma(k, 1); eigvalsh reads only the lower triangle
-    t[:, idx[1:], idx[:-1]] = np.sqrt(gen.standard_gamma(idx[:0:-1], size=(n, d - 1)))
-    return np.linalg.eigvalsh(t) / np.sqrt(d)
+    sub = np.sqrt(gen.standard_gamma(idx[:0:-1], size=(n, d - 1)))
+    levels = np.empty((n, d))
+    for s in sub_batches(n, d):
+        t = np.zeros((len(diag[s]), d, d))
+        t[:, idx, idx] = diag[s]
+        t[:, idx[1:], idx[:-1]] = sub[s]
+        levels[s] = np.linalg.eigvalsh(t)
+    levels /= np.sqrt(d)
+    return levels

@@ -15,12 +15,22 @@ Sampling is chunked: chunk i uses the generator derived from
 (seed, stream, i), and per-chunk central moments are merged in chunk order, so
 results are bit-identical for any worker count and a constant offset of the
 samples does not cancel.
+
+Each chunk draws its variates in one go, then runs every stacked d x d step
+over ``linalg.sub_batches`` of WORD_CAP // d^2 samples: the QR of the Haar
+sampler, the GUE eigensolver and the per-sample maps of the Haar-based
+estimators.  A worker then holds one chunk's (CHUNK, d, d) draw and
+temporaries of at most WORD_CAP entries each: about 1.5 draws at peak, the
+draw and its real-part normals.  LAPACK and BLAS work matrix by matrix, so
+the sample streams and every estimate are bit-identical to whole-chunk
+evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,21 +38,23 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import (
+    WORD_CAP,
     BipartiteDims,
     EnsembleKind,
     RngStream,
     as_matrix,
+    check_beta,
     check_purity,
     check_sampled_kind,
+    check_state,
     complex_normal,
     partial_trace_env,
     sample_haar_unitaries,
     sample_spectra,
+    sub_batches,
 )
 
 CHUNK = 1024
-# complex entries in each of the two word buffers of empirical_moments (512 KiB)
-WORD_CAP = 2**15
 # m n k of one X-step GEMM in empirical_moments: OpenBLAS threads a GEMM from
 # m n k = 2^16 on, which made a 4096 x 4 x 4 product take 8.6 ms instead of
 # 0.27 ms for 4095 x 4 x 4 (2-vCPU Xeon, OpenBLAS 0.3.31).  It threads a
@@ -194,12 +206,13 @@ def empirical_moments(
     All patterns are evaluated on one shared Haar sample stream, which keeps
     the per-pattern estimates deterministic and amortizes the sampling cost.
     Patterns of one length are stacked into blocks, and the c samples of a
-    chunk build a block's words together in two preallocated buffers: laid
-    out as (P, c d, d), a step by the fixed X's is one GEMM per pattern; laid
-    out as (c, P d, d), a step by U or U^dag is one (P d x d)(d x d) product
-    per sample; one copy moves the words between the two layouts.  Every word
-    entry takes the same BLAS sums as when the words are built one at a time,
-    so the estimates are bit-identical to that route.
+    chunk build a block's words together in two buffers, allocated once per
+    worker thread and call: laid out as (P, c d, d), a step by the fixed X's
+    is one GEMM per pattern; laid out as (c, P d, d), a step by U or U^dag is
+    one (P d x d)(d x d) product per sample; one copy moves the words between
+    the two layouts.  Every word entry takes the same BLAS sums as when the
+    words are built one at a time, so the estimates are bit-identical to that
+    route.
 
     The per-sample U-step costs one BLAS call whatever P is, so the sizing
     runs from the buffers to the chunk: ``word_sizes(d)`` gives c and P,
@@ -223,11 +236,17 @@ def empirical_moments(
             blocks.append(group[start : start + per_block])
             stacks.append(np.array(list(zip(*(mats[i] for i in blocks[-1])))))
 
+    # each worker thread allocates the two buffers on its first chunk and
+    # reuses them for the rest of this call
+    size = min(per_block, len(order)) * min(chunk_size, n) * d * d
+    local = threading.local()
+
     def chunk(gen: np.random.Generator, count: int):
         u = sample_haar_unitaries(d, count, gen)
         uh = u.conj().swapaxes(-1, -2)
-        size = min(per_block, len(order)) * count * d * d
-        a, b = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        if not hasattr(local, "buffers"):
+            local.buffers = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        a, b = local.buffers
         for ops in stacks:
             p = ops.shape[1]
             by_pattern, by_sample = (p, count * d, d), (count, p * d, d)
@@ -263,17 +282,35 @@ def empirical_moment(
     return empirical_moments([xs], d, n, rng, workers=workers)[0]
 
 
+def _map_haar(fn, d: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """fn of each Haar sample of a chunk: a (count,) array filled over sub-batches.
+
+    fn takes a (k, d, d) stack of unitaries and returns its k values.
+    """
+    u = sample_haar_unitaries(d, count, gen)
+    out = np.empty(count)
+    for s in sub_batches(count, d):
+        out[s] = fn(u[s])
+    return out
+
+
+def _reduced_norm_sq(a: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    """||Tr_E a||^2 of each matrix in a stack."""
+    pt = partial_trace_env(a, dims)
+    return np.sum(pt.real**2 + pt.imag**2, axis=(1, 2))
+
+
 def empirical_reduced_norm(
     m, dims: BipartiteDims, n: int, rng: RngStream, workers: int | None = None
 ) -> tuple[McEstimate, McEstimate]:
     """Mean and variance of ||Tr_E{U M U^dag}||^2 over Haar U, each with stderr."""
     m = as_matrix(m, dims.d)
 
+    def norm(u: np.ndarray) -> np.ndarray:
+        return _reduced_norm_sq(u @ m @ u.conj().swapaxes(-1, -2), dims)
+
     def chunk(gen: np.random.Generator, count: int):
-        u = sample_haar_unitaries(dims.d, count, gen)
-        a = u @ m @ u.conj().swapaxes(-1, -2)
-        pt = partial_trace_env(a, dims)
-        return (np.sum(pt.real**2 + pt.imag**2, axis=(1, 2)),)
+        return (_map_haar(norm, dims.d, count, gen),)
 
     (moments,) = accumulate_chunks(chunk, n, rng, workers=workers, variance=True)
     return moments.estimate(), moments.variance()
@@ -295,14 +332,12 @@ def empirical_fixed_spectrum(
         raise DimensionError(f"spectrum length {e.shape} != d = {dims.d}")
     p = np.exp(-1j * e * t)
 
+    def norm(w: np.ndarray) -> np.ndarray:
+        ut = (w * p[None, None, :]) @ w.conj().swapaxes(-1, -2)
+        return _reduced_norm_sq(ut @ m @ ut.conj().swapaxes(-1, -2), dims)
+
     def chunk(gen: np.random.Generator, count: int):
-        w = sample_haar_unitaries(dims.d, count, gen)
-        wh = w.conj().swapaxes(-1, -2)
-        ut = (w * p[None, None, :]) @ wh
-        uth = ut.conj().swapaxes(-1, -2)
-        a = ut @ m @ uth
-        pt = partial_trace_env(a, dims)
-        return (np.sum(pt.real**2 + pt.imag**2, axis=(1, 2)),)
+        return (_map_haar(norm, dims.d, count, gen),)
 
     return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
 
@@ -413,20 +448,24 @@ def empirical_thermal_distance(
 
     Both the Gibbs state and rho(t) share the eigenbasis W; the squared
     distance is evaluated in that basis, where the conjugation by W drops out
-    of the Hilbert-Schmidt norm.
+    of the Hilbert-Schmidt norm.  beta < 0, or a rho0 that is not a d x d
+    density matrix, is refused before any sample is drawn.
     """
     e = np.asarray(levels, dtype=float)
     d = e.size
-    rho0 = as_matrix(rho0, d)
+    check_beta(beta)
+    rho0 = check_state(as_matrix(rho0, d))
     g = np.exp(-beta * (e - e.min()))
     gibbs_diag = g / g.sum()
     p = np.exp(-1j * e * t)
 
-    def chunk(gen: np.random.Generator, count: int):
-        w = sample_haar_unitaries(d, count, gen)
+    def distance(w: np.ndarray) -> np.ndarray:
         b = np.einsum("sji,jk,skl->sil", w.conj(), rho0, w)
         c = p[None, :, None] * b * p.conj()[None, None, :]
         diff = c - np.diag(gibbs_diag)[None, :, :]
-        return (np.sum(diff.real**2 + diff.imag**2, axis=(1, 2)),)
+        return np.sum(diff.real**2 + diff.imag**2, axis=(1, 2))
+
+    def chunk(gen: np.random.Generator, count: int):
+        return (_map_haar(distance, d, count, gen),)
 
     return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()

@@ -83,6 +83,26 @@ def test_uniform_average_dim_mismatch(gen):
         uniform_average(np.eye(5), BipartiteDims(2, 3))
 
 
+def test_closed_forms_refuse_non_hermitian_m(gen, monkeypatch):
+    # the formulas hold for Hermitian M only: M = iI at dims (2, 2) read 1.6
+    # where the sampled mean is 8.0.  The refusal comes before any arithmetic.
+    def refuse(*args, **kwargs):
+        raise AssertionError("no arithmetic on a refused M")
+
+    monkeypatch.setattr(cf, "trace_power", refuse)
+    dims = BipartiteDims(2, 2)
+    ff = form_factor_inputs(gen.uniform(-2, 2, size=4), 0.7)
+    h = random_hermitian(gen, 4)
+    for m in (1j * np.eye(4), h + 1e-6j * h, np.triu(np.ones((4, 4)))):
+        for call in (
+            lambda: uniform_average(m, dims),
+            lambda: uniform_variance(m, dims),
+            lambda: general_average(m, dims, ff),
+        ):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                call()
+
+
 TRACELESS = np.diag([1.0, -1.0, 0.0, 0.0])  # Tr M0^2 = Tr M0^4 = 2
 
 

@@ -4,6 +4,7 @@ import pytest
 from haarmoments.ensembles import _moment_function
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import (
+    WORD_CAP,
     BipartiteDims,
     EnsembleKind,
     RngStream,
@@ -16,6 +17,7 @@ from haarmoments.linalg import (
     sample_gue_hamiltonians,
     sample_haar_unitaries,
     sample_spectra,
+    sub_batches,
     trace_power,
 )
 
@@ -131,14 +133,24 @@ def test_haar_unitarity():
 
 
 def test_haar_bit_identical_to_ginibre_expression():
-    # the in-place fill gives the bits of A + 1j*B -> QR -> q * phases
+    # the in-place fill gives the bits of A + 1j*B -> QR -> q * phases; the
+    # second n runs over two whole sub-batches and a remainder
     for d in (1, 2, 3, 4, 8, 16, 32):
-        gen = np.random.default_rng([81, d])
-        z = gen.standard_normal((40, d, d)) + 1j * gen.standard_normal((40, d, d))
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        expect = q * (diag.conj() / np.abs(diag))[:, None, :]
-        assert np.array_equal(sample_haar_unitaries(d, 40, np.random.default_rng([81, d])), expect), d
+        for n in (40, 2 * (WORD_CAP // (d * d)) + 3):
+            gen = np.random.default_rng([81, d])
+            z = gen.standard_normal((n, d, d)) + 1j * gen.standard_normal((n, d, d))
+            q, r = np.linalg.qr(z)
+            diag = np.diagonal(r, axis1=-2, axis2=-1)
+            expect = q * (diag.conj() / np.abs(diag))[:, None, :]
+            assert np.array_equal(sample_haar_unitaries(d, n, np.random.default_rng([81, d])), expect), d
+
+
+def test_sub_batches_cover_the_samples_in_order():
+    for n, d in ((0, 4), (1, 32), (65, 32), (2053, 16), (5, 256)):
+        step = max(1, WORD_CAP // (d * d))
+        batches = sub_batches(n, d)
+        assert [i for s in batches for i in range(n)[s]] == list(range(n)), (n, d)
+        assert all(0 < s.stop - s.start <= step for s in batches), (n, d)
 
 
 def test_as_matrix_checks_the_size_when_given():

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from haarmoments.linalg import (
     partial_trace_env,
     sample_haar_unitaries,
     sample_spectra,
+    sub_batches,
 )
 from haarmoments import mc
 from haarmoments.mc import (
@@ -29,6 +31,7 @@ from haarmoments.mc import (
     empirical_moments,
     empirical_purity,
     empirical_reduced_norm,
+    empirical_thermal_distance,
     product_state,
     schmidt_state,
     word_sizes,
@@ -36,7 +39,7 @@ from haarmoments.mc import (
 )
 from haarmoments.weingarten import fourth_moment_closed
 
-from conftest import random_complex, random_hermitian
+from conftest import random_complex, random_hermitian, random_state
 
 
 def test_empirical_moment_zero_matrices():
@@ -447,3 +450,155 @@ def test_reduced_norm_shift_invariant(gen):
         assert mean_est.stderr == pytest.approx(ref_mean.stderr, rel=1e-2)
         assert var_est.mean == pytest.approx(ref_var.mean, rel=1e-2)
         assert var_est.stderr == pytest.approx(ref_var.stderr, rel=1e-2)
+
+
+def test_empirical_thermal_distance_refuses_bad_input_before_drawing(monkeypatch):
+    draws = []
+
+    def counted(d, n, rng):
+        draws.append(n)
+        return sample_haar_unitaries(d, n, rng)
+
+    monkeypatch.setattr(mc, "sample_haar_unitaries", counted)
+    levels = np.linspace(-2.0, 2.0, 4)
+    mixed = np.eye(4) / 4
+    with pytest.raises(ValueError, match="inverse temperature"):
+        empirical_thermal_distance(levels, -1.0, mixed, 1.0, 100, RngStream(76))
+    not_hermitian = mixed + 0.1j * np.triu(np.ones((4, 4)), 1)
+    for rho0 in (2 * np.eye(4), np.diag([1.5, -0.5, 0.0, 0.0]), not_hermitian):
+        with pytest.raises(ValueError, match="state"):
+            empirical_thermal_distance(levels, 1.0, rho0, 1.0, 100, RngStream(76))
+    with pytest.raises(DimensionError):
+        empirical_thermal_distance(levels, 1.0, np.eye(3) / 3, 1.0, 100, RngStream(76))
+    assert draws == []
+    empirical_thermal_distance(levels, 1.0, mixed, 1.0, 100, RngStream(76))
+    assert draws == [100]
+
+
+# Whole-chunk references of the sub-batched kernels: each runs its stacked
+# d x d steps on the chunk's full (count, d, d) stack at once.
+def _haar_whole(d, n, gen):
+    q, r = np.linalg.qr(complex_normal(gen, (n, d, d)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (diag.conj() / np.abs(diag))[:, None, :]
+    return q
+
+
+def _gue_spectra_whole(d, n, gen):
+    idx = np.arange(d)
+    t = np.zeros((n, d, d))
+    t[:, idx, idx] = gen.standard_normal((n, d))
+    t[:, idx[1:], idx[:-1]] = np.sqrt(gen.standard_gamma(idx[:0:-1], size=(n, d - 1)))
+    return np.linalg.eigvalsh(t) / np.sqrt(d)
+
+
+def _reduced_norm_whole(m, dims, n, rng, workers):
+    def chunk(gen, count):
+        u = _haar_whole(dims.d, count, gen)
+        pt = partial_trace_env(u @ m @ u.conj().swapaxes(-1, -2), dims)
+        return (np.sum(pt.real**2 + pt.imag**2, axis=(1, 2)),)
+
+    (moments,) = accumulate_chunks(chunk, n, rng, workers=workers, variance=True)
+    return moments.estimate(), moments.variance()
+
+
+def _fixed_spectrum_whole(m, dims, levels, t, n, rng, workers):
+    p = np.exp(-1j * levels * t)
+
+    def chunk(gen, count):
+        w = _haar_whole(dims.d, count, gen)
+        ut = (w * p[None, None, :]) @ w.conj().swapaxes(-1, -2)
+        pt = partial_trace_env(ut @ m @ ut.conj().swapaxes(-1, -2), dims)
+        return (np.sum(pt.real**2 + pt.imag**2, axis=(1, 2)),)
+
+    return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
+
+
+def _thermal_distance_whole(levels, beta, rho0, t, n, rng, workers):
+    g = np.exp(-beta * (levels - levels.min()))
+    gibbs_diag = g / g.sum()
+    p = np.exp(-1j * levels * t)
+
+    def chunk(gen, count):
+        w = _haar_whole(levels.size, count, gen)
+        b = np.einsum("sji,jk,skl->sil", w.conj(), rho0, w)
+        diff = p[None, :, None] * b * p.conj()[None, None, :] - np.diag(gibbs_diag)[None, :, :]
+        return (np.sum(diff.real**2 + diff.imag**2, axis=(1, 2)),)
+
+    return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
+
+
+SUB_BATCH_DIMS = {4: BipartiteDims(2, 2), 16: BipartiteDims(4, 4), 32: BipartiteDims(4, 8)}
+
+
+@pytest.mark.parametrize("d", sorted(SUB_BATCH_DIMS))
+def test_samplers_bit_identical_to_whole_chunk(d):
+    n = 2 * CHUNK + 5
+    assert len(sub_batches(n, d)) > 1 or d == 4
+    haar = sample_haar_unitaries(d, n, RngStream(90, d))
+    assert np.array_equal(haar, _haar_whole(d, n, RngStream(90, d).generator()))
+    gue = sample_spectra(EnsembleKind.GUE_NUMERIC, d, n, RngStream(91, d))
+    assert np.array_equal(gue, _gue_spectra_whole(d, n, RngStream(91, d).generator()))
+
+
+def _estimate_bits(est):
+    # mean and stderr of one estimate, or of each in a tuple of them
+    ests = est if isinstance(est, tuple) else (est,)
+    return [np.asarray(x) for e in ests for x in (e.mean, e.stderr)]
+
+
+@pytest.mark.parametrize("kernel", ["reduced norm", "fixed spectrum", "thermal distance"])
+@pytest.mark.parametrize("d", sorted(SUB_BATCH_DIMS))
+def test_estimators_bit_identical_to_whole_chunk(kernel, d):
+    dims, n = SUB_BATCH_DIMS[d], 2 * CHUNK + 5
+    gen = np.random.default_rng([92, d])
+    m = random_hermitian(gen, d)
+    levels = gen.uniform(-2.0, 2.0, d)
+    rho0 = random_state(gen, d)
+    rng = RngStream(93, d)
+    run, whole = {
+        "reduced norm": (
+            lambda w: empirical_reduced_norm(m, dims, n, rng, workers=w),
+            lambda: _reduced_norm_whole(m, dims, n, rng, 2),
+        ),
+        "fixed spectrum": (
+            lambda w: empirical_fixed_spectrum(m, dims, levels, 1.3, n, rng, workers=w),
+            lambda: _fixed_spectrum_whole(m, dims, levels, 1.3, n, rng, 2),
+        ),
+        "thermal distance": (
+            lambda w: empirical_thermal_distance(levels, 0.8, rho0, 1.3, n, rng, workers=w),
+            lambda: _thermal_distance_whole(levels, 0.8, rho0, 1.3, n, rng, 2),
+        ),
+    }[kernel]
+    expect = _estimate_bits(whole())
+    for workers in (1, 2):
+        got = _estimate_bits(run(workers))
+        assert len(got) == len(expect)
+        for a, b in zip(got, expect):
+            assert np.array_equal(a, b), (kernel, d, workers)
+
+
+def test_chunk_working_memory_is_bounded():
+    # traced peak of one d = 32 chunk on one worker, against one (CHUNK, d, d)
+    # complex stack: the draw plus its real-part normals is 1.5 stacks
+    d, n, dims = 32, CHUNK, SUB_BATCH_DIMS[32]
+    stack = n * d * d * np.dtype(complex).itemsize
+    gen = np.random.default_rng(94)
+    m = random_hermitian(gen, d)
+    levels = gen.uniform(-2.0, 2.0, d)
+    rho0 = random_state(gen, d)
+    rng = RngStream(95)
+    runs = {
+        "haar": lambda: sample_haar_unitaries(d, n, rng),
+        "reduced norm": lambda: empirical_reduced_norm(m, dims, n, rng, workers=1),
+        "fixed spectrum": lambda: empirical_fixed_spectrum(m, dims, levels, 1.3, n, rng, workers=1),
+        "thermal distance": lambda: empirical_thermal_distance(levels, 0.8, rho0, 1.3, n, rng, workers=1),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * stack, (name, peak / stack)
