@@ -41,6 +41,8 @@ def _gue_kind(d: int) -> EnsembleKind:
 def _t_grid(args) -> np.ndarray:
     if args.nt < 2:
         raise ValueError("--nt must be >= 2")
+    if not np.isfinite([args.t0, args.t1]).all():
+        raise ValueError(f"--t0 and --t1 must be finite, got {args.t0} and {args.t1}")
     return np.linspace(args.t0, args.t1, args.nt)
 
 
@@ -196,7 +198,7 @@ _FIGURES = {
     "equilibration": (_fig_equilibration, {"ds": 2, "t0": 0.0, "t1": 30.0, "nt": 601}),
 }
 FIGURES = tuple(_FIGURES)
-_FIGURE_FLAGS = ("ds", "de", "t0", "t1", "nt", "beta", "samples", "with_mc")
+_FIGURE_FLAGS = ("ds", "t0", "t1", "nt", "beta", "samples", "with_mc")
 
 
 class UsageError(Exception):
@@ -314,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("name", choices=FIGURES)
     # None marks a figure flag not given: _write_figure fills in the figure's default
     fig.add_argument("--ds", type=int)
-    fig.add_argument("--de", type=int)
     fig.add_argument("--t0", type=float)
     fig.add_argument("--t1", type=float)
     fig.add_argument("--nt", type=int)

@@ -81,9 +81,9 @@ def check_purity(name: str, p: float, dim: int) -> None:
 
 
 def check_beta(beta: float) -> None:
-    """An inverse temperature is >= 0."""
-    if beta < 0:
-        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
+    """An inverse temperature is finite and >= 0."""
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:

@@ -439,30 +439,28 @@ def empirical_thermal_distance(
     levels,
     beta: float,
     rho0,
-    t: float,
     n: int,
     rng: RngStream,
     workers: int | None = None,
 ) -> McEstimate:
-    """Mean of ||rho_G - rho(t)||^2 over Haar eigenvectors (closed system).
+    """Mean of ||rho_G - rho(t)||^2 over Haar eigenvectors W (closed system).
 
-    Both the Gibbs state and rho(t) share the eigenbasis W; the squared
-    distance is evaluated in that basis, where the conjugation by W drops out
-    of the Hilbert-Schmidt norm.  beta < 0, or a rho0 that is not a d x d
-    density matrix, is refused before any sample is drawn.
+    rho_G = W g W^dag, with g the Gibbs weights of the levels.  No time is
+    taken: U(t) = W e^{-iDt} W^dag commutes with rho_G, so by the unitary
+    invariance of the Hilbert-Schmidt norm ||rho_G - U rho0 U^dag||^2 =
+    ||rho_G - rho0||^2 at every t.  beta that is not finite and >= 0, or a
+    rho0 that is not a d x d density matrix, is refused before any sample is
+    drawn.
     """
     e = np.asarray(levels, dtype=float)
     d = e.size
     check_beta(beta)
     rho0 = check_state(as_matrix(rho0, d))
     g = np.exp(-beta * (e - e.min()))
-    gibbs_diag = g / g.sum()
-    p = np.exp(-1j * e * t)
+    gibbs = g / g.sum()
 
     def distance(w: np.ndarray) -> np.ndarray:
-        b = np.einsum("sji,jk,skl->sil", w.conj(), rho0, w)
-        c = p[None, :, None] * b * p.conj()[None, None, :]
-        diff = c - np.diag(gibbs_diag)[None, :, :]
+        diff = (w * gibbs) @ w.conj().swapaxes(-1, -2) - rho0
         return np.sum(diff.real**2 + diff.imag**2, axis=(1, 2))
 
     def chunk(gen: np.random.Generator, count: int):

@@ -38,6 +38,7 @@ from haarmoments.linalg import (
     hs_norm_sq,
     partial_trace_env,
     partial_trace_sys,
+    sample_haar_unitaries,
     sample_spectra,
 )
 from haarmoments.mc import (
@@ -275,6 +276,12 @@ def test_gibbs_purity_limits(gen):
     assert gibbs_purity(stack, 1.5) == pytest.approx(rows, rel=1e-14)
 
 
+def test_gibbs_purity_refuses_non_finite_beta():
+    for beta in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="inverse temperature"):
+            gibbs_purity([-1.0, 1.0], beta)
+
+
 def test_gibbs_purity_mc_beta_zero():
     assert gibbs_purity_mc(EnsembleKind.POISSON, 4, 0.0, 100, RngStream(50)) == (
         0.25,
@@ -349,9 +356,25 @@ def test_closed_thermalization_time_independent_mc(gen):
     p_g = gibbs_purity(levels, beta)
     p_0 = float(np.trace(rho0 @ rho0).real)
     expect = closed_thermalization(p_g, p_0, 4)
-    for i, t in enumerate((0.4, 1.9, 7.3)):
-        est = empirical_thermal_distance(levels, beta, rho0, t, 20_000, RngStream(54, i))
+    for i in range(3):
+        est = empirical_thermal_distance(levels, beta, rho0, 20_000, RngStream(54, i))
         assert abs(est.mean - expect) <= 5 * est.stderr
+
+
+def test_closed_thermal_distance_is_time_independent(gen):
+    # U(t) = W e^{-iDt} W^dag commutes with rho_G = W g W^dag, so the distance
+    # to the evolved state is the distance to rho0 at every t
+    d, beta = 5, 0.9
+    w = sample_haar_unitaries(d, 1, RngStream(57))[0]
+    levels = gen.uniform(-2, 2, size=d)
+    g = np.exp(-beta * levels)
+    rho_g = (w * (g / g.sum())) @ w.conj().T
+    rho0 = random_state(gen, d)
+    expect = hs_norm_sq(rho_g - rho0)
+    for t in (0.4, 1.9, 7.3):
+        u = (w * np.exp(-1j * levels * t)) @ w.conj().T
+        got = hs_norm_sq(rho_g - u @ rho0 @ u.conj().T)
+        assert got == pytest.approx(expect, rel=1e-12), t
 
 
 def test_open_thermalization_t0_value():
@@ -361,6 +384,31 @@ def test_open_thermalization_t0_value():
     c1, c2 = uniform_coeffs(dims)
     expect = c1 * 0.4 + c2 + 1.0 - 2 / dims.d_s
     assert curve.values[0] == pytest.approx(expect, abs=1e-12)
+
+
+def test_open_thermalization_is_the_average_of_concrete_states(gen):
+    # the curve reads rho0 and rho_G through their purities alone; the
+    # asymmetric dims tell p_s0 from p_e0
+    for ds, de in ((2, 3), (3, 2)):
+        dims = BipartiteDims(ds, de)
+        rho0 = random_state(gen, dims.d)
+        w = sample_haar_unitaries(dims.d, 1, RngStream(58, ds))[0]
+        g = np.exp(-0.7 * gen.uniform(-2, 2, size=dims.d))
+        rho_g = (w * (g / g.sum())) @ w.conj().T
+        params = ThermalizationParams(
+            dims=dims,
+            p_gibbs=hs_norm_sq(rho_g),
+            p_rho0=hs_norm_sq(rho0),
+            p_s0=hs_norm_sq(partial_trace_env(rho0, dims)),
+            p_e0=hs_norm_sq(partial_trace_sys(rho0, dims)),
+        )
+        for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC):
+            times = [0.7, 2.3]
+            curve = open_thermalization(params, kind, times)
+            for t, value in zip(times, curve.values):
+                ff = averaged_form_factors(kind, t, dims.d)
+                expect = uniform_average(rho_g, dims) + general_average(rho0, dims, ff) - 2 / ds
+                assert value == pytest.approx(expect, rel=1e-12), (dims, kind, t)
 
 
 def test_open_thermalization_large_de_poisson_limit():

@@ -106,7 +106,7 @@ def test_figure_purity_compare_with_mc_rejected(tmp_path, capsys):
 
 
 _FLAG_ARGV = {
-    "ds": ["--ds", "3"], "de": ["--de", "3"], "t0": ["--t0", "1"], "t1": ["--t1", "9"],
+    "ds": ["--ds", "3"], "t0": ["--t0", "1"], "t1": ["--t1", "9"],
     "nt": ["--nt", "5"], "beta": ["--beta", "3"], "samples": ["--samples", "7"],
     "with_mc": ["--with-mc"],
 }
@@ -126,6 +126,41 @@ def test_figure_refuses_undeclared_flag(tmp_path, capsys, name, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_figure_parser_refuses_de(tmp_path):
+    # no figure reads an environment dimension, so the parser defines no --de
+    out = tmp_path / "f.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "purity-vs-de", "--de", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_figure_flag_is_declared_by_a_figure():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    shared = {"help", "name", "seed", "out", "format"}
+    flags = {a.dest for a in sub.choices["figure"]._actions} - shared
+    declared = set().union(*(flags for _, flags in cli._FIGURES.values()))
+    assert flags - declared == set()
+    assert flags == set(cli._FIGURE_FLAGS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gibbs-d", "--beta", "nan", "--samples", "20"],
+        ["gibbs-d", "--beta", "1e400", "--samples", "20"],
+        ["purity-poi", "--t1", "nan", "--nt", "3"],
+        ["gibbs-beta", "--t1", "inf", "--nt", "3", "--samples", "20"],
+    ],
+)
+def test_figure_refuses_non_finite_beta_and_grid_ends(tmp_path, capsys, argv):
+    out = tmp_path / "f.csv"
+    assert main(["figure", *argv, "--out", str(out)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class _RecordingArgs(argparse.Namespace):
     """Namespace that records which figure flags a builder reads."""
 
@@ -142,7 +177,7 @@ class _RecordingArgs(argparse.Namespace):
 # small enough to run every builder in a moment; with_mc on so that purity-poi
 # reaches its samples flag
 _TINY = {
-    "ds": 2, "de": 2, "t0": 0.0, "t1": 0.5, "nt": 2, "beta": 1.0, "samples": 16,
+    "ds": 2, "t0": 0.0, "t1": 0.5, "nt": 2, "beta": 1.0, "samples": 16,
     "with_mc": True,
 }
 

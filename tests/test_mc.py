@@ -462,16 +462,17 @@ def test_empirical_thermal_distance_refuses_bad_input_before_drawing(monkeypatch
     monkeypatch.setattr(mc, "sample_haar_unitaries", counted)
     levels = np.linspace(-2.0, 2.0, 4)
     mixed = np.eye(4) / 4
-    with pytest.raises(ValueError, match="inverse temperature"):
-        empirical_thermal_distance(levels, -1.0, mixed, 1.0, 100, RngStream(76))
+    for beta in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="inverse temperature"):
+            empirical_thermal_distance(levels, beta, mixed, 100, RngStream(76))
     not_hermitian = mixed + 0.1j * np.triu(np.ones((4, 4)), 1)
     for rho0 in (2 * np.eye(4), np.diag([1.5, -0.5, 0.0, 0.0]), not_hermitian):
         with pytest.raises(ValueError, match="state"):
-            empirical_thermal_distance(levels, 1.0, rho0, 1.0, 100, RngStream(76))
+            empirical_thermal_distance(levels, 1.0, rho0, 100, RngStream(76))
     with pytest.raises(DimensionError):
-        empirical_thermal_distance(levels, 1.0, np.eye(3) / 3, 1.0, 100, RngStream(76))
+        empirical_thermal_distance(levels, 1.0, np.eye(3) / 3, 100, RngStream(76))
     assert draws == []
-    empirical_thermal_distance(levels, 1.0, mixed, 1.0, 100, RngStream(76))
+    empirical_thermal_distance(levels, 1.0, mixed, 100, RngStream(76))
     assert draws == [100]
 
 
@@ -514,15 +515,13 @@ def _fixed_spectrum_whole(m, dims, levels, t, n, rng, workers):
     return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
 
 
-def _thermal_distance_whole(levels, beta, rho0, t, n, rng, workers):
+def _thermal_distance_whole(levels, beta, rho0, n, rng, workers):
     g = np.exp(-beta * (levels - levels.min()))
-    gibbs_diag = g / g.sum()
-    p = np.exp(-1j * levels * t)
+    gibbs = g / g.sum()
 
     def chunk(gen, count):
         w = _haar_whole(levels.size, count, gen)
-        b = np.einsum("sji,jk,skl->sil", w.conj(), rho0, w)
-        diff = p[None, :, None] * b * p.conj()[None, None, :] - np.diag(gibbs_diag)[None, :, :]
+        diff = (w * gibbs) @ w.conj().swapaxes(-1, -2) - rho0
         return (np.sum(diff.real**2 + diff.imag**2, axis=(1, 2)),)
 
     return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
@@ -566,8 +565,8 @@ def test_estimators_bit_identical_to_whole_chunk(kernel, d):
             lambda: _fixed_spectrum_whole(m, dims, levels, 1.3, n, rng, 2),
         ),
         "thermal distance": (
-            lambda w: empirical_thermal_distance(levels, 0.8, rho0, 1.3, n, rng, workers=w),
-            lambda: _thermal_distance_whole(levels, 0.8, rho0, 1.3, n, rng, 2),
+            lambda w: empirical_thermal_distance(levels, 0.8, rho0, n, rng, workers=w),
+            lambda: _thermal_distance_whole(levels, 0.8, rho0, n, rng, 2),
         ),
     }[kernel]
     expect = _estimate_bits(whole())
@@ -592,7 +591,7 @@ def test_chunk_working_memory_is_bounded():
         "haar": lambda: sample_haar_unitaries(d, n, rng),
         "reduced norm": lambda: empirical_reduced_norm(m, dims, n, rng, workers=1),
         "fixed spectrum": lambda: empirical_fixed_spectrum(m, dims, levels, 1.3, n, rng, workers=1),
-        "thermal distance": lambda: empirical_thermal_distance(levels, 0.8, rho0, 1.3, n, rng, workers=1),
+        "thermal distance": lambda: empirical_thermal_distance(levels, 0.8, rho0, n, rng, workers=1),
     }
     for name, run in runs.items():
         tracemalloc.start()
