@@ -115,23 +115,21 @@ _UNDECLARED = [
     for name, (_, declared) in cli._FIGURES.items()
     for flag in cli._FIGURE_FLAGS
     if flag not in declared
-]
+] + [(name, "de") for name in cli._FIGURES]  # no figure reads --de, so the parser has none
 
 
 @pytest.mark.parametrize("name,flag", _UNDECLARED)
 def test_figure_refuses_undeclared_flag(tmp_path, capsys, name, flag):
     out = tmp_path / "f.csv"
-    assert main(["figure", name, *_FLAG_ARGV[flag], "--out", str(out)]) == 2
-    assert f"is not available for figure {name!r}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_figure_parser_refuses_de(tmp_path):
-    # no figure reads an environment dimension, so the parser defines no --de
-    out = tmp_path / "f.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["figure", "purity-vs-de", "--de", "3", "--out", str(out)])
-    assert exc.value.code == 2
+    argv = ["figure", name, *_FLAG_ARGV.get(flag, [f"--{flag}", "3"]), "--out", str(out)]
+    if flag in cli._FIGURE_FLAGS:
+        assert main(argv) == 2
+        assert f"is not available for figure {name!r}" in capsys.readouterr().err
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
