@@ -63,7 +63,6 @@ from .applications import (
 from .mc import (
     McEstimate,
     empirical_fixed_spectrum,
-    empirical_moment,
     empirical_moments,
     empirical_purity,
     empirical_reduced_norm,

@@ -190,15 +190,19 @@ _FIGURES = {
     "coeff-variance": (_fig_coeff_variance, {"ds": 2}),
     "c1-of-t": (_fig_c1_of_t, {"ds": 2, **_TIME_GRID}),
     "purity-vs-de": (_fig_purity_vs_de, {}),
-    "purity-poi": (_fig_purity_poi, {**_TIME_GRID, "samples": 10_000, "with_mc": False}),
+    "purity-poi": (
+        _fig_purity_poi, {**_TIME_GRID, "samples": 10_000, "with_mc": False, "seed": 42}
+    ),
     "purity-init-dep": (_fig_purity_init_dep, _TIME_GRID),
     "purity-compare": (_fig_purity_compare, _TIME_GRID),
-    "gibbs-beta": (_fig_gibbs_beta, {"t0": 0.0, "t1": 20.0, "nt": 41, "samples": 10_000}),
-    "gibbs-d": (_fig_gibbs_d, {"beta": 10.0, "samples": 10_000}),
+    "gibbs-beta": (
+        _fig_gibbs_beta, {"t0": 0.0, "t1": 20.0, "nt": 41, "samples": 10_000, "seed": 42}
+    ),
+    "gibbs-d": (_fig_gibbs_d, {"beta": 10.0, "samples": 10_000, "seed": 42}),
     "equilibration": (_fig_equilibration, {"ds": 2, "t0": 0.0, "t1": 30.0, "nt": 601}),
 }
 FIGURES = tuple(_FIGURES)
-_FIGURE_FLAGS = ("ds", "t0", "t1", "nt", "beta", "samples", "with_mc")
+_FIGURE_FLAGS = ("ds", "t0", "t1", "nt", "beta", "samples", "with_mc", "seed")
 
 
 class UsageError(Exception):
@@ -232,10 +236,11 @@ def _write_figure(args) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
+    config = {flag: getattr(args, flag) for flag in (*_FIGURE_FLAGS, "format")}
     sidecar = {
         "figure": name,
-        "config": {flag: getattr(args, flag) for flag in (*_FIGURE_FLAGS, "format")},
-        "seed": args.seed,
+        "seed": config.pop("seed"),
+        "config": config,
         "version": __version__,
         "wall_time_s": time.perf_counter() - start,
     }
@@ -265,9 +270,11 @@ def load_matrix_json(obj) -> np.ndarray:
         if dim < 1 or len(entries) != dim * dim:
             raise ValueError
         flat = np.array([complex(re, im) for re, im in entries])
+        if not np.isfinite(flat).all():
+            raise ValueError
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(
-            'matrices must be {"dim": n, "entries": [[re, im], ...]} with n^2 entries'
+            'matrices must be {"dim": n, "entries": [[re, im], ...]} with n^2 finite entries'
         ) from exc
     return flat.reshape(dim, dim)
 
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--beta", type=float)
     fig.add_argument("--samples", type=int)
     fig.add_argument("--with-mc", action="store_true", default=None, dest="with_mc")
-    fig.add_argument("--seed", type=int, default=42)
+    fig.add_argument("--seed", type=int)
     fig.add_argument("--out", default=None)
     fig.add_argument("--format", choices=("csv", "json"), default="csv")
     fig.set_defaults(func=_write_figure)

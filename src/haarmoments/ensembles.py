@@ -213,9 +213,20 @@ def _form_factors(kind: EnsembleKind, t: float, d: int) -> FormFactorInputs:
     )
 
 
+def averaged_form_factors(ensemble: EnsembleKind, t: float, d: int) -> FormFactorInputs:
+    """The ensemble's averaged spectral functions at time t.
+
+    POISSON, GUE_NUMERIC and GUE_LARGE_D have them; ``_moment_function``
+    refuses any other ensemble with ValueError.
+    """
+    if ensemble == EnsembleKind.GUE_LARGE_D and d < GUE_NUMERIC_MAX_DIM:
+        warnings.warn(f"GUE large-d limit used at small dimension d = {d}", stacklevel=2)
+    return _form_factors(ensemble, float(t), d)
+
+
 def poisson_form_factors(t: float, d: int) -> FormFactorInputs:
     """Poisson (uncorrelated uniform levels) averages at time t."""
-    return _form_factors(EnsembleKind.POISSON, float(t), d)
+    return averaged_form_factors(EnsembleKind.POISSON, t, d)
 
 
 def gue_form_factors(t: float, d: int, mode: EnsembleKind) -> FormFactorInputs:
@@ -226,18 +237,7 @@ def gue_form_factors(t: float, d: int, mode: EnsembleKind) -> FormFactorInputs:
     """
     if mode not in (EnsembleKind.GUE_NUMERIC, EnsembleKind.GUE_LARGE_D):
         raise ValueError(f"gue_form_factors expects a GUE mode, got {mode}")
-    if mode == EnsembleKind.GUE_LARGE_D and d < GUE_NUMERIC_MAX_DIM:
-        warnings.warn(f"GUE large-d limit used at small dimension d = {d}", stacklevel=2)
-    return _form_factors(mode, float(t), d)
-
-
-def averaged_form_factors(ensemble: EnsembleKind, t: float, d: int) -> FormFactorInputs:
-    """Dispatch to the ensemble's averaged spectral functions."""
-    if ensemble == EnsembleKind.POISSON:
-        return poisson_form_factors(t, d)
-    if ensemble in (EnsembleKind.GUE_NUMERIC, EnsembleKind.GUE_LARGE_D):
-        return gue_form_factors(t, d, ensemble)
-    raise ValueError(f"no time-dependent form factors for ensemble {ensemble}")
+    return averaged_form_factors(mode, t, d)
 
 
 def averaged_time_coeffs(

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DimensionError
 
 HERMITIAN_RTOL = 1e-12
-UNITARY_ATOL = 1e-10
 STATE_PSD_TOL = 1e-9
 # complex entries in one working stack (512 KiB): stacked d x d steps run on
 # at most WORD_CAP // d^2 matrices at a time, and the word kernel of ``mc``
@@ -93,19 +92,14 @@ def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
     return np.max(np.abs(m - m.conj().T)) <= rtol * scale
 
 
-def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    d = m.shape[0]
-    return np.max(np.abs(m.conj().T @ m - np.eye(d))) <= atol
-
-
-def check_state(rho: np.ndarray, tol: float = STATE_PSD_TOL) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, PSD within tol."""
+def check_state(rho: np.ndarray) -> np.ndarray:
+    """Validate a density matrix: Hermitian, unit trace, PSD, up to STATE_PSD_TOL."""
     rho = as_matrix(rho)
     if not is_hermitian(rho, rtol=1e-9):
         raise ValueError("state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > STATE_PSD_TOL:
         raise ValueError(f"state trace {np.trace(rho)} is not 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -STATE_PSD_TOL:
         raise ValueError("state has a negative eigenvalue beyond tolerance")
     return rho
 

@@ -275,13 +275,6 @@ def empirical_moments(
     return estimates
 
 
-def empirical_moment(
-    xs, d: int, n: int, rng: RngStream, workers: int | None = None
-) -> McEstimate:
-    """Monte Carlo estimate of a single moment-function word."""
-    return empirical_moments([xs], d, n, rng, workers=workers)[0]
-
-
 def _map_haar(fn, d: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """fn of each Haar sample of a chunk: a (count,) array filled over sub-batches.
 

@@ -1,8 +1,9 @@
 """Acceptance-criteria registry shared by the test suite and `haarmoments validate`.
 
-Every criterion is a deterministic function of (seed, quick, workers); the
-emitted report carries no timing, so identical configurations produce
-byte-identical reports regardless of worker count.
+Every criterion is a deterministic function of (seed, quick); the emitted
+report carries no timing, and the Monte Carlo estimates merge their chunks in
+chunk order, so identical configurations produce byte-identical reports
+whatever worker count ``HAARMOMENTS_THREADS`` sets.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def criterion_01_moment_oracle(seed: int, quick: bool, workers) -> CriterionResult:
+def criterion_01_moment_oracle(seed: int, quick: bool) -> CriterionResult:
     """Analytic E^(4)/E^(6)/E^(8) match the Monte Carlo word average entrywise."""
     n = 2_000 if quick else 100_000
     tuples = 3 if quick else 20
@@ -83,9 +84,7 @@ def criterion_01_moment_oracle(seed: int, quick: bool, workers) -> CriterionResu
                 [_random_complex(gen, d) for _ in range(order - 1)]
                 for _ in range(tuples)
             ]
-            estimates = empirical_moments(
-                patterns, d, n, RngStream(seed, 101 * order + d), workers=workers
-            )
+            estimates = empirical_moments(patterns, d, n, RngStream(seed, 101 * order + d))
             for xs, est in zip(patterns, estimates):
                 ana = moment_function(xs, d)
                 dev = np.abs(ana - est.mean) / (5.0 * est.stderr + 1e-12)
@@ -97,7 +96,7 @@ def criterion_01_moment_oracle(seed: int, quick: bool, workers) -> CriterionResu
     )
 
 
-def criterion_02_scalar_moments(seed: int, quick: bool, workers) -> CriterionResult:
+def criterion_02_scalar_moments(seed: int, quick: bool) -> CriterionResult:
     """<|U00|^2> = 1/d and <|U00|^4> = 2/(d(d+1)) via Weingarten and sampling."""
     n = 2_000 if quick else 200_000
     worst_exact = 0.0
@@ -115,9 +114,7 @@ def criterion_02_scalar_moments(seed: int, quick: bool, workers) -> CriterionRes
             a2 = np.abs(sample_haar_unitaries(d, count, gen)[:, 0, 0]) ** 2
             return (np.stack([a2, a2**2], axis=1),)
 
-        est = accumulate_chunks(
-            chunk, n, RngStream(seed, 200 + d), workers=workers
-        )[0].estimate()
+        est = accumulate_chunks(chunk, n, RngStream(seed, 200 + d))[0].estimate()
         targets = np.array([1 / d, 2 / (d * (d + 1))])
         worst_mc = max(worst_mc, float(np.max(np.abs(est.mean - targets) / (5 * est.stderr))))
     passed = worst_exact <= 1e-12 and worst_mc <= 1.0
@@ -129,7 +126,7 @@ def criterion_02_scalar_moments(seed: int, quick: bool, workers) -> CriterionRes
     )
 
 
-def criterion_03_uniform_moments(seed: int, quick: bool, workers) -> CriterionResult:
+def criterion_03_uniform_moments(seed: int, quick: bool) -> CriterionResult:
     """Uniform average and variance match Monte Carlo on random Hermitian M."""
     n = 2_000 if quick else 100_000
     worst = 0.0
@@ -137,9 +134,7 @@ def criterion_03_uniform_moments(seed: int, quick: bool, workers) -> CriterionRe
         dims = BipartiteDims(ds, de)
         gen = np.random.default_rng([seed, 301, ds, de])
         m = _random_hermitian(gen, dims.d)
-        mean_est, var_est = empirical_reduced_norm(
-            m, dims, n, RngStream(seed, 300 + i), workers=workers
-        )
+        mean_est, var_est = empirical_reduced_norm(m, dims, n, RngStream(seed, 300 + i))
         worst = max(
             worst,
             abs(uniform_average(m, dims) - mean_est.mean) / (5 * mean_est.stderr),
@@ -152,7 +147,7 @@ def criterion_03_uniform_moments(seed: int, quick: bool, workers) -> CriterionRe
     )
 
 
-def criterion_04_t0_identities(seed: int, quick: bool, workers) -> CriterionResult:
+def criterion_04_t0_identities(seed: int, quick: bool) -> CriterionResult:
     """Coefficients, purity trajectories and the channel collapse exactly at t = 0."""
     worst_c = 0.0
     for ds, de in ((2, 2), (2, 8), (4, 4)):
@@ -183,7 +178,7 @@ def criterion_04_t0_identities(seed: int, quick: bool, workers) -> CriterionResu
     )
 
 
-def criterion_05_purity_asymptotics(seed: int, quick: bool, workers) -> CriterionResult:
+def criterion_05_purity_asymptotics(seed: int, quick: bool) -> CriterionResult:
     """Pure-state purity values at (2,2) and the large-d_E expansion."""
     mean, var = uniform_purity(1.0, BipartiteDims(2, 2))
     ok_mean = mean == 0.8
@@ -201,7 +196,7 @@ def criterion_05_purity_asymptotics(seed: int, quick: bool, workers) -> Criterio
     )
 
 
-def criterion_06_ensemble_limits(seed: int, quick: bool, workers) -> CriterionResult:
+def criterion_06_ensemble_limits(seed: int, quick: bool) -> CriterionResult:
     """Averaged coefficients at d_E = 512 sit within 2e-2 of the printed limits."""
     dims = BipartiteDims(2, 512)
     ds = dims.d_s
@@ -228,7 +223,7 @@ def criterion_06_ensemble_limits(seed: int, quick: bool, workers) -> CriterionRe
     )
 
 
-def criterion_07_decay_laws(seed: int, quick: bool, workers) -> CriterionResult:
+def criterion_07_decay_laws(seed: int, quick: bool) -> CriterionResult:
     """Envelope exponents -4 (Poisson) / -6 (GUE) and the t = 0 value c0."""
     times = np.linspace(0.0, 30.0, 6001)
     p_s0 = 1.0
@@ -248,7 +243,7 @@ def criterion_07_decay_laws(seed: int, quick: bool, workers) -> CriterionResult:
     )
 
 
-def criterion_08_gibbs_ordering(seed: int, quick: bool, workers) -> CriterionResult:
+def criterion_08_gibbs_ordering(seed: int, quick: bool) -> CriterionResult:
     """Stated Fig. 5 ordering: Poisson > GUE mean Gibbs purity at d=4, beta=10.
 
     Implemented exactly as stated.  Simulation of the defining quantity shows
@@ -258,12 +253,8 @@ def criterion_08_gibbs_ordering(seed: int, quick: bool, workers) -> CriterionRes
     below ~0.81.
     """
     n = 1_000 if quick else 10_000
-    p_mean, p_se = gibbs_purity_mc(
-        EnsembleKind.POISSON, 4, 10.0, n, RngStream(seed, 801), workers=workers
-    )
-    g_mean, g_se = gibbs_purity_mc(
-        EnsembleKind.GUE_NUMERIC, 4, 10.0, n, RngStream(seed, 802), workers=workers
-    )
+    p_mean, p_se = gibbs_purity_mc(EnsembleKind.POISSON, 4, 10.0, n, RngStream(seed, 801))
+    g_mean, g_se = gibbs_purity_mc(EnsembleKind.GUE_NUMERIC, 4, 10.0, n, RngStream(seed, 802))
     sep = (p_mean - g_mean) / math.hypot(p_se, g_se)
     return CriterionResult(
         "08-gibbs-ordering",
@@ -274,7 +265,7 @@ def criterion_08_gibbs_ordering(seed: int, quick: bool, workers) -> CriterionRes
     )
 
 
-def criterion_09_gue_numeric_vs_sampled(seed: int, quick: bool, workers) -> CriterionResult:
+def criterion_09_gue_numeric_vs_sampled(seed: int, quick: bool) -> CriterionResult:
     """All four exact GUE spectral functions at d = 4 match sampled GUE spectra."""
     d = 4
     n = 1_000 if quick else 10_000
@@ -289,9 +280,7 @@ def criterion_09_gue_numeric_vs_sampled(seed: int, quick: bool, workers) -> Crit
                 np.abs(f1) ** 2, np.abs(f2t) ** 2, (f1 * f1 * f2t.conj()).real, np.abs(f1) ** 4,
             ], axis=1),)
 
-        est = accumulate_chunks(
-            chunk, n, RngStream(seed, 910 + ti), workers=workers
-        )[0].estimate()
+        est = accumulate_chunks(chunk, n, RngStream(seed, 910 + ti))[0].estimate()
         ff = gue_form_factors(t, d, EnsembleKind.GUE_NUMERIC)
         exact = np.array([ff.f2, ff.f2_2t, ff.re_f2fc2t, ff.f4])
         worst = max(worst, float(np.max(np.abs(exact - est.mean) / (5 * est.stderr))))
@@ -330,7 +319,7 @@ def _representative_estimates(seed: int, n: int, workers) -> str:
     return "|".join(parts)
 
 
-def criterion_10_reproducibility(seed: int, quick: bool, workers) -> CriterionResult:
+def criterion_10_reproducibility(seed: int, quick: bool) -> CriterionResult:
     """Identical results with 1 worker and 8 workers (ordered chunk reduction)."""
     n = 2_000 if quick else 20_000
     one = _representative_estimates(seed, n, workers=1)
@@ -358,14 +347,14 @@ CRITERIA = [
 ]
 
 
-def run_criterion(index: int, seed: int = 42, quick: bool = False, workers=None) -> CriterionResult:
+def run_criterion(index: int, seed: int = 42, quick: bool = False) -> CriterionResult:
     """Run one criterion by 0-based index."""
-    return CRITERIA[index](seed, quick, workers)
+    return CRITERIA[index](seed, quick)
 
 
-def run_validation(seed: int = 42, quick: bool = False, workers=None) -> dict:
+def run_validation(seed: int = 42, quick: bool = False) -> dict:
     """Run every acceptance criterion and assemble the machine-readable report."""
-    results = [run_criterion(i, seed, quick, workers) for i in range(len(CRITERIA))]
+    results = [run_criterion(i, seed, quick) for i in range(len(CRITERIA))]
     return {
         "version": __version__,
         "seed": seed,

@@ -41,11 +41,6 @@ Step = tuple[np.ndarray, np.ndarray]  # per trie length: (parent nodes, letters)
 MAX_HALF_ORDER = 5  # largest supported m; moments up to E^(10)
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """(p o q)(i) = p[q[i]]."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 def inverse(p: Permutation) -> Permutation:
     inv = [0] * len(p)
     for i, v in enumerate(p):

@@ -25,10 +25,12 @@ def test_criterion(index):
     assert result.passed, f"{result.name}: {result.detail}"
 
 
-def test_report_bit_identical_across_worker_counts():
-    a = run_validation(seed=SEED, quick=True, workers=1)
-    b = run_validation(seed=SEED, quick=True, workers=8)
-    assert report_json(a) == report_json(b)
+def test_report_bit_identical_across_worker_counts(monkeypatch):
+    reports = []
+    for threads in ("1", "8"):
+        monkeypatch.setenv("HAARMOMENTS_THREADS", threads)
+        reports.append(report_json(run_validation(seed=SEED, quick=True)))
+    assert reports[0] == reports[1]
 
 
 def test_report_shape():

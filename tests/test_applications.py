@@ -134,6 +134,8 @@ def test_depolarizing_output_is_state_for_valid_f2(gen):
 def test_depolarizing_guards(gen):
     with pytest.raises(ValueError):
         depolarizing_average(random_state(gen, 3), 1.2, 3)
+    with pytest.raises(DimensionError, match="needs d >= 2"):
+        depolarizing_average(np.ones((1, 1)), 0.5, 1)
 
 
 def test_depolarizing_is_the_weingarten_twirl(gen):
@@ -464,3 +466,6 @@ def test_fit_decay_exponent_errors():
     zero_curve = Curve(times=times, values=np.zeros_like(times))
     with pytest.raises(ValueError):
         fit_decay_exponent(zero_curve, (2.0, 4.0))
+    for window in ((0.0, 3.0), (-1.0, 3.0)):
+        with pytest.raises(ValueError, match="need 0 < t0 < t1"):
+            fit_decay_exponent(curve, window)

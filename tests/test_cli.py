@@ -34,16 +34,17 @@ def test_figure_equilibration(tmp_path):
     assert poi == pytest.approx(0.5 * sinc(2 * t) ** 4, rel=1e-12)
     meta = json.loads((tmp_path / "eq.csv.meta.json").read_text())
     assert meta["figure"] == "equilibration"
-    assert meta["seed"] == 42
+    assert meta["seed"] is None  # the figure draws no samples
     assert "wall_time_s" in meta
 
 
 def test_figure_deterministic_output(tmp_path):
-    args = ["figure", "coeff-variance", "--seed", "7"]
+    args = ["figure", "gibbs-d", "--samples", "200", "--seed", "7"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert json.loads((tmp_path / "a.csv.meta.json").read_text())["seed"] == 7
 
 
 def test_figure_coeff_variance_decay(tmp_path):
@@ -136,7 +137,7 @@ def test_figure_refuses_undeclared_flag(tmp_path, capsys, name, flag):
 def test_every_figure_flag_is_declared_by_a_figure():
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    shared = {"help", "name", "seed", "out", "format"}
+    shared = {"help", "name", "out", "format"}
     flags = {a.dest for a in sub.choices["figure"]._actions} - shared
     declared = set().union(*(flags for _, flags in cli._FIGURES.values()))
     assert flags - declared == set()
@@ -176,7 +177,7 @@ class _RecordingArgs(argparse.Namespace):
 # reaches its samples flag
 _TINY = {
     "ds": 2, "t0": 0.0, "t1": 0.5, "nt": 2, "beta": 1.0, "samples": 16,
-    "with_mc": True,
+    "with_mc": True, "seed": 3,
 }
 
 
@@ -185,7 +186,7 @@ def test_figure_reads_exactly_its_declared_flags(name):
     builder, declared = cli._FIGURES[name]
     reads = set()
     values = {flag: _TINY[flag] if flag in declared else None for flag in cli._FIGURE_FLAGS}
-    args = _RecordingArgs(reads, name=name, seed=3, **values)
+    args = _RecordingArgs(reads, name=name, **values)
     header, rows = builder(args)
     assert rows and len(rows[0]) == len(header)
     assert reads == set(declared)
@@ -202,10 +203,12 @@ def test_figure_reads_exactly_its_declared_flags(name):
 def test_figure_sidecar_config_records_declared_flags_only(tmp_path, name, argv, given):
     out = tmp_path / "f.csv"
     assert main(["figure", name, *argv, "--out", str(out)]) == 0
-    config = json.loads((tmp_path / "f.csv.meta.json").read_text())["config"]
+    meta = json.loads((tmp_path / "f.csv.meta.json").read_text())
     _, declared = cli._FIGURES[name]
     expect = {**dict.fromkeys(cli._FIGURE_FLAGS), **declared, **given, "format": "csv"}
-    assert config == expect
+    # the seed stands at the top level of the sidecar, every other flag in config
+    assert meta["seed"] == expect.pop("seed")
+    assert meta["config"] == expect
 
 
 def test_figure_gibbs_beta_single_point_grid_rejected(tmp_path, capsys):
@@ -373,6 +376,30 @@ def test_moment_malformed_file(tmp_path):
     assert main(["moment", "--pattern", str(pattern), "--d", "2"]) == 2
     pattern.write_text(json.dumps([{"dim": 2, "entries": [[1, 0]]}]))
     assert main(["moment", "--pattern", str(pattern), "--d", "2"]) == 2
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_moment_refuses_non_finite_entries(tmp_path, capsys, entry):
+    # json reads NaN and Infinity as floats; either part of an entry counts
+    pattern = tmp_path / "pattern.json"
+    out = tmp_path / "result.json"
+    for re_im in (f"[{entry}, 0]", f"[0, {entry}]"):
+        pattern.write_text('[{"dim": 1, "entries": [%s]}]' % re_im)
+        assert main(["moment", "--pattern", str(pattern), "--d", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "finite entries" in captured.err and captured.out == ""
+        assert not out.exists()
+
+
+def test_moment_refuses_unreadable_pattern_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["moment", "--pattern", str(missing), "--d", "2"]) == 2
+    assert "cannot read pattern file" in capsys.readouterr().err
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text("[{")
+    assert main(["moment", "--pattern", str(invalid), "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "cannot read pattern file" in captured.err and captured.out == ""
 
 
 def test_bad_flag_type_exits_2(tmp_path):

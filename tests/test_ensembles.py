@@ -417,8 +417,15 @@ def test_averaged_time_coeffs_at_zero():
 
 
 def test_averaged_time_coeffs_rejects_uniform():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no spectral moments"):
         averaged_time_coeffs(EnsembleKind.UNIFORM, 1.0, BipartiteDims(2, 2))
+
+
+def test_form_factors_refuse_bad_dimension_and_mode():
+    with pytest.raises(DimensionError, match="d must be >= 1"):
+        poisson_form_factors(1.0, 0)
+    with pytest.raises(ValueError, match="expects a GUE mode"):
+        gue_form_factors(1.0, 4, EnsembleKind.POISSON)
 
 
 def test_ensemble_kind_names():

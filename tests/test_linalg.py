@@ -11,7 +11,6 @@ from haarmoments.linalg import (
     as_matrix,
     check_purity,
     hs_norm_sq,
-    is_unitary,
     partial_trace_env,
     partial_trace_sys,
     sample_gue_hamiltonians,
@@ -277,6 +276,12 @@ def test_sample_spectra_gue_reproducible_and_d1():
         sample_spectra(EnsembleKind.GUE_NUMERIC, 0, 40, RngStream(1))
 
 
+def test_matrix_samplers_refuse_d0():
+    for sampler in (sample_haar_unitaries, sample_gue_hamiltonians):
+        with pytest.raises(DimensionError, match="d must be >= 1"):
+            sampler(0, 10, RngStream(1))
+
+
 def test_sample_spectra_refuses_d0_for_every_kind():
     for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC):
         with pytest.raises(DimensionError):
@@ -287,8 +292,3 @@ def test_sample_spectra_rejects_kinds_without_spectra():
     for kind in (EnsembleKind.UNIFORM, EnsembleKind.GUE_LARGE_D):
         with pytest.raises(ValueError):
             sample_spectra(kind, 4, 10, RngStream(1))
-
-
-def test_is_unitary_flags():
-    assert is_unitary(np.eye(3))
-    assert not is_unitary(2 * np.eye(3))

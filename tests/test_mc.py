@@ -27,7 +27,6 @@ from haarmoments.mc import (
     McEstimate,
     accumulate_chunks,
     empirical_fixed_spectrum,
-    empirical_moment,
     empirical_moments,
     empirical_purity,
     empirical_reduced_norm,
@@ -43,7 +42,7 @@ from conftest import random_complex, random_hermitian, random_state
 
 
 def test_empirical_moment_zero_matrices():
-    est = empirical_moment([np.zeros((3, 3))] * 3, 3, 2048, RngStream(1))
+    (est,) = empirical_moments([[np.zeros((3, 3))] * 3], 3, 2048, RngStream(1))
     assert np.all(est.mean == 0)
     assert np.all(est.stderr == 0)
 
@@ -51,11 +50,11 @@ def test_empirical_moment_zero_matrices():
 def test_empirical_moment_second_and_fourth_order(gen):
     d = 3
     x = random_hermitian(gen, d)
-    est = empirical_moment([x], d, 20_000, RngStream(21))
+    (est,) = empirical_moments([[x]], d, 20_000, RngStream(21))
     target = np.trace(x) / d * np.eye(d)
     assert np.all(np.abs(est.mean - target) <= 5 * est.stderr + 1e-12)
     xs = [random_hermitian(gen, d) for _ in range(3)]
-    est4 = empirical_moment(xs, d, 20_000, RngStream(22))
+    (est4,) = empirical_moments([xs], d, 20_000, RngStream(22))
     closed = fourth_moment_closed(*xs, d)
     assert np.all(np.abs(est4.mean - closed) <= 5 * est4.stderr + 1e-12)
 
@@ -474,6 +473,32 @@ def test_empirical_thermal_distance_refuses_bad_input_before_drawing(monkeypatch
     assert draws == []
     empirical_thermal_distance(levels, 1.0, mixed, 100, RngStream(76))
     assert draws == [100]
+
+
+def test_estimators_refuse_bad_shapes_before_drawing(monkeypatch):
+    draws = []
+
+    def counted_haar(d, n, rng):
+        draws.append(("haar", n))
+        return sample_haar_unitaries(d, n, rng)
+
+    def counted_normal(gen, shape):
+        draws.append(("normal", shape))
+        return complex_normal(gen, shape)
+
+    monkeypatch.setattr(mc, "sample_haar_unitaries", counted_haar)
+    monkeypatch.setattr(mc, "complex_normal", counted_normal)
+    dims = BipartiteDims(2, 2)
+    with pytest.raises(ValueError, match="odd number of operators"):
+        empirical_moments([[np.eye(2)] * 3, [np.eye(2)] * 2], 2, 100, RngStream(77))
+    with pytest.raises(DimensionError, match="spectrum length"):
+        empirical_fixed_spectrum(np.eye(4), dims, np.zeros(3), 1.0, 100, RngStream(77))
+    with pytest.raises(DimensionError, match="state vector length"):
+        empirical_purity(dims, "poi", np.ones(3), 1.0, 100, RngStream(77))
+    assert draws == []
+    empirical_fixed_spectrum(np.eye(4), dims, np.zeros(4), 1.0, 100, RngStream(77))
+    empirical_purity(dims, "poi", product_state(dims), 1.0, 100, RngStream(77))
+    assert draws == [("haar", 100), ("normal", (100, 4)), ("normal", (100, 4))]
 
 
 # Whole-chunk references of the sub-batched kernels: each runs its stacked

@@ -7,12 +7,11 @@ import pytest
 
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import RngStream, sample_haar_unitaries
-from haarmoments.mc import empirical_moment
+from haarmoments.mc import empirical_moments
 from haarmoments.weingarten import (
     _plan,
     _wg_matrix,
     all_permutations,
-    compose,
     conjugacy_class_of,
     cycles_of,
     fourth_moment_closed,
@@ -23,6 +22,11 @@ from haarmoments.weingarten import (
 )
 
 from conftest import random_complex, random_hermitian
+
+
+def compose(p, q):
+    """(p o q)(i) = p[q[i]]: the pairwise reference for the plan's cycle table."""
+    return tuple(p[q[i]] for i in range(len(p)))
 
 
 def test_conjugacy_classes():
@@ -129,6 +133,11 @@ def test_weingarten_singular_below_m():
         fourth_moment_closed(*[np.eye(1)] * 3, 1)
 
 
+def test_weingarten_refuses_orders_beyond_the_plans():
+    with pytest.raises(ValueError, match="unsupported order m=6"):
+        weingarten((6,), 3)
+
+
 def test_second_moment():
     out = moment_function([np.diag([2.0, 3.0])], 2)
     assert np.allclose(out, 2.5 * np.eye(2), atol=1e-14)
@@ -223,7 +232,7 @@ def test_trace_preservation_against_mc(gen):
     d = 3
     xs = [random_complex(gen, d) for _ in range(5)]
     ana = np.trace(moment_function(xs, d))
-    est = empirical_moment(xs, d, 20_000, RngStream(66))
+    (est,) = empirical_moments([xs], d, 20_000, RngStream(66))
     mc_trace = np.trace(est.mean)
     se = float(np.sqrt(np.sum(np.diag(est.stderr) ** 2)))
     assert abs(ana - mc_trace) <= 5 * se
@@ -345,7 +354,7 @@ def test_tenth_moment_against_mc(d, order):
     gen = np.random.default_rng(1010)
     xs = [_near_identity_unitary(gen, d, 0.4) for _ in range(order - 1)]
     exact = moment_function(xs, d)
-    est = empirical_moment(xs, d, n, RngStream(1010))
+    (est,) = empirical_moments([xs], d, n, RngStream(1010))
     assert np.all(np.abs(exact - est.mean) <= 5 * est.stderr)
 
 
