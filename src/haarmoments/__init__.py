@@ -63,6 +63,7 @@ from .applications import (
 from .mc import (
     McEstimate,
     empirical_fixed_spectrum,
+    empirical_form_factors,
     empirical_moments,
     empirical_purity,
     empirical_reduced_norm,

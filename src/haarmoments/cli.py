@@ -186,6 +186,7 @@ _TIME_GRID = {"t0": 0.0, "t1": 15.0, "nt": 301}
 
 # A figure declares exactly the flags its builder reads, each with its default:
 # every other figure flag is refused, so the sidecar records only used values.
+# A figure that declares with_mc reads its _MC_FLAGS only with --with-mc.
 _FIGURES = {
     "coeff-variance": (_fig_coeff_variance, {"ds": 2}),
     "c1-of-t": (_fig_c1_of_t, {"ds": 2, **_TIME_GRID}),
@@ -203,6 +204,7 @@ _FIGURES = {
 }
 FIGURES = tuple(_FIGURES)
 _FIGURE_FLAGS = ("ds", "t0", "t1", "nt", "beta", "samples", "with_mc", "seed")
+_MC_FLAGS = ("samples", "seed")
 
 
 class UsageError(Exception):
@@ -212,11 +214,16 @@ class UsageError(Exception):
 def _write_figure(args) -> int:
     name = args.name
     builder, declared = _FIGURES[name]
+    overlay = ""
+    if "with_mc" in declared and not args.with_mc:
+        declared = {flag: v for flag, v in declared.items() if flag not in _MC_FLAGS}
+        overlay = " without --with-mc"
     for flag in _FIGURE_FLAGS:
         value = getattr(args, flag)
         if value is not None and flag not in declared:
             option = "--" + flag.replace("_", "-")
-            raise UsageError(f"{option} is not available for figure {name!r}")
+            hint = overlay if flag in _MC_FLAGS else ""
+            raise UsageError(f"{option} is not available for figure {name!r}{hint}")
         if value is None:
             setattr(args, flag, declared.get(flag))
 
@@ -263,18 +270,23 @@ def _run_validate(args) -> int:
 
 
 def load_matrix_json(obj) -> np.ndarray:
-    """Decode {"dim": n, "entries": [[re, im], ...]} (row-major) to a matrix."""
+    """Decode {"dim": n, "entries": [[re, im], ...]} (row-major) to a matrix.
+
+    n must be a JSON integer: a float, a bool or a string is refused, not
+    truncated or converted.
+    """
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         entries = obj["entries"]
-        if dim < 1 or len(entries) != dim * dim:
+        if type(dim) is not int or dim < 1 or len(entries) != dim * dim:
             raise ValueError
         flat = np.array([complex(re, im) for re, im in entries])
         if not np.isfinite(flat).all():
             raise ValueError
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(
-            'matrices must be {"dim": n, "entries": [[re, im], ...]} with n^2 finite entries'
+            'matrices must be {"dim": n, "entries": [[re, im], ...]} with an integer n >= 1 '
+            "and n^2 finite entries"
         ) from exc
     return flat.reshape(dim, dim)
 

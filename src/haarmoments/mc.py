@@ -1,12 +1,13 @@
 """Monte Carlo oracle for the analytic averages.
 
-Every estimator samples from the Haar measure, and spectra where needed,
-with the samplers of ``linalg``, which also holds the ensemble vocabulary
+Every estimator samples from the Haar measure, spectra, or both, with the
+samplers of ``linalg``, which also holds the ensemble vocabulary
 (``EnsembleKind``).  Most draw full Haar unitaries; ``empirical_purity``
 draws only the evolved state, from Gaussian vectors whose law follows from
-Haar invariance alone.  Nothing here touches the Weingarten sums, the
-closed-form coefficients or the ensemble averages, so agreement between the
-two routes is a real cross-check.
+Haar invariance alone, and ``empirical_form_factors`` draws only spectra.
+Nothing here touches the Weingarten sums, the closed-form coefficients or
+the ensemble averages, so agreement between the two routes is a real
+cross-check.
 
 Only ``empirical_reduced_norm`` reports a variance, so only its chunks keep
 the third and fourth central sums.
@@ -333,6 +334,34 @@ def empirical_fixed_spectrum(
         return (_map_haar(norm, dims.d, count, gen),)
 
     return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
+
+
+def empirical_form_factors(
+    kind: EnsembleKind, d: int, t: float, n: int, rng: RngStream
+) -> McEstimate:
+    """Means of the four spectral functions over sampled spectra, the sampled
+    twin of ``ensembles.averaged_form_factors``.
+
+    With f(t) = (1/d) sum_j exp(-i E_j t), the mean and stderr hold, in this
+    order, |f(t)|^2, |f(2t)|^2, Re{f(t)^2 f*(2t)} and |f(t)|^4: the field
+    order of ``closed_forms.FormFactorInputs``.  Spectra come from
+    ``sample_spectra``, so only POISSON and GUE_NUMERIC are sampled; any other
+    kind is refused before a draw.  At t = 0 every sample is exactly 1.
+    """
+    check_sampled_kind(kind)
+
+    def chunk(gen: np.random.Generator, count: int):
+        levels = sample_spectra(kind, d, count, gen)
+        f1 = np.exp(-1j * levels * t).mean(axis=1)
+        f2t = np.exp(-2j * levels * t).mean(axis=1)
+        # one (count, 4) stack: McMoments.of sums a column of a stack in
+        # another order than a 1-D array, so four arrays would move the last
+        # digits of criterion 09's report
+        return (np.stack([
+            np.abs(f1) ** 2, np.abs(f2t) ** 2, (f1 * f1 * f2t.conj()).real, np.abs(f1) ** 4,
+        ], axis=1),)
+
+    return accumulate_chunks(chunk, n, rng)[0].estimate()
 
 
 def schmidt_state(dims: BipartiteDims, p0: float) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -31,13 +31,14 @@ from .closed_forms import (
 )
 from .ensembles import (
     EnsembleKind,
+    averaged_form_factors,
     averaged_time_coeffs,
     bessel_j1_over_t,
-    gue_form_factors,
 )
-from .linalg import BipartiteDims, RngStream, sample_haar_unitaries, sample_spectra
+from .linalg import BipartiteDims, RngStream, sample_haar_unitaries
 from .mc import (
     accumulate_chunks,
+    empirical_form_factors,
     empirical_moments,
     empirical_purity,
     empirical_reduced_norm,
@@ -266,23 +267,18 @@ def criterion_08_gibbs_ordering(seed: int, quick: bool) -> CriterionResult:
 
 
 def criterion_09_gue_numeric_vs_sampled(seed: int, quick: bool) -> CriterionResult:
-    """All four exact GUE spectral functions at d = 4 match sampled GUE spectra."""
+    """All four exact GUE spectral functions at d = 4 match sampled GUE spectra.
+
+    The samples go through ``mc.empirical_form_factors``, whose four entries
+    follow the field order of ``FormFactorInputs``.
+    """
     d = 4
     n = 1_000 if quick else 10_000
+    kind = EnsembleKind.GUE_NUMERIC
     worst = 0.0
     for ti, t in enumerate((0.5, 1.0, 2.0)):
-
-        def chunk(gen, count, t=t):
-            levels = sample_spectra(EnsembleKind.GUE_NUMERIC, d, count, gen)
-            f1 = np.exp(-1j * levels * t).mean(axis=1)
-            f2t = np.exp(-2j * levels * t).mean(axis=1)
-            return (np.stack([
-                np.abs(f1) ** 2, np.abs(f2t) ** 2, (f1 * f1 * f2t.conj()).real, np.abs(f1) ** 4,
-            ], axis=1),)
-
-        est = accumulate_chunks(chunk, n, RngStream(seed, 910 + ti))[0].estimate()
-        ff = gue_form_factors(t, d, EnsembleKind.GUE_NUMERIC)
-        exact = np.array([ff.f2, ff.f2_2t, ff.re_f2fc2t, ff.f4])
+        est = empirical_form_factors(kind, d, t, n, RngStream(seed, 910 + ti))
+        exact = np.array(astuple(averaged_form_factors(kind, t, d)))
         worst = max(worst, float(np.max(np.abs(exact - est.mean) / (5 * est.stderr))))
     return CriterionResult(
         "09-gue-numeric-vs-sampled",

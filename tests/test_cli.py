@@ -117,6 +117,8 @@ _UNDECLARED = [
     for flag in cli._FIGURE_FLAGS
     if flag not in declared
 ] + [(name, "de") for name in cli._FIGURES]  # no figure reads --de, so the parser has none
+# purity-poi reads its sample count and seed only for the --with-mc overlay
+_UNDECLARED += [("purity-poi", flag) for flag in cli._MC_FLAGS]
 
 
 @pytest.mark.parametrize("name,flag", _UNDECLARED)
@@ -198,6 +200,13 @@ def test_figure_reads_exactly_its_declared_flags(name):
         ("coeff-variance", [], {}),
         ("equilibration", ["--nt", "11"], {"nt": 11}),
         ("gibbs-beta", ["--nt", "2", "--samples", "20"], {"nt": 2, "samples": 20}),
+        # a plain run draws no samples, so it records no sample count or seed
+        ("purity-poi", ["--nt", "2"], {"nt": 2, "samples": None, "seed": None}),
+        (
+            "purity-poi",
+            ["--nt", "2", "--with-mc", "--samples", "20"],
+            {"nt": 2, "with_mc": True, "samples": 20},
+        ),
     ],
 )
 def test_figure_sidecar_config_records_declared_flags_only(tmp_path, name, argv, given):
@@ -376,6 +385,18 @@ def test_moment_malformed_file(tmp_path):
     assert main(["moment", "--pattern", str(pattern), "--d", "2"]) == 2
     pattern.write_text(json.dumps([{"dim": 2, "entries": [[1, 0]]}]))
     assert main(["moment", "--pattern", str(pattern), "--d", "2"]) == 2
+
+
+@pytest.mark.parametrize("dim", ["2.7", "true", '"2"'])
+def test_moment_refuses_dim_that_is_not_a_json_integer(tmp_path, capsys, dim):
+    # each would otherwise be read as a dimension: 2.7 as 2, true as 1, "2" as 2
+    pattern = tmp_path / "pattern.json"
+    entries = json.dumps([[1, 0]] * (1 if dim == "true" else 4))
+    pattern.write_text('[{"dim": %s, "entries": %s}]' % (dim, entries))
+    d = "1" if dim == "true" else "2"
+    assert main(["moment", "--pattern", str(pattern), "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert "integer n" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])

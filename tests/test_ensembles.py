@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -21,6 +22,7 @@ from haarmoments.ensembles import (
 )
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import BipartiteDims, RngStream, sample_gue_hamiltonians, sample_spectra
+from haarmoments.mc import empirical_form_factors
 from haarmoments.weingarten import cycles_of
 
 # high-precision reference values (Abramowitz & Stegun conventions)
@@ -91,6 +93,9 @@ def test_poisson_form_factors_at_zero():
     for d in (2, 4, 7, 16):
         ff = poisson_form_factors(0.0, d)
         assert (ff.f2, ff.f2_2t, ff.re_f2fc2t, ff.f4) == (1.0, 1.0, 1.0, 1.0)
+        # every sample is exactly 1 at t = 0, so the sampled twin is exact too
+        est = empirical_form_factors(EnsembleKind.POISSON, d, 0.0, 2000, RngStream(403, d))
+        assert est.mean.tolist() == [1.0] * 4 and est.stderr.tolist() == [0.0] * 4
 
 
 def test_poisson_f2_at_quarter_period():
@@ -123,24 +128,20 @@ def test_poisson_f2_transcription():
             assert np.max(np.abs(np.subtract(got, expected))) <= 1e-15, (d, t)
 
 
+def _sampled_deviation(kind, d, t, n, rng, exact):
+    # |sampled - exact| / stderr of each spectral function, in the field
+    # order of FormFactorInputs
+    est = empirical_form_factors(kind, d, t, n, rng)
+    return np.abs(est.mean - dataclasses.astuple(exact)) / est.stderr
+
+
 def test_poisson_form_factors_against_sampled_spectra():
     n = 10_000
-    gen = np.random.default_rng(404)
     for d in (4, 8):
-        levels = gen.uniform(-2, 2, size=(n, d))
-        for t in np.linspace(0.3, 6.0, 20):
-            f = np.exp(-1j * levels * t).mean(axis=1)
-            f2t = np.exp(-2j * levels * t).mean(axis=1)
-            ff = poisson_form_factors(t, d)
-            samples = {
-                "f2": (np.abs(f) ** 2, ff.f2),
-                "f2_2t": (np.abs(f2t) ** 2, ff.f2_2t),
-                "re": ((f * f * np.conj(f2t)).real, ff.re_f2fc2t),
-                "f4": (np.abs(f) ** 4, ff.f4),
-            }
-            for name, (vals, ana) in samples.items():
-                se = vals.std(ddof=1) / np.sqrt(n)
-                assert abs(vals.mean() - ana) <= 5 * se, (d, t, name)
+        for ti, t in enumerate(np.linspace(0.3, 6.0, 20)):
+            rng = RngStream(404, 100 * d + ti)
+            z = _sampled_deviation(EnsembleKind.POISSON, d, t, n, rng, poisson_form_factors(t, d))
+            assert np.all(z <= 5), (d, t, z)
 
 
 def test_poisson_bounds_invariants():
@@ -246,6 +247,8 @@ def test_gue_form_factors_at_zero():
     for mode in (EnsembleKind.GUE_NUMERIC, EnsembleKind.GUE_LARGE_D):
         ff = gue_form_factors(0.0, 16, mode)
         assert (ff.f2, ff.f2_2t, ff.re_f2fc2t, ff.f4) == (1.0, 1.0, 1.0, 1.0)
+    est = empirical_form_factors(EnsembleKind.GUE_NUMERIC, 16, 0.0, 2000, RngStream(506))
+    assert est.mean.tolist() == [1.0] * 4 and est.stderr.tolist() == [0.0] * 4
 
 
 def test_gue_large_d_long_time_decay():
@@ -338,23 +341,15 @@ def test_gue_block_step_halving():
 
 
 def test_gue_numeric_against_sampled_spectra():
+    # tridiagonal-model spectra; test_sample_spectra_gue_law_matches_dense_sampler
+    # checks that model against eigvalsh of dense GUE matrices
     n = 100_000
     for d in (4, 8):
-        gen = np.random.default_rng([505, d])
-        levels = np.linalg.eigvalsh(sample_gue_hamiltonians(d, n, gen))
-        for t in (0.5, 1.0, 2.0):
-            f = np.exp(-1j * levels * t).mean(axis=1)
-            f2t = np.exp(-2j * levels * t).mean(axis=1)
-            ff = gue_form_factors(t, d, EnsembleKind.GUE_NUMERIC)
-            samples = {
-                "f2": (np.abs(f) ** 2, ff.f2),
-                "f2_2t": (np.abs(f2t) ** 2, ff.f2_2t),
-                "re": ((f * f * np.conj(f2t)).real, ff.re_f2fc2t),
-                "f4": (np.abs(f) ** 4, ff.f4),
-            }
-            for name, (vals, ana) in samples.items():
-                se = vals.std(ddof=1) / np.sqrt(n)
-                assert abs(vals.mean() - ana) <= 5 * se, (d, t, name)
+        for ti, t in enumerate((0.5, 1.0, 2.0)):
+            exact = gue_form_factors(t, d, EnsembleKind.GUE_NUMERIC)
+            rng = RngStream(505, 10 * d + ti)
+            z = _sampled_deviation(EnsembleKind.GUE_NUMERIC, d, t, n, rng, exact)
+            assert np.all(z <= 5), (d, t, z)
 
 
 def test_long_time_plateau():
@@ -377,15 +372,8 @@ def test_sample_poisson_spectrum_stats():
 
 def test_sample_poisson_f2_matches_closed_form():
     d, n, t = 8, 10_000, 1.0
-    vals = np.empty(n)
-    for i in range(n // 2500):
-        gen = RngStream(32, i).generator()
-        levels = gen.uniform(-2, 2, size=(2500, d))
-        vals[i * 2500 : (i + 1) * 2500] = (
-            np.abs(np.exp(-1j * levels * t).mean(axis=1)) ** 2
-        )
-    se = vals.std(ddof=1) / np.sqrt(n)
-    assert abs(vals.mean() - poisson_form_factors(t, d).f2) <= 5 * se
+    z = _sampled_deviation(EnsembleKind.POISSON, d, t, n, RngStream(32), poisson_form_factors(t, d))
+    assert z[0] <= 5, z
 
 
 def test_sample_gue_spectrum_sorted_and_scaled():

@@ -113,6 +113,14 @@ def test_every_module_constant_is_read():
         assert not unread, (path.name, unread)
 
 
+def test_only_the_sampling_layers_read_sample_spectra():
+    # Sampled spectral estimators live in mc, so that one estimator path
+    # serves every check; applications keeps gibbs_purity_mc until it moves
+    # into mc.  A re-export in __init__ imports the name without reading it.
+    readers = {path.stem for path in SRC.glob("*.py") if "sample_spectra" in _names_read(path)}
+    assert readers <= {"linalg", "mc", "applications"}, readers
+
+
 def _module_definitions(path: Path) -> set[str]:
     """Names of the functions and classes a source file defines at module level."""
     return {

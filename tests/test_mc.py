@@ -27,6 +27,7 @@ from haarmoments.mc import (
     McEstimate,
     accumulate_chunks,
     empirical_fixed_spectrum,
+    empirical_form_factors,
     empirical_moments,
     empirical_purity,
     empirical_reduced_norm,
@@ -222,20 +223,29 @@ def test_empirical_purity_draws_no_haar_unitary(monkeypatch):
 
 
 def test_empirical_purity_refuses_unsampled_kind_before_drawing(monkeypatch):
-    draws = []
+    draws, spectra = [], []
 
     def counted(gen, shape):
         draws.append(shape)
         return complex_normal(gen, shape)
 
+    def counted_spectra(kind, d, n, gen):
+        spectra.append(n)
+        return sample_spectra(kind, d, n, gen)
+
     monkeypatch.setattr(mc, "complex_normal", counted)
+    monkeypatch.setattr(mc, "sample_spectra", counted_spectra)
     dims = BipartiteDims(4, 8)
     psi = product_state(dims)
     with pytest.raises(ValueError, match="no spectra"):
         empirical_purity(dims, EnsembleKind.GUE_LARGE_D, psi, 1.0, 20_000, RngStream(75), workers=2)
-    assert draws == []
+    # empirical_form_factors draws spectra alone, and refuses the same way
+    for kind in (EnsembleKind.UNIFORM, EnsembleKind.GUE_LARGE_D):
+        with pytest.raises(ValueError, match="no spectra"):
+            empirical_form_factors(kind, dims.d, 1.0, 20_000, RngStream(75))
+    assert draws == [] and spectra == []
     empirical_purity(dims, "poi", psi, 1.0, 100, RngStream(75))
-    assert len(draws) == 2
+    assert len(draws) == 2 and spectra == [100]
 
 
 def _purity_dense_w(dims, spectra, psi0, t, n, rng):
@@ -329,7 +339,7 @@ def test_empirical_purity_takes_kind_or_its_value():
             empirical_purity(dims, levels, psi, 1.0, 100, RngStream(74))
 
 
-def test_reproducible_across_worker_counts(gen):
+def test_reproducible_across_worker_counts(gen, monkeypatch):
     dims = BipartiteDims(2, 3)
     m = random_hermitian(gen, 6)
     a = empirical_reduced_norm(m, dims, 10_000, RngStream(9), workers=1)
@@ -337,6 +347,14 @@ def test_reproducible_across_worker_counts(gen):
     assert a[0].mean == b[0].mean
     assert a[0].stderr == b[0].stderr
     assert a[1].mean == b[1].mean
+    # empirical_form_factors takes its worker count from HAARMOMENTS_THREADS
+    for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC):
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HAARMOMENTS_THREADS", threads)
+            runs.append(empirical_form_factors(kind, 8, 1.3, 2 * CHUNK + 5, RngStream(10)))
+        assert np.array_equal(runs[0].mean, runs[1].mean), kind
+        assert np.array_equal(runs[0].stderr, runs[1].stderr), kind
 
 
 def test_stderr_coverage(gen):
