@@ -211,6 +211,13 @@ class UsageError(Exception):
     pass
 
 
+def _seed(text: str) -> int:
+    """--seed: numpy's seed sequences take integers >= 0 only."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _write_figure(args) -> int:
     name = args.name
     builder, declared = _FIGURES[name]
@@ -341,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--beta", type=float)
     fig.add_argument("--samples", type=int)
     fig.add_argument("--with-mc", action="store_true", default=None, dest="with_mc")
-    fig.add_argument("--seed", type=int)
+    fig.add_argument("--seed", type=_seed)
     fig.add_argument("--out", default=None)
     fig.add_argument("--format", choices=("csv", "json"), default="csv")
     fig.set_defaults(func=_write_figure)
 
     val = sub.add_parser("validate", help="run the acceptance-criteria suite")
-    val.add_argument("--seed", type=int, default=42)
+    val.add_argument("--seed", type=_seed, default=42)
     val.add_argument("--quick", action="store_true")
     val.add_argument("--out", default=None)
     val.set_defaults(func=_run_validate)

@@ -146,9 +146,11 @@ def worker_count(explicit: int | None = None) -> int:
     if explicit is not None:
         return max(1, explicit)
     env = os.environ.get("HAARMOMENTS_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"HAARMOMENTS_THREADS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def accumulate_chunks(
@@ -276,16 +278,19 @@ def empirical_moments(
     return estimates
 
 
-def _map_haar(fn, d: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    """fn of each Haar sample of a chunk: a (count,) array filled over sub-batches.
+def _haar_moments(
+    fn, d: int, n: int, rng: RngStream, workers: int | None = None, variance: bool = False
+) -> McMoments:
+    """Moments of fn over n Haar unitaries: fn takes a (k, d, d) stack of
+    unitaries, one sub-batch of a chunk's draw, and returns its k values."""
+    def chunk(gen: np.random.Generator, count: int):
+        u = sample_haar_unitaries(d, count, gen)
+        out = np.empty(count)
+        for s in sub_batches(count, d):
+            out[s] = fn(u[s])
+        return (out,)
 
-    fn takes a (k, d, d) stack of unitaries and returns its k values.
-    """
-    u = sample_haar_unitaries(d, count, gen)
-    out = np.empty(count)
-    for s in sub_batches(count, d):
-        out[s] = fn(u[s])
-    return out
+    return accumulate_chunks(chunk, n, rng, workers=workers, variance=variance)[0]
 
 
 def _reduced_norm_sq(a: np.ndarray, dims: BipartiteDims) -> np.ndarray:
@@ -303,10 +308,7 @@ def empirical_reduced_norm(
     def norm(u: np.ndarray) -> np.ndarray:
         return _reduced_norm_sq(u @ m @ u.conj().swapaxes(-1, -2), dims)
 
-    def chunk(gen: np.random.Generator, count: int):
-        return (_map_haar(norm, dims.d, count, gen),)
-
-    (moments,) = accumulate_chunks(chunk, n, rng, workers=workers, variance=True)
+    moments = _haar_moments(norm, dims.d, n, rng, workers=workers, variance=True)
     return moments.estimate(), moments.variance()
 
 
@@ -317,7 +319,6 @@ def empirical_fixed_spectrum(
     t: float,
     n: int,
     rng: RngStream,
-    workers: int | None = None,
 ) -> McEstimate:
     """Mean of ||Tr_E{W e^{-iDt} W^dag M W e^{iDt} W^dag}||^2 over Haar W."""
     m = as_matrix(m, dims.d)
@@ -330,10 +331,7 @@ def empirical_fixed_spectrum(
         ut = (w * p[None, None, :]) @ w.conj().swapaxes(-1, -2)
         return _reduced_norm_sq(ut @ m @ ut.conj().swapaxes(-1, -2), dims)
 
-    def chunk(gen: np.random.Generator, count: int):
-        return (_map_haar(norm, dims.d, count, gen),)
-
-    return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
+    return _haar_moments(norm, dims.d, n, rng).estimate()
 
 
 def empirical_form_factors(
@@ -393,7 +391,7 @@ def product_state(dims: BipartiteDims) -> np.ndarray:
 
 def empirical_purity(
     dims: BipartiteDims,
-    spectra,
+    kind: EnsembleKind | str,
     psi0: np.ndarray,
     t: float,
     n: int,
@@ -402,10 +400,11 @@ def empirical_purity(
 ) -> McEstimate:
     """Mean reduced purity of the evolved pure state psi0.
 
-    ``spectra`` selects the evolution: an array of levels E evolves with that
-    fixed spectrum and Haar eigenvectors W; an ``EnsembleKind`` (or its
-    value, e.g. "poi") either applies a Haar unitary directly (UNIFORM) or
-    draws a fresh spectrum per sample with ``sample_spectra``.
+    ``kind``, an ``EnsembleKind`` or its value (e.g. "poi"), selects the
+    evolution: UNIFORM applies a Haar unitary directly, POISSON and
+    GUE_NUMERIC draw a fresh spectrum per sample with ``sample_spectra``.
+    The purity at a fixed spectrum is ``empirical_fixed_spectrum`` at
+    M = |psi0><psi0|.
 
     No unitary is formed: the evolved state is drawn from two complex
     Gaussian vectors with its exact law, by Haar invariance alone.  For
@@ -422,15 +421,11 @@ def empirical_purity(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (dims.d,):
         raise DimensionError(f"state vector length {psi0.shape} != d = {dims.d}")
-    if isinstance(spectra, (str, EnsembleKind)):
-        kind, fixed_phases = EnsembleKind(spectra), None
-        if kind != EnsembleKind.UNIFORM:
-            check_sampled_kind(kind)
-    else:
-        levels = np.asarray(spectra, dtype=float)
-        if levels.shape != (dims.d,):
-            raise DimensionError(f"spectrum length {levels.shape} != d = {dims.d}")
-        kind, fixed_phases = None, np.exp(-1j * levels * t)
+    if not isinstance(kind, (str, EnsembleKind)):
+        raise ValueError(f"kind must be an EnsembleKind or its value, not {type(kind)}")
+    kind = EnsembleKind(kind)
+    if kind != EnsembleKind.UNIFORM:
+        check_sampled_kind(kind)
     norm = np.linalg.norm(psi0)
     # psi0 = 0 evolves to 0 whatever unit vector stands in for u
     u = psi0 / norm if norm else product_state(dims)
@@ -440,9 +435,7 @@ def empirical_purity(
         if kind == EnsembleKind.UNIFORM:
             phi = z * (norm / np.linalg.norm(z, axis=1, keepdims=True))
         else:
-            phases = fixed_phases
-            if kind is not None:
-                phases = np.exp(-1j * sample_spectra(kind, dims.d, count, gen) * t)
+            phases = np.exp(-1j * sample_spectra(kind, dims.d, count, gen) * t)
             v = z / np.linalg.norm(z, axis=1, keepdims=True)
             c = np.sum(phases * (v.real**2 + v.imag**2), axis=1, keepdims=True)
             r_norm = np.linalg.norm((phases - c) * v, axis=1, keepdims=True)
@@ -463,7 +456,6 @@ def empirical_thermal_distance(
     rho0,
     n: int,
     rng: RngStream,
-    workers: int | None = None,
 ) -> McEstimate:
     """Mean of ||rho_G - rho(t)||^2 over Haar eigenvectors W (closed system).
 
@@ -485,7 +477,4 @@ def empirical_thermal_distance(
         diff = (w * gibbs) @ w.conj().swapaxes(-1, -2) - rho0
         return np.sum(diff.real**2 + diff.imag**2, axis=(1, 2))
 
-    def chunk(gen: np.random.Generator, count: int):
-        return (_map_haar(distance, d, count, gen),)
-
-    return accumulate_chunks(chunk, n, rng, workers=workers)[0].estimate()
+    return _haar_moments(distance, d, n, rng).estimate()

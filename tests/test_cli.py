@@ -429,6 +429,26 @@ def test_bad_flag_type_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["figure", "gibbs-d", "--samples", "10", "--seed", "-1"], ["validate", "--quick", "--seed", "-1"]],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_thread_count_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HAARMOMENTS_THREADS", "two")
+    argv = ["figure", "purity-poi", "--nt", "3", "--with-mc", "--samples", "20"]
+    assert main([*argv, "--out", str(tmp_path / "p.csv")]) == 1
+    assert "HAARMOMENTS_THREADS must be an integer >= 1, got 'two'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_figure_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["figure", "no-such-figure"])

@@ -153,6 +153,58 @@ def test_every_module_function_and_class_has_a_caller():
         assert not uncalled, (path.name, uncalled)
 
 
+def _optional_parameters(path: Path):
+    """(function, parameter, position) of each defaulted parameter of a
+    module-level function or method.  The position counts the arguments a
+    call passes, so a method's self or cls is skipped; it is None for a
+    keyword-only parameter."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        defs, bound = ([node], 0) if not isinstance(node, ast.ClassDef) else (node.body, 1)
+        for f in defs:
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            skip = bound and "staticmethod" not in {ast.unparse(d) for d in f.decorator_list}
+            pos = f.args.posonlyargs + f.args.args
+            for i in range(len(pos) - len(f.args.defaults), len(pos)):
+                yield f.name, pos[i].arg, i - skip
+            for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+                if default is not None:
+                    yield f.name, arg.arg, None
+
+
+def _calls(path: Path):
+    """(callee name, positional count, keyword names) of each call in a file.
+    A *args counts as every position, and a **kwargs adds the keyword None,
+    which stands for every name."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            yield name, float("inf") if starred else len(node.args), {k.arg for k in node.keywords}
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    # an option no caller sets is dead: each defaulted parameter of a
+    # module-level function or method is set, by keyword or by position, by
+    # some call in src/ or perfbench/.  Nested closures are exempt: their
+    # defaults bind values late, like validate's chunk(gen, count, d=d).
+    calls = {}
+    for p in (p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        for name, npos, keywords in _calls(p):
+            calls.setdefault(name, []).append((npos, keywords))
+    unset = [
+        (path.name, fn, param)
+        for path in sorted(SRC.glob("*.py"))
+        for fn, param, pos in _optional_parameters(path)
+        if not any(
+            param in kw or None in kw or (pos is not None and npos > pos)
+            for npos, kw in calls.get(fn, ())
+        )
+    ]
+    assert not unset, unset
+
+
 def _dataclass_fields(path: Path) -> set[str]:
     """Annotated field names of the @dataclass classes a source file defines."""
     fields = set()

@@ -1,3 +1,4 @@
+import os
 import threading
 import tracemalloc
 
@@ -132,8 +133,15 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("HAARMOMENTS_THREADS", "3")
     assert worker_count() == 3
     assert worker_count(5) == 5
+    for bad in ("two", "1.5", "0", "-3"):
+        monkeypatch.setenv("HAARMOMENTS_THREADS", bad)
+        with pytest.raises(ValueError, match=f"HAARMOMENTS_THREADS .*'{bad}'"):
+            worker_count()
+        assert worker_count(2) == 2
+    monkeypatch.setenv("HAARMOMENTS_THREADS", "")
+    assert worker_count() == min(4, os.cpu_count() or 1)
     monkeypatch.delenv("HAARMOMENTS_THREADS")
-    assert worker_count() >= 1
+    assert worker_count() == min(4, os.cpu_count() or 1)
 
 
 def test_empirical_reduced_norm_identity_input():
@@ -187,27 +195,26 @@ def test_empirical_purity_uniform_matches_closed_form():
         assert abs(est.mean - mean) <= 5 * est.stderr, dims
 
 
-def _all_spectra(dims):
-    # the four evolutions empirical_purity takes: three kinds and fixed levels
-    levels = np.random.default_rng([80, dims.d]).uniform(-2.0, 2.0, dims.d)
-    return (EnsembleKind.UNIFORM, EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC, levels)
+# the three evolutions empirical_purity takes; a fixed spectrum is
+# empirical_fixed_spectrum's
+_PURITY_KINDS = (EnsembleKind.UNIFORM, EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC)
 
 
 def test_empirical_purity_uniform_scales_with_state_norm():
     # the purity is quartic in psi0, and doubling is exact in floating point
     dims = BipartiteDims(2, 3)
     psi = schmidt_state(dims, 0.8)
-    for spectra in _all_spectra(dims):
-        one = empirical_purity(dims, spectra, psi, 1.3, 3000, RngStream(62))
-        two = empirical_purity(dims, spectra, 2 * psi, 1.3, 3000, RngStream(62))
+    for kind in _PURITY_KINDS:
+        one = empirical_purity(dims, kind, psi, 1.3, 3000, RngStream(62))
+        two = empirical_purity(dims, kind, 2 * psi, 1.3, 3000, RngStream(62))
         assert two.mean == 16 * one.mean
         assert two.stderr == 16 * one.stderr
 
 
 def test_empirical_purity_zero_state_is_exactly_zero():
     dims = BipartiteDims(2, 3)
-    for spectra in _all_spectra(dims):
-        est = empirical_purity(dims, spectra, np.zeros(dims.d), 1.3, 2000, RngStream(63))
+    for kind in _PURITY_KINDS:
+        est = empirical_purity(dims, kind, np.zeros(dims.d), 1.3, 2000, RngStream(63))
         assert est.mean == 0.0 and est.stderr == 0.0
 
 
@@ -217,8 +224,8 @@ def test_empirical_purity_draws_no_haar_unitary(monkeypatch):
 
     monkeypatch.setattr(mc, "sample_haar_unitaries", refuse)
     dims = BipartiteDims(2, 4)
-    for spectra in _all_spectra(dims):
-        est = empirical_purity(dims, spectra, schmidt_state(dims, 0.7), 1.3, 2000, RngStream(64))
+    for kind in _PURITY_KINDS:
+        est = empirical_purity(dims, kind, schmidt_state(dims, 0.7), 1.3, 2000, RngStream(64))
         assert 1 / 2 - 1e-9 <= est.mean <= 1.0 + 1e-9
 
 
@@ -248,14 +255,11 @@ def test_empirical_purity_refuses_unsampled_kind_before_drawing(monkeypatch):
     assert len(draws) == 2 and spectra == [100]
 
 
-def _purity_dense_w(dims, spectra, psi0, t, n, rng):
+def _purity_dense_w(dims, kind, psi0, t, n, rng):
     # reference: a full Haar W per sample, applied as W e^{-iEt} W^dag psi0
     def chunk(gen, count):
         w = sample_haar_unitaries(dims.d, count, gen)
-        if isinstance(spectra, EnsembleKind):
-            phases = np.exp(-1j * sample_spectra(spectra, dims.d, count, gen) * t)
-        else:
-            phases = np.exp(-1j * spectra * t)
+        phases = np.exp(-1j * sample_spectra(kind, dims.d, count, gen) * t)
         inner = np.einsum("sji,j->si", w.conj(), psi0)
         phi = np.einsum("sij,sj->si", w, phases * inner).reshape(count, dims.d_s, dims.d_e)
         rho_s = np.einsum("sae,sbe->sab", phi, phi.conj())
@@ -266,13 +270,13 @@ def _purity_dense_w(dims, spectra, psi0, t, n, rng):
 
 # (d_s, d_e, p0, times, kinds); the dense reference costs about 3 s per
 # 40 000 samples at d = 32, so the largest spaces run a subset of the kinds
-_ALL_KINDS = ("poi", "gue", "fixed")
+_ALL_KINDS = ("poi", "gue")
 PURITY_LAW_CASES = [
     (2, 2, 0.8, (0.0, 1.3), _ALL_KINDS),
     (2, 3, 1.0, (0.7,), _ALL_KINDS),
     (3, 3, 0.5, (0.0, 2.5), _ALL_KINDS),
     (4, 4, 0.6, (1.0,), _ALL_KINDS),
-    (2, 8, 0.75, (0.4,), ("gue", "fixed")),
+    (2, 8, 0.75, (0.4,), ("gue",)),
     (4, 8, 0.4, (1.8,), ("poi",)),
 ]
 
@@ -283,15 +287,11 @@ def test_empirical_purity_law_matches_dense_haar_reference(ds, de, p0, times, ki
     # at t = 0 both equal p0 to rounding and both stderrs are ~1e-17
     dims = BipartiteDims(ds, de)
     psi = schmidt_state(dims, p0)
-    spectra = {
-        "poi": EnsembleKind.POISSON,
-        "gue": EnsembleKind.GUE_NUMERIC,
-        "fixed": np.random.default_rng([81, dims.d]).uniform(-2.0, 2.0, dims.d),
-    }
     for i, t in enumerate(times):
         for k, name in enumerate(kinds):
-            est = empirical_purity(dims, spectra[name], psi, t, 40_000, RngStream(82, 10 * i + k))
-            ref = _purity_dense_w(dims, spectra[name], psi, t, 40_000, RngStream(83, 10 * i + k))
+            kind = EnsembleKind(name)
+            est = empirical_purity(dims, kind, psi, t, 40_000, RngStream(82, 10 * i + k))
+            ref = _purity_dense_w(dims, kind, psi, t, 40_000, RngStream(83, 10 * i + k))
             floor = 1e-12 if t == 0 else 0.0
             assert abs(est.mean - ref.mean) <= 5 * np.hypot(est.stderr, ref.stderr) + floor, (name, t)
 
@@ -313,17 +313,19 @@ def test_empirical_purity_gue_mode_runs():
 
 def test_empirical_purity_fixed_spectrum_matches_general_average():
     # the reduced purity is ||Tr_E rho(t)||^2, whose exact Haar average over
-    # the eigenvectors of a fixed spectrum is general_average of rho0
+    # the eigenvectors of a fixed spectrum is general_average of rho0; the
+    # fixed-spectrum purity is empirical_fixed_spectrum at rho0 = |psi><psi|
     for i, (ds, de, p0, t) in enumerate(((2, 3, 1.0, 0.8), (2, 4, 0.7, 1.7), (3, 3, 0.5, 3.0))):
         dims = BipartiteDims(ds, de)
         levels = np.random.default_rng([71, i]).uniform(-2.0, 2.0, dims.d)
         psi = schmidt_state(dims, p0)
-        est = empirical_purity(dims, levels, psi, t, 20_000, RngStream(72, i))
-        ana = general_average(np.outer(psi, psi.conj()), dims, form_factor_inputs(levels, t))
+        rho0 = np.outer(psi, psi.conj())
+        est = empirical_fixed_spectrum(rho0, dims, levels, t, 20_000, RngStream(72, i))
+        ana = general_average(rho0, dims, form_factor_inputs(levels, t))
         assert abs(est.mean - ana) <= 5 * est.stderr, (ds, de)
 
 
-def test_empirical_purity_takes_kind_or_its_value():
+def test_empirical_purity_takes_kind_or_its_value(monkeypatch):
     dims = BipartiteDims(2, 3)
     psi = product_state(dims)
     for value, kind in (("poi", EnsembleKind.POISSON), ("uniform", EnsembleKind.UNIFORM)):
@@ -333,10 +335,19 @@ def test_empirical_purity_takes_kind_or_its_value():
     for bad in ("goe", EnsembleKind.GUE_LARGE_D):
         with pytest.raises(ValueError):
             empirical_purity(dims, bad, psi, 1.0, 100, RngStream(74))
-    # one level would broadcast over all d as a degenerate spectrum
-    for levels in ([0.3], np.zeros(dims.d + 1)):
-        with pytest.raises(DimensionError):
+    # a levels array is refused before a draw: a fixed spectrum is
+    # empirical_fixed_spectrum's
+    draws = []
+
+    def counted(gen, shape):
+        draws.append(shape)
+        return complex_normal(gen, shape)
+
+    monkeypatch.setattr(mc, "complex_normal", counted)
+    for levels in ([0.3], np.zeros(dims.d)):
+        with pytest.raises(ValueError, match="EnsembleKind"):
             empirical_purity(dims, levels, psi, 1.0, 100, RngStream(74))
+    assert draws == []
 
 
 def test_reproducible_across_worker_counts(gen, monkeypatch):
@@ -591,7 +602,7 @@ def _estimate_bits(est):
 
 @pytest.mark.parametrize("kernel", ["reduced norm", "fixed spectrum", "thermal distance"])
 @pytest.mark.parametrize("d", sorted(SUB_BATCH_DIMS))
-def test_estimators_bit_identical_to_whole_chunk(kernel, d):
+def test_estimators_bit_identical_to_whole_chunk(kernel, d, monkeypatch):
     dims, n = SUB_BATCH_DIMS[d], 2 * CHUNK + 5
     gen = np.random.default_rng([92, d])
     m = random_hermitian(gen, d)
@@ -600,29 +611,31 @@ def test_estimators_bit_identical_to_whole_chunk(kernel, d):
     rng = RngStream(93, d)
     run, whole = {
         "reduced norm": (
-            lambda w: empirical_reduced_norm(m, dims, n, rng, workers=w),
+            lambda: empirical_reduced_norm(m, dims, n, rng),
             lambda: _reduced_norm_whole(m, dims, n, rng, 2),
         ),
         "fixed spectrum": (
-            lambda w: empirical_fixed_spectrum(m, dims, levels, 1.3, n, rng, workers=w),
+            lambda: empirical_fixed_spectrum(m, dims, levels, 1.3, n, rng),
             lambda: _fixed_spectrum_whole(m, dims, levels, 1.3, n, rng, 2),
         ),
         "thermal distance": (
-            lambda w: empirical_thermal_distance(levels, 0.8, rho0, n, rng, workers=w),
+            lambda: empirical_thermal_distance(levels, 0.8, rho0, n, rng),
             lambda: _thermal_distance_whole(levels, 0.8, rho0, n, rng, 2),
         ),
     }[kernel]
     expect = _estimate_bits(whole())
-    for workers in (1, 2):
-        got = _estimate_bits(run(workers))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HAARMOMENTS_THREADS", threads)
+        got = _estimate_bits(run())
         assert len(got) == len(expect)
         for a, b in zip(got, expect):
-            assert np.array_equal(a, b), (kernel, d, workers)
+            assert np.array_equal(a, b), (kernel, d, threads)
 
 
-def test_chunk_working_memory_is_bounded():
+def test_chunk_working_memory_is_bounded(monkeypatch):
     # traced peak of one d = 32 chunk on one worker, against one (CHUNK, d, d)
     # complex stack: the draw plus its real-part normals is 1.5 stacks
+    monkeypatch.setenv("HAARMOMENTS_THREADS", "1")
     d, n, dims = 32, CHUNK, SUB_BATCH_DIMS[32]
     stack = n * d * d * np.dtype(complex).itemsize
     gen = np.random.default_rng(94)
@@ -632,9 +645,9 @@ def test_chunk_working_memory_is_bounded():
     rng = RngStream(95)
     runs = {
         "haar": lambda: sample_haar_unitaries(d, n, rng),
-        "reduced norm": lambda: empirical_reduced_norm(m, dims, n, rng, workers=1),
-        "fixed spectrum": lambda: empirical_fixed_spectrum(m, dims, levels, 1.3, n, rng, workers=1),
-        "thermal distance": lambda: empirical_thermal_distance(levels, 0.8, rho0, n, rng, workers=1),
+        "reduced norm": lambda: empirical_reduced_norm(m, dims, n, rng),
+        "fixed spectrum": lambda: empirical_fixed_spectrum(m, dims, levels, 1.3, n, rng),
+        "thermal distance": lambda: empirical_thermal_distance(levels, 0.8, rho0, n, rng),
     }
     for name, run in runs.items():
         tracemalloc.start()
