@@ -168,23 +168,55 @@ def sub_batches(n: int, d: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def sample_haar_unitaries(d: int, n: int, rng) -> np.ndarray:
-    """Stack of n Haar-distributed d x d unitaries, shape (n, d, d).
+def _haar_stream(d: int, n: int, gen: np.random.Generator, real: np.ndarray):
+    """The one Haar pipeline: yields n unitaries, one ``sub_batches`` slice at a time.
 
     Ginibre matrix -> QR -> column phases fixed by conj(r_jj)/|r_jj|, which
     makes the triangular factor's diagonal positive (plain QR alone is not
-    Haar-distributed).  All n Ginibre matrices are drawn at once; the QR and
-    phase fix run over ``sub_batches`` and overwrite the draw in place.
+    Haar-distributed).  The n Ginibre matrices take the variates of
+    ``complex_normal``, all real parts before the first imaginary part, so
+    the real parts are drawn first, slice by slice, into ``real`` (an
+    (n, d, d) float array or view).  Then each slice draws its imaginary
+    parts and is factored.  A normal draw taken in pieces gives the numbers
+    of one large draw, so the stream is bit-identical to drawing the whole
+    (n, d, d) Ginibre stack at once.
+    """
+    batches = sub_batches(n, d)
+    for s in batches:
+        real[s] = gen.standard_normal(real[s].shape)
+    for s in batches:
+        z = np.empty(real[s].shape, dtype=complex)
+        z.real = real[s]
+        z.imag = gen.standard_normal(z.shape)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        q *= (diag.conj() / np.abs(diag))[:, None, :]
+        yield q
+
+
+def haar_batches(d: int, n: int, rng):
+    """n Haar-distributed d x d unitaries as an iterator of (k, d, d) stacks,
+    one per ``sub_batches`` slice: the samples of ``sample_haar_unitaries``,
+    bit for bit, with only the (n, d, d) real-part normals held throughout.
     """
     if d < 1:
         raise DimensionError(f"d must be >= 1, got {d}")
-    z = complex_normal(_as_generator(rng), (n, d, d))
-    for s in sub_batches(n, d):
-        q, r = np.linalg.qr(z[s])
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        q *= (diag.conj() / np.abs(diag))[:, None, :]
-        z[s] = q
-    return z
+    return _haar_stream(d, n, _as_generator(rng), np.empty((n, d, d)))
+
+
+def sample_haar_unitaries(d: int, n: int, rng) -> np.ndarray:
+    """Stack of n Haar-distributed d x d unitaries, shape (n, d, d).
+
+    The stream of ``haar_batches`` in one array: the real parts are drawn
+    straight into the result's real part, and each slice's unitaries
+    overwrite it once its real parts have been read.
+    """
+    if d < 1:
+        raise DimensionError(f"d must be >= 1, got {d}")
+    u = np.empty((n, d, d), dtype=complex)
+    for s, q in zip(sub_batches(n, d), _haar_stream(d, n, _as_generator(rng), u.real)):
+        u[s] = q
+    return u
 
 
 def sample_gue_hamiltonians(d: int, n: int, rng) -> np.ndarray:

@@ -17,12 +17,14 @@ Sampling is chunked: chunk i uses the generator derived from
 results are bit-identical for any worker count and a constant offset of the
 samples does not cancel.
 
-Each chunk draws its variates in one go, then runs every stacked d x d step
-over ``linalg.sub_batches`` of WORD_CAP // d^2 samples: the QR of the Haar
-sampler, the GUE eigensolver and the per-sample maps of the Haar-based
-estimators.  A worker then holds one chunk's (CHUNK, d, d) draw and
-temporaries of at most WORD_CAP entries each: about 1.5 draws at peak, the
-draw and its real-part normals.  LAPACK and BLAS work matrix by matrix, so
+Each chunk runs every stacked d x d step over ``linalg.sub_batches`` of
+WORD_CAP // d^2 samples: the QR of the Haar sampler, the GUE eigensolver and
+the per-sample maps of the Haar-based estimators.  Those estimators map each
+slice of ``linalg.haar_batches`` as it is factored, so no chunk-sized
+complex stack exists: a worker holds one chunk's real-part normals, half a
+(CHUNK, d, d) complex stack, and temporaries of at most WORD_CAP entries
+each, about 0.7 stacks at peak at d = 32.  Normal draws taken in pieces give
+the numbers of one large draw, and LAPACK and BLAS work matrix by matrix, so
 the sample streams and every estimate are bit-identical to whole-chunk
 evaluation.
 """
@@ -49,10 +51,10 @@ from .linalg import (
     check_sampled_kind,
     check_state,
     complex_normal,
+    haar_batches,
     partial_trace_env,
     sample_haar_unitaries,
     sample_spectra,
-    sub_batches,
 )
 
 CHUNK = 1024
@@ -144,7 +146,9 @@ class McMoments:
 
 def worker_count(explicit: int | None = None) -> int:
     if explicit is not None:
-        return max(1, explicit)
+        if explicit < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {explicit!r}")
+        return explicit
     env = os.environ.get("HAARMOMENTS_THREADS")
     if not env:
         return min(4, os.cpu_count() or 1)
@@ -282,13 +286,9 @@ def _haar_moments(
     fn, d: int, n: int, rng: RngStream, workers: int | None = None, variance: bool = False
 ) -> McMoments:
     """Moments of fn over n Haar unitaries: fn takes a (k, d, d) stack of
-    unitaries, one sub-batch of a chunk's draw, and returns its k values."""
+    unitaries, one sub-batch of a chunk's stream, and returns its k values."""
     def chunk(gen: np.random.Generator, count: int):
-        u = sample_haar_unitaries(d, count, gen)
-        out = np.empty(count)
-        for s in sub_batches(count, d):
-            out[s] = fn(u[s])
-        return (out,)
+        return (np.concatenate([fn(u) for u in haar_batches(d, count, gen)]),)
 
     return accumulate_chunks(chunk, n, rng, workers=workers, variance=variance)[0]
 
