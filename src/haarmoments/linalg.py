@@ -169,7 +169,8 @@ def sub_batches(n: int, d: int) -> list[slice]:
 
 
 def _haar_stream(d: int, n: int, gen: np.random.Generator, real: np.ndarray):
-    """The one Haar pipeline: yields n unitaries, one ``sub_batches`` slice at a time.
+    """The one Haar pipeline: yields (s, q) for each ``sub_batches`` slice s of
+    range(n), q the slice's (k, d, d) unitaries.
 
     Ginibre matrix -> QR -> column phases fixed by conj(r_jj)/|r_jj|, which
     makes the triangular factor's diagonal positive (plain QR alone is not
@@ -191,7 +192,7 @@ def _haar_stream(d: int, n: int, gen: np.random.Generator, real: np.ndarray):
         q, r = np.linalg.qr(z)
         diag = np.diagonal(r, axis1=-2, axis2=-1)
         q *= (diag.conj() / np.abs(diag))[:, None, :]
-        yield q
+        yield s, q
 
 
 def haar_batches(d: int, n: int, rng):
@@ -201,7 +202,7 @@ def haar_batches(d: int, n: int, rng):
     """
     if d < 1:
         raise DimensionError(f"d must be >= 1, got {d}")
-    return _haar_stream(d, n, _as_generator(rng), np.empty((n, d, d)))
+    return (q for _, q in _haar_stream(d, n, _as_generator(rng), np.empty((n, d, d))))
 
 
 def sample_haar_unitaries(d: int, n: int, rng) -> np.ndarray:
@@ -214,7 +215,7 @@ def sample_haar_unitaries(d: int, n: int, rng) -> np.ndarray:
     if d < 1:
         raise DimensionError(f"d must be >= 1, got {d}")
     u = np.empty((n, d, d), dtype=complex)
-    for s, q in zip(sub_batches(n, d), _haar_stream(d, n, _as_generator(rng), u.real)):
+    for s, q in _haar_stream(d, n, _as_generator(rng), u.real):
         u[s] = q
     return u
 

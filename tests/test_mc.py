@@ -544,7 +544,12 @@ def test_estimators_refuse_bad_shapes_before_drawing(monkeypatch):
         draws.append(("normal", shape))
         return complex_normal(gen, shape)
 
+    def counted_stack(d, n, rng):
+        draws.append(("haar stack", n))
+        return sample_haar_unitaries(d, n, rng)
+
     monkeypatch.setattr(mc, "haar_batches", counted_haar)
+    monkeypatch.setattr(mc, "sample_haar_unitaries", counted_stack)
     monkeypatch.setattr(mc, "complex_normal", counted_normal)
     dims = BipartiteDims(2, 2)
     with pytest.raises(ValueError, match="odd number of operators"):
