@@ -13,11 +13,11 @@ from .linalg import (
     BipartiteDims,
     EnsembleKind,
     RngStream,
+    haar_batches,
     hs_norm_sq,
     partial_trace_env,
     partial_trace_sys,
     sample_gue_hamiltonians,
-    sample_haar_unitaries,
     sample_spectra,
     trace_power,
 )

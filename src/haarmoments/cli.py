@@ -279,13 +279,15 @@ def _run_validate(args) -> int:
 def load_matrix_json(obj) -> np.ndarray:
     """Decode {"dim": n, "entries": [[re, im], ...]} (row-major) to a matrix.
 
-    n must be a JSON integer: a float, a bool or a string is refused, not
-    truncated or converted.
+    n must be a JSON integer and each re, im a JSON number: a float n, and a
+    bool or a string anywhere, is refused, not truncated or converted.
     """
     try:
         dim = obj["dim"]
         entries = obj["entries"]
         if type(dim) is not int or dim < 1 or len(entries) != dim * dim:
+            raise ValueError
+        if any(type(x) not in (int, float) for entry in entries for x in entry):
             raise ValueError
         flat = np.array([complex(re, im) for re, im in entries])
         if not np.isfinite(flat).all():
@@ -293,7 +295,7 @@ def load_matrix_json(obj) -> np.ndarray:
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(
             'matrices must be {"dim": n, "entries": [[re, im], ...]} with an integer n >= 1 '
-            "and n^2 finite entries"
+            "and n^2 finite entries of JSON numbers"
         ) from exc
     return flat.reshape(dim, dim)
 

@@ -19,14 +19,13 @@ samples does not cancel.
 
 Each chunk runs every stacked d x d step over ``linalg.sub_batches`` of
 WORD_CAP // d^2 samples: the QR of the Haar sampler, the GUE eigensolver and
-the per-sample maps of the Haar-based estimators.  Those estimators map each
-slice of ``linalg.haar_batches`` as it is factored, so no chunk-sized
-complex stack exists: a worker holds one chunk's real-part normals, half a
-(CHUNK, d, d) complex stack, and temporaries of at most WORD_CAP entries
-each, about 0.7 stacks at peak at d = 32.  Normal draws taken in pieces give
-the numbers of one large draw, and LAPACK and BLAS work matrix by matrix, so
-the sample streams and every estimate are bit-identical to whole-chunk
-evaluation.
+the per-sample maps of the Haar-based estimators.  ``linalg.haar_batches``
+draws each slice's Ginibre matrices on their own, and those estimators map
+each slice to its values as it is factored, so no chunk-sized complex stack
+exists: a worker holds temporaries of at most WORD_CAP entries each, about
+0.16 stacks at peak at d = 32.  LAPACK and BLAS work matrix by matrix, so
+every estimate is bit-identical to factoring and mapping the chunk's
+Ginibre stack, drawn slice by slice, at once.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .linalg import (
     complex_normal,
     haar_batches,
     partial_trace_env,
-    sample_haar_unitaries,
     sample_spectra,
 )
 
@@ -199,7 +197,8 @@ def word_sizes(d: int) -> tuple[int, int]:
     within GEMM_CAP (for d <= 32; past that one sample's product is above
     it) and a block of WORD_CAP // (s d^2) patterns fills at most WORD_CAP
     entries.  That is at least 8 patterns up to d = 64.  Both depend on d
-    alone.
+    alone, and s is at most one ``sub_batches`` slice, so a chunk's
+    unitaries are one stack of ``haar_batches``.
     """
     samples = max(1, min(CHUNK, GEMM_CAP // d**3, WORD_CAP // (8 * d * d)))
     return samples, max(1, WORD_CAP // (samples * d * d))
@@ -229,6 +228,8 @@ def empirical_moments(
     bit-identical to evaluating its pattern alone.
     """
     mats = [[as_matrix(x, d) for x in xs] for xs in patterns]
+    if not mats:
+        raise ValueError("empirical_moments needs at least one pattern")
     if any(len(xs) % 2 != 1 for xs in mats):
         raise ValueError("each pattern needs an odd number of operators")
 
@@ -249,7 +250,7 @@ def empirical_moments(
     local = threading.local()
 
     def chunk(gen: np.random.Generator, count: int):
-        u = sample_haar_unitaries(d, count, gen)
+        (u,) = haar_batches(d, count, gen)
         uh = u.conj().swapaxes(-1, -2)
         if not hasattr(local, "buffers"):
             local.buffers = np.empty(size, dtype=complex), np.empty(size, dtype=complex)

@@ -35,7 +35,7 @@ from .ensembles import (
     averaged_time_coeffs,
     bessel_j1_over_t,
 )
-from .linalg import BipartiteDims, RngStream, sample_haar_unitaries
+from .linalg import BipartiteDims, RngStream, complex_normal, haar_batches
 from .mc import (
     accumulate_chunks,
     empirical_form_factors,
@@ -57,12 +57,8 @@ class CriterionResult:
         object.__setattr__(self, "passed", bool(self.passed))
 
 
-def _random_complex(gen: np.random.Generator, d: int) -> np.ndarray:
-    return gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
-
-
 def _random_hermitian(gen: np.random.Generator, d: int) -> np.ndarray:
-    a = _random_complex(gen, d)
+    a = complex_normal(gen, (d, d))
     return (a + a.conj().T) / 2
 
 
@@ -82,7 +78,7 @@ def criterion_01_moment_oracle(seed: int, quick: bool) -> CriterionResult:
                 continue
             gen = np.random.default_rng([seed, 101, d, order])
             patterns = [
-                [_random_complex(gen, d) for _ in range(order - 1)]
+                [complex_normal(gen, (d, d)) for _ in range(order - 1)]
                 for _ in range(tuples)
             ]
             estimates = empirical_moments(patterns, d, n, RngStream(seed, 101 * order + d))
@@ -112,7 +108,8 @@ def criterion_02_scalar_moments(seed: int, quick: bool) -> CriterionResult:
         )
 
         def chunk(gen, count, d=d):
-            a2 = np.abs(sample_haar_unitaries(d, count, gen)[:, 0, 0]) ** 2
+            u00 = np.concatenate([u[:, 0, 0] for u in haar_batches(d, count, gen)])
+            a2 = np.abs(u00) ** 2
             return (np.stack([a2, a2**2], axis=1),)
 
         est = accumulate_chunks(chunk, n, RngStream(seed, 200 + d))[0].estimate()
@@ -166,7 +163,7 @@ def criterion_04_t0_identities(seed: int, quick: bool) -> CriterionResult:
         traj = purity_evolution(kind, dims, p0, [0.0])
         worst_p = max(worst_p, abs(traj.values[0] - p0))
     gen = np.random.default_rng([seed, 401])
-    a = _random_complex(gen, 4)
+    a = complex_normal(gen, (4, 4))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     worst_d = float(np.max(np.abs(depolarizing_average(rho, 1.0, 4) - rho)))
@@ -295,7 +292,7 @@ def _representative_estimates(seed: int, n: int, workers) -> str:
     mean_est, var_est = empirical_reduced_norm(
         m, dims, n, RngStream(seed, 1002), workers=workers
     )
-    xs = [_random_complex(gen, 3) for _ in range(3)]
+    xs = [complex_normal(gen, (3, 3)) for _ in range(3)]
     mom = empirical_moments([xs], 3, n, RngStream(seed, 1003), workers=workers)[0]
     pur = empirical_purity(
         dims, EnsembleKind.POISSON, product_state(dims), 1.5, n, RngStream(seed, 1004),

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from haarmoments.linalg import haar_batches
+
 
 @pytest.fixture
 def gen():
@@ -20,3 +22,8 @@ def random_state(gen, d):
     a = random_complex(gen, d)
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def haar_unitaries(d, n, rng):
+    """The n unitaries of ``haar_batches`` as one (n, d, d) stack."""
+    return np.concatenate(list(haar_batches(d, n, rng)))

@@ -38,7 +38,6 @@ from haarmoments.linalg import (
     hs_norm_sq,
     partial_trace_env,
     partial_trace_sys,
-    sample_haar_unitaries,
     sample_spectra,
 )
 from haarmoments.mc import (
@@ -50,7 +49,7 @@ from haarmoments.mc import (
 )
 from haarmoments.weingarten import moment_function
 
-from conftest import random_complex, random_state
+from conftest import haar_unitaries, random_complex, random_state
 
 
 def test_two_state_uniform_identical_states(gen):
@@ -367,7 +366,7 @@ def test_closed_thermal_distance_is_time_independent(gen):
     # U(t) = W e^{-iDt} W^dag commutes with rho_G = W g W^dag, so the distance
     # to the evolved state is the distance to rho0 at every t
     d, beta = 5, 0.9
-    w = sample_haar_unitaries(d, 1, RngStream(57))[0]
+    w = haar_unitaries(d, 1, RngStream(57))[0]
     levels = gen.uniform(-2, 2, size=d)
     g = np.exp(-beta * levels)
     rho_g = (w * (g / g.sum())) @ w.conj().T
@@ -394,7 +393,7 @@ def test_open_thermalization_is_the_average_of_concrete_states(gen):
     for ds, de in ((2, 3), (3, 2)):
         dims = BipartiteDims(ds, de)
         rho0 = random_state(gen, dims.d)
-        w = sample_haar_unitaries(dims.d, 1, RngStream(58, ds))[0]
+        w = haar_unitaries(dims.d, 1, RngStream(58, ds))[0]
         g = np.exp(-0.7 * gen.uniform(-2, 2, size=dims.d))
         rho_g = (w * (g / g.sum())) @ w.conj().T
         params = ThermalizationParams(

@@ -412,6 +412,19 @@ def test_moment_refuses_non_finite_entries(tmp_path, capsys, entry):
         assert not out.exists()
 
 
+def test_moment_refuses_entries_that_are_not_json_numbers(tmp_path, capsys):
+    # true and false would otherwise be read as 1 and 0: this file is the identity
+    pattern = tmp_path / "pattern.json"
+    for entries in (
+        "[[true, false], [false, false], [false, false], [true, false]]",
+        '[[1, 0], [0, "0"], [0, 0], [1, 0]]',
+    ):
+        pattern.write_text('[{"dim": 2, "entries": %s}]' % entries)
+        assert main(["moment", "--pattern", str(pattern), "--d", "2"]) == 2, entries
+        captured = capsys.readouterr()
+        assert "JSON numbers" in captured.err and captured.out == ""
+
+
 def test_moment_refuses_unreadable_pattern_file(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["moment", "--pattern", str(missing), "--d", "2"]) == 2

@@ -10,17 +10,17 @@ from haarmoments.linalg import (
     RngStream,
     as_matrix,
     check_purity,
+    haar_batches,
     hs_norm_sq,
     partial_trace_env,
     partial_trace_sys,
     sample_gue_hamiltonians,
-    sample_haar_unitaries,
     sample_spectra,
     sub_batches,
     trace_power,
 )
 
-from conftest import random_complex, random_hermitian, random_state
+from conftest import haar_unitaries, random_complex, random_hermitian, random_state
 
 
 def test_bipartite_dims():
@@ -104,13 +104,13 @@ def test_partial_trace_of_a_stack(gen):
 def test_hs_norm_values(gen):
     assert hs_norm_sq(np.eye(7)) == 7.0
     assert hs_norm_sq(np.zeros((4, 4))) == 0.0
-    u = sample_haar_unitaries(6, 1, RngStream(5))[0]
+    u = haar_unitaries(6, 1, RngStream(5))[0]
     assert abs(hs_norm_sq(u) - 6.0) < 1e-10
 
 
 def test_hs_norm_unitary_invariance(gen):
     m = random_complex(gen, 5)
-    u = sample_haar_unitaries(5, 1, RngStream(6))[0]
+    u = haar_unitaries(5, 1, RngStream(6))[0]
     base = hs_norm_sq(m)
     assert abs(hs_norm_sq(u @ m @ u.conj().T) - base) <= 1e-10 * base
 
@@ -126,22 +126,30 @@ def test_trace_power():
 
 
 def test_haar_unitarity():
-    u = sample_haar_unitaries(5, 64, RngStream(7))
+    u = haar_unitaries(5, 64, RngStream(7))
     prods = u.conj().swapaxes(-1, -2) @ u
     assert np.max(np.abs(prods - np.eye(5))) <= 1e-10
 
 
 def test_haar_bit_identical_to_ginibre_expression():
-    # the in-place fill gives the bits of A + 1j*B -> QR -> q * phases; the
-    # second n runs over two whole sub-batches and a remainder
-    for d in (1, 2, 3, 4, 8, 16, 32):
-        for n in (40, 2 * (WORD_CAP // (d * d)) + 3):
+    # each sub-batch of k matrices is its own draw A + 1j*B -> QR -> q * phases;
+    # n runs over one sample, part of a sub-batch, one sub-batch and one more,
+    # and two whole sub-batches and a remainder
+    for d in (1, 2, 3, 4, 8, 16, 32, 64):
+        step = max(1, WORD_CAP // (d * d))
+        for n in (1, 40, step + 1, 2 * step + 3):
             gen = np.random.default_rng([81, d])
-            z = gen.standard_normal((n, d, d)) + 1j * gen.standard_normal((n, d, d))
-            q, r = np.linalg.qr(z)
-            diag = np.diagonal(r, axis1=-2, axis2=-1)
-            expect = q * (diag.conj() / np.abs(diag))[:, None, :]
-            assert np.array_equal(sample_haar_unitaries(d, n, np.random.default_rng([81, d])), expect), d
+            expect = []
+            for start in range(0, n, step):
+                k = min(step, n - start)
+                z = gen.standard_normal((k, d, d)) + 1j * gen.standard_normal((k, d, d))
+                q, r = np.linalg.qr(z)
+                diag = np.diagonal(r, axis1=-2, axis2=-1)
+                expect.append(q * (diag.conj() / np.abs(diag))[:, None, :])
+            got = list(haar_batches(d, n, np.random.default_rng([81, d])))
+            assert len(got) == len(expect), (d, n)
+            for a, b in zip(got, expect):
+                assert np.array_equal(a, b), (d, n)
 
 
 def test_sub_batches_cover_the_samples_in_order():
@@ -170,15 +178,15 @@ def test_check_purity_range():
 
 
 def test_haar_reproducible():
-    a = sample_haar_unitaries(3, 10, RngStream(123, 4))
-    b = sample_haar_unitaries(3, 10, RngStream(123, 4))
+    a = haar_unitaries(3, 10, RngStream(123, 4))
+    b = haar_unitaries(3, 10, RngStream(123, 4))
     assert np.array_equal(a, b)
 
 
 def test_haar_first_moments():
     # entries have mean 0 and mean square 1/d
     d, n = 3, 100_000
-    u = sample_haar_unitaries(d, n, RngStream(8))
+    u = haar_unitaries(d, n, RngStream(8))
     e00 = u[:, 0, 0]
     se = e00.std(ddof=1) / np.sqrt(n)
     assert abs(e00.mean()) <= 5 * se
@@ -190,9 +198,9 @@ def test_haar_first_moments():
 def test_haar_left_invariance():
     # entry statistics of V U match those of U for a fixed unitary V
     d, n = 3, 100_000
-    v = sample_haar_unitaries(d, 1, RngStream(9))[0]
-    u = sample_haar_unitaries(d, n, RngStream(10))
-    w = sample_haar_unitaries(d, n, RngStream(11))
+    v = haar_unitaries(d, 1, RngStream(9))[0]
+    u = haar_unitaries(d, n, RngStream(10))
+    w = haar_unitaries(d, n, RngStream(11))
     vu = v @ u
     for stat in (lambda x: x[:, 0, 0].real, lambda x: np.abs(x[:, 0, 0]) ** 2):
         a, b = stat(vu), stat(w)
@@ -277,7 +285,8 @@ def test_sample_spectra_gue_reproducible_and_d1():
 
 
 def test_matrix_samplers_refuse_d0():
-    for sampler in (sample_haar_unitaries, sample_gue_hamiltonians):
+    # haar_batches refuses at the call, not at the first next()
+    for sampler in (haar_batches, sample_gue_hamiltonians):
         with pytest.raises(DimensionError, match="d must be >= 1"):
             sampler(0, 10, RngStream(1))
 

@@ -17,7 +17,6 @@ from haarmoments.linalg import (
     haar_batches,
     hs_norm_sq,
     partial_trace_env,
-    sample_haar_unitaries,
     sample_spectra,
     sub_batches,
 )
@@ -41,7 +40,7 @@ from haarmoments.mc import (
 )
 from haarmoments.weingarten import fourth_moment_closed
 
-from conftest import random_complex, random_hermitian, random_state
+from conftest import haar_unitaries, random_complex, random_hermitian, random_state
 
 
 def test_empirical_moment_zero_matrices():
@@ -68,7 +67,7 @@ def _moments_one_pattern_at_a_time(patterns, d, n, rng, workers):
     mats = [[as_matrix(x) for x in xs] for xs in patterns]
 
     def chunk(gen, count):
-        u = sample_haar_unitaries(d, count, gen)
+        (u,) = haar_batches(d, count, gen)
         uh = u.conj().swapaxes(-1, -2)
         for xs in mats:
             w = u
@@ -121,13 +120,14 @@ def test_word_estimate_independent_of_the_other_patterns(gen):
 def test_word_sizes_keep_the_blas_rule():
     # OpenBLAS threads a GEMM from m n k = 2^16 on (see mc.GEMM_CAP); past
     # d = 32 a single sample's d x d product is already above the cap, so
-    # the chunk holds one sample there
-    for d in range(1, 65):
+    # the chunk holds one sample there.  A chunk also fits in one sub-batch,
+    # so its unitaries are one stack of haar_batches
+    for d in range(1, 129):
         samples, per_block = word_sizes(d)
-        assert samples >= 1
+        assert 1 <= samples <= max(1, WORD_CAP // d**2), d
         assert samples * d**3 <= max(GEMM_CAP, d**3), d
         assert per_block * samples * d * d <= WORD_CAP, d
-        assert per_block >= 8, d
+        assert per_block >= 8 or d > 64, d
 
 
 def test_worker_count_env(monkeypatch):
@@ -250,7 +250,6 @@ def test_empirical_purity_draws_no_haar_unitary(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("empirical_purity must not draw a Haar unitary")
 
-    monkeypatch.setattr(mc, "sample_haar_unitaries", refuse)
     monkeypatch.setattr(mc, "haar_batches", refuse)
     dims = BipartiteDims(2, 4)
     for kind in _PURITY_KINDS:
@@ -287,7 +286,7 @@ def test_empirical_purity_refuses_unsampled_kind_before_drawing(monkeypatch):
 def _purity_dense_w(dims, kind, psi0, t, n, rng):
     # reference: a full Haar W per sample, applied as W e^{-iEt} W^dag psi0
     def chunk(gen, count):
-        w = sample_haar_unitaries(dims.d, count, gen)
+        w = haar_unitaries(dims.d, count, gen)
         phases = np.exp(-1j * sample_spectra(kind, dims.d, count, gen) * t)
         inner = np.einsum("sji,j->si", w.conj(), psi0)
         phi = np.einsum("sij,sj->si", w, phases * inner).reshape(count, dims.d_s, dims.d_e)
@@ -544,16 +543,14 @@ def test_estimators_refuse_bad_shapes_before_drawing(monkeypatch):
         draws.append(("normal", shape))
         return complex_normal(gen, shape)
 
-    def counted_stack(d, n, rng):
-        draws.append(("haar stack", n))
-        return sample_haar_unitaries(d, n, rng)
-
     monkeypatch.setattr(mc, "haar_batches", counted_haar)
-    monkeypatch.setattr(mc, "sample_haar_unitaries", counted_stack)
     monkeypatch.setattr(mc, "complex_normal", counted_normal)
     dims = BipartiteDims(2, 2)
     with pytest.raises(ValueError, match="odd number of operators"):
         empirical_moments([[np.eye(2)] * 3, [np.eye(2)] * 2], 2, 100, RngStream(77))
+    # no pattern: nothing to estimate, so nothing is drawn
+    with pytest.raises(ValueError, match="at least one pattern"):
+        empirical_moments([], 2, 100, RngStream(77))
     with pytest.raises(DimensionError, match="spectrum length"):
         empirical_fixed_spectrum(np.eye(4), dims, np.zeros(3), 1.0, 100, RngStream(77))
     with pytest.raises(DimensionError, match="state vector length"):
@@ -561,13 +558,17 @@ def test_estimators_refuse_bad_shapes_before_drawing(monkeypatch):
     assert draws == []
     empirical_fixed_spectrum(np.eye(4), dims, np.zeros(4), 1.0, 100, RngStream(77))
     empirical_purity(dims, "poi", product_state(dims), 1.0, 100, RngStream(77))
-    assert draws == [("haar", 100), ("normal", (100, 4)), ("normal", (100, 4))]
+    empirical_moments([[np.eye(2)]], 2, 100, RngStream(77))
+    assert draws == [("haar", 100), ("normal", (100, 4)), ("normal", (100, 4)), ("haar", 100)]
 
 
 # Whole-chunk references of the sub-batched kernels: each runs its stacked
-# d x d steps on the chunk's full (count, d, d) stack at once.
+# d x d steps on the chunk's full (count, d, d) stack at once.  The Ginibre
+# matrices are drawn per sub-batch, as haar_batches draws them, and factored
+# together.
 def _haar_whole(d, n, gen):
-    q, r = np.linalg.qr(complex_normal(gen, (n, d, d)))
+    z = np.concatenate([complex_normal(gen, (len(range(n)[s]), d, d)) for s in sub_batches(n, d)])
+    q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (diag.conj() / np.abs(diag))[:, None, :]
     return q
@@ -623,7 +624,7 @@ def test_samplers_bit_identical_to_whole_chunk(d):
     if d in SUB_BATCH_DIMS:
         n = 2 * CHUNK + 5
         assert len(sub_batches(n, d)) > 1 or d == 4
-        haar = sample_haar_unitaries(d, n, RngStream(90, d))
+        haar = haar_unitaries(d, n, RngStream(90, d))
         assert np.array_equal(haar, _haar_whole(d, n, RngStream(90, d).generator()))
         gue = sample_spectra(EnsembleKind.GUE_NUMERIC, d, n, RngStream(91, d))
         assert np.array_equal(gue, _gue_spectra_whole(d, n, RngStream(91, d).generator()))
@@ -632,11 +633,10 @@ def test_samplers_bit_identical_to_whole_chunk(d):
     step = max(1, WORD_CAP // (d * d))
     assert len(sub_batches(step + 1, d)) == 2
     for n in (1, step + 1):
-        haar = sample_haar_unitaries(d, n, RngStream(90, d))
-        assert np.array_equal(haar, _haar_whole(d, n, RngStream(90, d).generator())), (d, n)
         stream = list(haar_batches(d, n, RngStream(90, d)))
         assert [len(u) for u in stream] == [len(range(n)[s]) for s in sub_batches(n, d)]
-        assert np.array_equal(np.concatenate(stream), haar), (d, n)
+        haar = np.concatenate(stream)
+        assert np.array_equal(haar, _haar_whole(d, n, RngStream(90, d).generator())), (d, n)
 
 
 def _estimate_bits(est):
@@ -679,10 +679,8 @@ def test_estimators_bit_identical_to_whole_chunk(kernel, d, monkeypatch):
 
 def test_chunk_working_memory_is_bounded(monkeypatch):
     # traced peak of one d = 32 chunk on one worker, against one (CHUNK, d, d)
-    # complex stack.  The estimators map the Haar stream slice by slice and
-    # hold only its real-part normals, half a stack (0.69-0.72 measured);
-    # sample_haar_unitaries holds its result, one stack, and draws the real
-    # parts into it (1.19 measured)
+    # complex stack.  The estimators draw, factor and map the Haar stream
+    # slice by slice, and hold no chunk-sized array (0.16 measured)
     monkeypatch.setenv("HAARMOMENTS_THREADS", "1")
     d, n, dims = 32, CHUNK, SUB_BATCH_DIMS[32]
     stack = n * d * d * np.dtype(complex).itemsize
@@ -692,7 +690,6 @@ def test_chunk_working_memory_is_bounded(monkeypatch):
     rho0 = random_state(gen, d)
     rng = RngStream(95)
     runs = {
-        "haar": lambda: sample_haar_unitaries(d, n, rng),
         "reduced norm": lambda: empirical_reduced_norm(m, dims, n, rng),
         "fixed spectrum": lambda: empirical_fixed_spectrum(m, dims, levels, 1.3, n, rng),
         "thermal distance": lambda: empirical_thermal_distance(levels, 0.8, rho0, n, rng),
@@ -704,4 +701,4 @@ def test_chunk_working_memory_is_bounded(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (1.25 if name == "haar" else 0.8) * stack, (name, peak / stack)
+        assert peak <= 0.3 * stack, (name, peak / stack)

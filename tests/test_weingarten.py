@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from haarmoments.errors import DimensionError
-from haarmoments.linalg import RngStream, sample_haar_unitaries
+from haarmoments.linalg import RngStream
 from haarmoments.mc import empirical_moments
 from haarmoments.weingarten import (
     _plan,
@@ -21,7 +21,7 @@ from haarmoments.weingarten import (
     weingarten_table,
 )
 
-from conftest import random_complex, random_hermitian
+from conftest import haar_unitaries, random_complex, random_hermitian
 
 
 def compose(p, q):
@@ -220,7 +220,7 @@ def test_u00_moments_against_formula_and_sampling():
     u00 = np.empty(n, dtype=complex)
     chunk = 50_000
     for i in range(n // chunk):
-        u = sample_haar_unitaries(d, chunk, RngStream(55, i))
+        u = haar_unitaries(d, chunk, RngStream(55, i))
         u00[i * chunk : (i + 1) * chunk] = u[:, 0, 0]
     for m, target in ((1, 1 / d), (2, 2 / (d * (d + 1)))):
         vals = np.abs(u00) ** (2 * m)
