@@ -4,11 +4,7 @@ every analytic result."""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DimensionError,
-    HaarMomentsError,
-    NegativeVarianceError,
-)
+from .errors import DimensionError, HaarMomentsError
 from .linalg import (
     BipartiteDims,
     EnsembleKind,

@@ -16,15 +16,16 @@ from .closed_forms import (
     uniform_variance,
 )
 from .ensembles import EnsembleKind, averaged_time_coeffs, bessel_j1_over_t, sinc
-from .errors import DimensionError
 from .linalg import (
     BipartiteDims,
     RngStream,
     as_matrix,
     check_beta,
+    check_dim,
     check_purity,
     check_sampled_kind,
     check_state,
+    check_time,
     sample_spectra,
 )
 from .mc import accumulate_chunks
@@ -72,8 +73,7 @@ def two_state_general(rho, rho_p, dims: BipartiteDims, ff: FormFactorInputs) -> 
 
 def depolarizing_average(rho0, f2: float, d: int) -> np.ndarray:
     """Average evolved state: mixes rho0 with I/d, weights set by |f(t)|^2."""
-    if d < 2:
-        raise DimensionError(f"depolarizing channel needs d >= 2, got {d}")
+    check_dim("d", d, 2)
     rho0 = check_state(as_matrix(rho0, d))
     if not 0.0 <= f2 <= 1.0:
         raise ValueError(f"|f(t)|^2 must lie in [0, 1], got {f2}")
@@ -201,10 +201,11 @@ def equilibration_large_de(
     Poisson decays as c0 (cos t sin t / t)^4, the GUE as c0 (J1(2t)/t)^4,
     with c0 the initial reduced-purity excess over 1/d_S.
     """
-    if d_s < 2:
-        raise DimensionError(f"d_s must be >= 2, got {d_s}")
+    check_dim("d_s", d_s, 2)
     c0 = p_s0 - 1.0 / d_s
     times = np.asarray(times, dtype=float)
+    for t in times:
+        check_time(t)
     if ensemble == EnsembleKind.POISSON:
         values = np.array([c0 * sinc(2.0 * t) ** 4 for t in times])
     elif ensemble == EnsembleKind.GUE_LARGE_D:

@@ -12,18 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeVarianceError
 from .linalg import (
     BipartiteDims,
     as_matrix,
+    check_time,
     hs_norm_sq,
     is_hermitian,
     partial_trace_env,
     partial_trace_sys,
     trace_power,
 )
-
-VARIANCE_BUG_FLOOR = -1e-6
 
 
 @dataclass(frozen=True)
@@ -50,6 +48,7 @@ class TimeCoeffs:
 
 def f_of_t(levels, t: float) -> complex:
     """Normalized Fourier transform of the level density, (1/d) sum exp(-i E t)."""
+    check_time(t)
     e = np.asarray(levels, dtype=float)
     return complex(np.mean(np.exp(-1j * e * t)))
 
@@ -109,18 +108,12 @@ def uniform_variance(m, dims: BipartiteDims) -> float:
 
     Invariant under M -> M + c I, so it is evaluated without cancellation on
     M0 = M - (Tr M / d) I, where Tr M0 = 0 leaves c4 (Tr M0^2)^2 + c5 Tr M0^4.
+    Never negative: c4 > 0 > c5 and Tr M0^4 <= (d^2 - 3d + 3)/(d (d - 1)) (Tr M0^2)^2.
     """
     m = _hermitian(m, dims)
     _, _, _, c4, c5 = variance_coeffs(dims)
     m0 = m - trace_power(m, 1).real / dims.d * np.eye(dims.d)
-    var = c4 * trace_power(m0, 2).real ** 2 + c5 * trace_power(m0, 4).real
-    if var < VARIANCE_BUG_FLOOR:
-        raise NegativeVarianceError(
-            f"variance {var} below noise floor; coefficient formulas corrupted"
-        )
-    if var < 0.0:
-        var = 0.0
-    return var
+    return c4 * trace_power(m0, 2).real ** 2 + c5 * trace_power(m0, 4).real
 
 
 def time_coeffs(ff: FormFactorInputs, dims: BipartiteDims) -> TimeCoeffs:

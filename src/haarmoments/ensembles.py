@@ -42,7 +42,7 @@ import numpy as np
 
 from .closed_forms import FormFactorInputs, TimeCoeffs, time_coeffs
 from .errors import DimensionError
-from .linalg import BipartiteDims, EnsembleKind
+from .linalg import BipartiteDims, EnsembleKind, check_dim, check_time
 from .weingarten import cycles_of
 
 GUE_NUMERIC_MAX_DIM = 16
@@ -162,8 +162,7 @@ def _moment_function(kind: EnsembleKind, d: int, t: float):
     Blocks, traces and h values are cached for the life of the returned
     function, so the moments of one time point share them.
     """
-    if d < 1:
-        raise DimensionError(f"d must be >= 1, got {d}")
+    check_dim("d", d, 1)
     if kind == EnsembleKind.GUE_LARGE_D:
         h = functools.cache(lambda k: d * bessel_j1_over_t(k * t))
         return lambda ks: math.prod(h(abs(k)) for k in ks)
@@ -219,6 +218,7 @@ def averaged_form_factors(ensemble: EnsembleKind, t: float, d: int) -> FormFacto
     POISSON, GUE_NUMERIC and GUE_LARGE_D have them; ``_moment_function``
     refuses any other ensemble with ValueError.
     """
+    check_time(t)
     if ensemble == EnsembleKind.GUE_LARGE_D and d < GUE_NUMERIC_MAX_DIM:
         warnings.warn(f"GUE large-d limit used at small dimension d = {d}", stacklevel=2)
     return _form_factors(ensemble, float(t), d)

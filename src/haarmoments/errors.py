@@ -10,7 +10,3 @@ class HaarMomentsError(Exception):
 
 class DimensionError(HaarMomentsError, ValueError):
     """Mismatched matrix dimensions, or a dimension a formula does not support."""
-
-
-class NegativeVarianceError(HaarMomentsError, ArithmeticError):
-    """A variance formula returned a value below the numerical noise floor."""

@@ -9,6 +9,7 @@ operator ``A`` acts on the full space as ``kron(A, I_E)``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,8 @@ class BipartiteDims:
     d_e: int
 
     def __post_init__(self):
-        if self.d_s < 2 or self.d_e < 2:
-            raise DimensionError(
-                f"bipartite factors must both be >= 2, got ({self.d_s}, {self.d_e})"
-            )
+        check_dim("d_s", self.d_s, 2)
+        check_dim("d_e", self.d_e, 2)
 
     @property
     def d(self) -> int:
@@ -77,6 +76,18 @@ def check_purity(name: str, p: float, dim: int) -> None:
     """A purity of a dim-dimensional state lies in [1/dim, 1], up to rounding."""
     if not 1.0 / dim - 1e-12 <= p <= 1.0 + 1e-12:
         raise ValueError(f"{name} = {p} outside [1/{dim}, 1]")
+
+
+def check_dim(name: str, d: int, low: int) -> None:
+    """A dimension is an integer >= low: a Python or numpy integer, never a bool."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < low:
+        raise DimensionError(f"{name} must be >= {low} and an integer, got {d!r}")
+
+
+def check_time(t: float) -> None:
+    """A time is finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
 
 
 def check_beta(beta: float) -> None:
@@ -189,8 +200,7 @@ def haar_batches(d: int, n: int, rng):
     ``(u,) = haar_batches(d, n, gen)``.  d < 1 is refused at the call,
     before any draw.
     """
-    if d < 1:
-        raise DimensionError(f"d must be >= 1, got {d}")
+    check_dim("d", d, 1)
     gen = _as_generator(rng)
     return (
         _haar_from_ginibre(complex_normal(gen, (s.stop - s.start, d, d)))
@@ -205,8 +215,7 @@ def sample_gue_hamiltonians(d: int, n: int, rng) -> np.ndarray:
     draws GUE levels from a tridiagonal model and never calls this, so checks
     that diagonalize these matrices are independent of it.
     """
-    if d < 1:
-        raise DimensionError(f"d must be >= 1, got {d}")
+    check_dim("d", d, 1)
     a = complex_normal(_as_generator(rng), (n, d, d))
     return (a + a.conj().swapaxes(-1, -2)) / (2.0 * np.sqrt(d))
 
@@ -231,8 +240,7 @@ def sample_spectra(kind: EnsembleKind, d: int, n: int, rng) -> np.ndarray:
     tridiagonal matrices are filled and diagonalized over ``sub_batches``.
     """
     check_sampled_kind(kind)
-    if d < 1:
-        raise DimensionError(f"d must be >= 1, got {d}")
+    check_dim("d", d, 1)
     gen = _as_generator(rng)
     if kind == EnsembleKind.POISSON:
         return gen.uniform(-2.0, 2.0, size=(n, d))

@@ -46,9 +46,11 @@ from .linalg import (
     RngStream,
     as_matrix,
     check_beta,
+    check_dim,
     check_purity,
     check_sampled_kind,
     check_state,
+    check_time,
     complex_normal,
     haar_batches,
     partial_trace_env,
@@ -170,10 +172,10 @@ def accumulate_chunks(
     Each chunk is reduced to McMoments in its worker; the chunks are merged
     in chunk order, so the result is bit-identical for any worker count.
     Returns one McMoments per array, with m3 and m4 only when ``variance``
-    is set.  n < 2 has no standard error and is refused before any chunk runs.
+    is set.  n < 2 (no standard error) or not an integer is refused before any chunk runs.
     """
-    if n < 2:
-        raise ValueError(f"sample count must be >= 2 for a standard error, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"sample count must be >= 2 and an integer, got {n!r}")
     sizes = [chunk_size] * (n // chunk_size)
     if n % chunk_size:
         sizes.append(n % chunk_size)
@@ -227,6 +229,7 @@ def empirical_moments(
     chunk depends on d only, never on the pattern list, so each estimate is
     bit-identical to evaluating its pattern alone.
     """
+    check_dim("d", d, 1)
     mats = [[as_matrix(x, d) for x in xs] for xs in patterns]
     if not mats:
         raise ValueError("empirical_moments needs at least one pattern")
@@ -326,6 +329,7 @@ def empirical_fixed_spectrum(
     e = np.asarray(levels, dtype=float)
     if e.shape != (dims.d,):
         raise DimensionError(f"spectrum length {e.shape} != d = {dims.d}")
+    check_time(t)
     p = np.exp(-1j * e * t)
 
     def norm(w: np.ndarray) -> np.ndarray:
@@ -345,9 +349,10 @@ def empirical_form_factors(
     order, |f(t)|^2, |f(2t)|^2, Re{f(t)^2 f*(2t)} and |f(t)|^4: the field
     order of ``closed_forms.FormFactorInputs``.  Spectra come from
     ``sample_spectra``, so only POISSON and GUE_NUMERIC are sampled; any other
-    kind is refused before a draw.  At t = 0 every sample is exactly 1.
+    kind or a non-finite t is refused before a draw.  At t = 0 every sample is 1.
     """
     check_sampled_kind(kind)
+    check_time(t)
 
     def chunk(gen: np.random.Generator, count: int):
         levels = sample_spectra(kind, d, count, gen)
@@ -427,6 +432,7 @@ def empirical_purity(
     kind = EnsembleKind(kind)
     if kind != EnsembleKind.UNIFORM:
         check_sampled_kind(kind)
+    check_time(t)
     norm = np.linalg.norm(psi0)
     # psi0 = 0 evolves to 0 whatever unit vector stands in for u
     u = psi0 / norm if norm else product_state(dims)

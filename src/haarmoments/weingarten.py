@@ -30,8 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError
-from .linalg import as_matrix
+from .linalg import as_matrix, check_dim
 
 Permutation = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -239,6 +238,7 @@ def moment_function(xs, d: int) -> np.ndarray:
     Each product of a stack is its own d x d GEMM, below the threading
     threshold m n k = 2^16 for d <= 40.
     """
+    check_dim("d", d, 1)
     mats = [as_matrix(x, d) for x in xs]
     if len(mats) % 2 != 1 or not 1 <= len(mats) <= 2 * MAX_HALF_ORDER - 1:
         raise ValueError(
@@ -270,8 +270,7 @@ def moment_function(xs, d: int) -> np.ndarray:
 
 def fourth_moment_closed(x1, x2, x3, d: int) -> np.ndarray:
     """Closed form of the fourth moment average of U X1 U^dag X2 U X3 U^dag."""
-    if d < 2:
-        raise DimensionError(f"fourth moment closed form needs d >= 2, got d={d}")
+    check_dim("d", d, 2)
     x1, x2, x3 = (as_matrix(x, d) for x in (x1, x2, x3))
     t1 = np.trace(x1)
     t3 = np.trace(x3)

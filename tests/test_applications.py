@@ -133,8 +133,10 @@ def test_depolarizing_output_is_state_for_valid_f2(gen):
 def test_depolarizing_guards(gen):
     with pytest.raises(ValueError):
         depolarizing_average(random_state(gen, 3), 1.2, 3)
-    with pytest.raises(DimensionError, match="needs d >= 2"):
+    with pytest.raises(DimensionError, match="d must be >= 2"):
         depolarizing_average(np.ones((1, 1)), 0.5, 1)
+    with pytest.raises(DimensionError, match="d must be >= 2 and an integer"):
+        depolarizing_average(np.eye(2) / 2, 0.5, 2.0)
 
 
 def test_depolarizing_is_the_weingarten_twirl(gen):
@@ -443,6 +445,23 @@ def test_equilibration_large_de_curves():
         equilibration_large_de(EnsembleKind.UNIFORM, 2, 1.0, times)
     with pytest.raises(DimensionError):
         equilibration_large_de(EnsembleKind.POISSON, 1, 1.0, times)
+    with pytest.raises(DimensionError, match="d_s must be >= 2 and an integer"):
+        equilibration_large_de(EnsembleKind.POISSON, 2.0, 1.0, times)
+
+
+def test_curves_refuse_non_finite_times():
+    dims = BipartiteDims(2, 8)
+    params = ThermalizationParams(dims, p_gibbs=0.5)
+    for t in (np.nan, np.inf):
+        times = [0.0, t]
+        for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC, EnsembleKind.GUE_LARGE_D):
+            with pytest.raises(ValueError, match="time must be finite"):
+                purity_evolution(kind, dims, 1.0, times)
+            with pytest.raises(ValueError, match="time must be finite"):
+                open_thermalization(params, kind, times)
+        for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_LARGE_D):
+            with pytest.raises(ValueError, match="time must be finite"):
+                equilibration_large_de(kind, 2, 1.0, times)
 
 
 def test_fit_decay_exponent_pure_power_law():

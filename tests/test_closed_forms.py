@@ -14,7 +14,7 @@ from haarmoments.closed_forms import (
     variance_coeffs,
 )
 from haarmoments.ensembles import EnsembleKind, poisson_form_factors
-from haarmoments.errors import DimensionError, NegativeVarianceError
+from haarmoments.errors import DimensionError
 from haarmoments.linalg import (
     BipartiteDims,
     RngStream,
@@ -34,6 +34,15 @@ def test_f_of_t_basics(gen):
     levels = gen.uniform(-2, 2, size=4)
     ts = np.linspace(0, 20, 1000)
     assert all(abs(f_of_t(levels, t)) <= 1.0 + 1e-12 for t in ts)
+
+
+def test_spectral_functions_refuse_non_finite_times(gen):
+    levels = gen.uniform(-2, 2, size=4)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="time must be finite"):
+            f_of_t(levels, t)
+        with pytest.raises(ValueError, match="time must be finite"):
+            form_factor_inputs(levels, t)
 
 
 def test_form_factor_inputs_concrete(gen):
@@ -103,22 +112,48 @@ def test_closed_forms_refuse_non_hermitian_m(gen, monkeypatch):
                 call()
 
 
-TRACELESS = np.diag([1.0, -1.0, 0.0, 0.0])  # Tr M0^2 = Tr M0^4 = 2
+def _variance_floor(dims):
+    """c4 + c5 x_max, the least Var / (Tr M0^2)^2 over traceless Hermitian M0:
+    c5 < 0 and Tr M0^4 <= x_max (Tr M0^2)^2 with x_max = (d^2 - 3d + 3) / (d (d - 1)),
+    reached at M0 = diag(d - 1, -1, ..., -1).  Asserts c4 > 0 > c5 and a floor
+    of at least 0.154 c4 (exactly 32/207 c4 at (2, 2))."""
+    *_, c4, c5 = cf.variance_coeffs(dims)
+    d = dims.d
+    floor = c4 + c5 * (d * d - 3 * d + 3) / (d * (d - 1))
+    assert c4 > 0 > c5, dims
+    assert floor >= 0.154 * c4, dims
+    return floor
 
 
-def test_negative_variance_guard(monkeypatch):
-    monkeypatch.setattr(
-        cf, "variance_coeffs", lambda dims: (0.0, 0.0, 0.0, -1.0, 0.0)
-    )
-    with pytest.raises(NegativeVarianceError):
-        uniform_variance(TRACELESS, BipartiteDims(2, 2))
+def _check_variance_floor(dims, gen):
+    floor = _variance_floor(dims)
+    d = dims.d
+    extremal = np.diag([d - 1.0] + [-1.0] * (d - 1))  # Tr M0^2 = d (d - 1)
+    assert uniform_variance(extremal, dims) == pytest.approx(floor * (d * (d - 1)) ** 2, rel=1e-12)
+    for m in [random_hermitian(gen, d) for _ in range(10)] + [
+        extremal + 0.1 * random_hermitian(gen, d) for _ in range(10)
+    ]:
+        m0 = m - np.trace(m).real / d * np.eye(d)
+        assert uniform_variance(m, dims) >= floor * hs_norm_sq(m0) ** 2 * (1 - 1e-12), dims
 
 
-def test_variance_clamps_tiny_negative(monkeypatch):
-    monkeypatch.setattr(
-        cf, "variance_coeffs", lambda dims: (0.0, 0.0, 0.0, -1e-9, 0.0)
-    )
-    assert uniform_variance(TRACELESS, BipartiteDims(2, 2)) == 0.0
+def test_uniform_variance_never_below_its_floor(gen):
+    for ds, de in ((2, 2), (2, 3), (3, 3), (4, 8), (8, 16)):
+        _check_variance_floor(BipartiteDims(ds, de), gen)
+    *_, c4, _ = variance_coeffs(BipartiteDims(2, 2))
+    assert _variance_floor(BipartiteDims(2, 2)) / c4 == pytest.approx(32 / 207, rel=1e-12)
+    # the coefficients alone, on a log grid up to d_S = 4096, d_E = 65536
+    for ds in (2, 5, 64, 4096):
+        for de in (2, 7, 256, 65536):
+            _variance_floor(BipartiteDims(ds, de))
+
+
+def test_variance_floor_check_catches_a_corrupted_coefficient(gen, monkeypatch):
+    # c5 scaled by 1.2 at (2, 2): c4 + c5 x_max = 69/350 - 1.2 (2/7)(7/12) = -1/350
+    coeffs = variance_coeffs
+    monkeypatch.setattr(cf, "variance_coeffs", lambda dims: (*coeffs(dims)[:4], 1.2 * coeffs(dims)[4]))
+    with pytest.raises(AssertionError):
+        _check_variance_floor(BipartiteDims(2, 2), gen)
 
 
 def _power_sum_variance(m, dims):

@@ -14,6 +14,7 @@ from haarmoments.ensembles import (
     _gue_grid,
     _hermite_functions,
     _moment_function,
+    averaged_form_factors,
     averaged_time_coeffs,
     bessel_j1_over_t,
     gue_form_factors,
@@ -407,6 +408,15 @@ def test_averaged_time_coeffs_at_zero():
 def test_averaged_time_coeffs_rejects_uniform():
     with pytest.raises(ValueError, match="no spectral moments"):
         averaged_time_coeffs(EnsembleKind.UNIFORM, 1.0, BipartiteDims(2, 2))
+
+
+def test_form_factors_refuse_non_finite_times():
+    for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC, EnsembleKind.GUE_LARGE_D):
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="time must be finite"):
+                averaged_form_factors(kind, t, 8)
+            with pytest.raises(ValueError, match="time must be finite"):
+                averaged_time_coeffs(kind, t, BipartiteDims(2, 4))
 
 
 def test_form_factors_refuse_bad_dimension_and_mode():

@@ -113,6 +113,33 @@ def test_every_module_constant_is_read():
         assert not unread, (path.name, unread)
 
 
+def _raised_names(path: Path) -> set[str]:
+    """Exceptions a source file raises, as ``raise X`` or ``raise X(...)``."""
+    return {
+        ast.unparse(getattr(node.exc, "func", node.exc))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+
+
+def test_every_error_class_is_raised_or_a_base_of_one_that_is():
+    # the promise of the errors module docstring: no exception type lingers
+    # after the last code that raised it is gone
+    tree = ast.parse((SRC / "errors.py").read_text())
+    bases = {
+        node.name: [ast.unparse(b) for b in node.bases]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    live = set().union(*(_raised_names(p) for p in SRC.glob("*.py"))) & set(bases)
+    todo = list(live)
+    while todo:
+        for base in set(bases.get(todo.pop(), ())) & set(bases) - live:
+            live.add(base)
+            todo.append(base)
+    assert live == set(bases), set(bases) - live
+
+
 def test_only_the_sampling_layers_read_sample_spectra():
     # Sampled spectral estimators live in mc, so that one estimator path
     # serves every check; applications keeps gibbs_purity_mc until it moves

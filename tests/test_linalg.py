@@ -9,6 +9,7 @@ from haarmoments.linalg import (
     EnsembleKind,
     RngStream,
     as_matrix,
+    check_dim,
     check_purity,
     haar_batches,
     hs_norm_sq,
@@ -289,6 +290,25 @@ def test_matrix_samplers_refuse_d0():
     for sampler in (haar_batches, sample_gue_hamiltonians):
         with pytest.raises(DimensionError, match="d must be >= 1"):
             sampler(0, 10, RngStream(1))
+
+
+def test_dimensions_are_integers_of_at_least_the_bound():
+    # one rule for every dimension: numpy integers pass, a bool or a float,
+    # integral or not, does not
+    check_dim("d", np.int64(2), 2)
+    assert BipartiteDims(np.int64(2), np.int32(3)).d == 6
+    for bad in (2.0, np.float64(2.0), 2.5, True):
+        with pytest.raises(DimensionError, match="d must be >= 1 and an integer"):
+            check_dim("d", bad, 1)
+        with pytest.raises(DimensionError, match="d_s must be >= 2 and an integer"):
+            BipartiteDims(bad, 2)
+        for sampler in (haar_batches, sample_gue_hamiltonians):
+            with pytest.raises(DimensionError, match="d must be >= 1 and an integer"):
+                sampler(bad, 10, RngStream(1))
+        with pytest.raises(DimensionError, match="d must be >= 1 and an integer"):
+            sample_spectra(EnsembleKind.POISSON, bad, 10, RngStream(1))
+    with pytest.raises(DimensionError, match="d_e must be >= 2 and an integer, got 1"):
+        BipartiteDims(2, 1)
 
 
 def test_sample_spectra_refuses_d0_for_every_kind():

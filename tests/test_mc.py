@@ -441,6 +441,10 @@ def test_accumulate_chunks_refuses_fewer_than_two_samples():
     for n in (0, 1):
         with pytest.raises(ValueError, match=">= 2"):
             accumulate_chunks(chunk, n, RngStream(35))
+    # nor is a count that is not an integer
+    for n in (10.5, 4.0, True):
+        with pytest.raises(ValueError, match="sample count must be >= 2 and an integer"):
+            accumulate_chunks(chunk, n, RngStream(35))
     assert calls == []
     accumulate_chunks(chunk, 2, RngStream(35))
     assert calls == [2]
@@ -543,8 +547,13 @@ def test_estimators_refuse_bad_shapes_before_drawing(monkeypatch):
         draws.append(("normal", shape))
         return complex_normal(gen, shape)
 
+    def counted_spectra(kind, d, n, rng):
+        draws.append(("spectra", n))
+        return sample_spectra(kind, d, n, rng)
+
     monkeypatch.setattr(mc, "haar_batches", counted_haar)
     monkeypatch.setattr(mc, "complex_normal", counted_normal)
+    monkeypatch.setattr(mc, "sample_spectra", counted_spectra)
     dims = BipartiteDims(2, 2)
     with pytest.raises(ValueError, match="odd number of operators"):
         empirical_moments([[np.eye(2)] * 3, [np.eye(2)] * 2], 2, 100, RngStream(77))
@@ -555,11 +564,30 @@ def test_estimators_refuse_bad_shapes_before_drawing(monkeypatch):
         empirical_fixed_spectrum(np.eye(4), dims, np.zeros(3), 1.0, 100, RngStream(77))
     with pytest.raises(DimensionError, match="state vector length"):
         empirical_purity(dims, "poi", np.ones(3), 1.0, 100, RngStream(77))
+    # a dimension or a sample count that is not an integer
+    with pytest.raises(DimensionError, match="d must be >= 1 and an integer"):
+        empirical_moments([[np.eye(2)]], 2.0, 100, RngStream(77))
+    with pytest.raises(ValueError, match="sample count must be >= 2 and an integer"):
+        empirical_moments([[np.eye(2)]], 2, 10.5, RngStream(77))
+    # a time that is not finite
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="time must be finite"):
+            empirical_fixed_spectrum(np.eye(4), dims, np.arange(4.0), t, 3000, RngStream(77))
+        with pytest.raises(ValueError, match="time must be finite"):
+            empirical_purity(dims, "poi", product_state(dims), t, 100, RngStream(77))
+        with pytest.raises(ValueError, match="time must be finite"):
+            empirical_form_factors(EnsembleKind.POISSON, 4, t, 100, RngStream(77))
     assert draws == []
     empirical_fixed_spectrum(np.eye(4), dims, np.zeros(4), 1.0, 100, RngStream(77))
     empirical_purity(dims, "poi", product_state(dims), 1.0, 100, RngStream(77))
     empirical_moments([[np.eye(2)]], 2, 100, RngStream(77))
-    assert draws == [("haar", 100), ("normal", (100, 4)), ("normal", (100, 4)), ("haar", 100)]
+    empirical_form_factors(EnsembleKind.POISSON, 4, 1.0, 100, RngStream(77))
+    assert draws == [
+        ("haar", 100),
+        ("normal", (100, 4)), ("spectra", 100), ("normal", (100, 4)),
+        ("haar", 100),
+        ("spectra", 100),
+    ]
 
 
 # Whole-chunk references of the sub-batched kernels: each runs its stacked

@@ -255,6 +255,12 @@ def test_moment_function_checks_dimensions_first():
         moment_function([np.ones((3, 2))], 3)
     with pytest.raises(DimensionError, match="matrix dim 3 != d = 2"):
         fourth_moment_closed(np.eye(2), np.eye(3), np.eye(2), 2)
+    # a d that is not an integer is refused, even where the operators fit it
+    for d, x in ((2.0, np.eye(2)), (True, np.eye(1))):
+        with pytest.raises(DimensionError, match="d must be >= 1 and an integer"):
+            moment_function([x], d)
+    with pytest.raises(DimensionError, match="d must be >= 2 and an integer"):
+        fourth_moment_closed(*[np.eye(2)] * 3, 2.0)
 
 
 def _reference_moment(xs, d):
