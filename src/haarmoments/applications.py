@@ -22,6 +22,7 @@ from .linalg import (
     as_matrix,
     check_beta,
     check_dim,
+    check_levels,
     check_purity,
     check_sampled_kind,
     check_state,
@@ -119,8 +120,8 @@ def purity_evolution(
         mean, _ = uniform_purity(1.0, dims)
         values = np.full(times.shape, mean)
     else:
-        coeffs = [averaged_time_coeffs(ensemble, t, dims) for t in times]
-        values = np.array([c.ct1 + c.ct2 + (c.ct3 + c.ct4) * p0 for c in coeffs])
+        c = averaged_time_coeffs(ensemble, times, dims)
+        values = c.ct1 + c.ct2 + (c.ct3 + c.ct4) * p0
     return Curve(times=times, values=values)
 
 
@@ -128,10 +129,11 @@ def gibbs_purity(levels, beta: float) -> float | np.ndarray:
     """Purity of the thermal state of the spectrum: Tr e^{-2 b D} / (Tr e^{-b D})^2.
 
     The spectrum runs along the last axis, so a stack of spectra gives an
-    array of purities and a single spectrum a scalar.
+    array of purities and a single spectrum a scalar.  A level that is not
+    finite is refused, as ``check_beta`` refuses a bad beta.
     """
     check_beta(beta)
-    e = np.asarray(levels, dtype=float)
+    e = check_levels(levels)
     w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
     return np.sum(w**2, axis=-1) / np.sum(w, axis=-1) ** 2
 
@@ -180,16 +182,8 @@ def open_thermalization(
     c1, c2 = uniform_coeffs(dims)
     base = c1 * params.p_gibbs + c2 - 2.0 / dims.d_s
     times = np.asarray(times, dtype=float)
-    values = np.empty_like(times)
-    for i, t in enumerate(times):
-        c = averaged_time_coeffs(ensemble, t, dims)
-        values[i] = (
-            base
-            + c.ct1 * params.p_rho0
-            + c.ct2
-            + c.ct3 * params.p_s0
-            + c.ct4 * params.p_e0
-        )
+    c = averaged_time_coeffs(ensemble, times, dims)
+    values = base + c.ct1 * params.p_rho0 + c.ct2 + c.ct3 * params.p_s0 + c.ct4 * params.p_e0
     return Curve(times=times, values=values)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import (
     BipartiteDims,
     as_matrix,
+    check_levels,
     check_time,
     hs_norm_sq,
     is_hermitian,
@@ -29,7 +30,8 @@ class FormFactorInputs:
     """The four spectral functions the time coefficients consume.
 
     For a concrete spectrum f4 == f2**2; for ensemble-averaged inputs the
-    fourth moment is an independent quantity.
+    fourth moment is an independent quantity.  Each field is a float at one
+    time, or an array over a time grid.
     """
 
     f2: float  # |f(t)|^2
@@ -40,6 +42,8 @@ class FormFactorInputs:
 
 @dataclass(frozen=True)
 class TimeCoeffs:
+    """Floats at one time, or arrays over a time grid, as their FormFactorInputs."""
+
     ct1: float
     ct2: float
     ct3: float
@@ -47,14 +51,16 @@ class TimeCoeffs:
 
 
 def f_of_t(levels, t: float) -> complex:
-    """Normalized Fourier transform of the level density, (1/d) sum exp(-i E t)."""
+    """Normalized Fourier transform of the level density, (1/d) sum exp(-i E t).
+
+    A time or a level that is not finite is refused.
+    """
     check_time(t)
-    e = np.asarray(levels, dtype=float)
-    return complex(np.mean(np.exp(-1j * e * t)))
+    return complex(np.mean(np.exp(-1j * check_levels(levels) * t)))
 
 
 def form_factor_inputs(levels, t: float) -> FormFactorInputs:
-    """FormFactorInputs of a concrete spectrum at time t."""
+    """FormFactorInputs of a concrete spectrum at time t, by ``f_of_t``."""
     f = f_of_t(levels, t)
     f2t = f_of_t(levels, 2.0 * t)
     f2 = abs(f) ** 2

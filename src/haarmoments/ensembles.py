@@ -19,10 +19,16 @@ at the summed multiplier k_B:
 The sum is compiled once per tuple k into integer-coefficient terms: for
 POISSON keyed by |pi| and the sorted |k_B| (sinc is even), for the GUE as
 monomials in cycle traces keyed up to rotation.  Three identities leave two
-blocks to build per time point, G(t) and G(2t), and at most |c| - 2 matrix
+blocks to build per time, G(t) and G(2t), and at most |c| - 2 matrix
 products per trace: G(0) = I, so zero multipliers drop out of a key;
 G(-tau) = conj G(tau), as the phi_k are real, so a negated key gives the
 conjugate trace; G is symmetric, so a trace's last factor enters elementwise.
+
+Every function is evaluated on a whole time grid at once: the GUE blocks
+G(k t) of all its times come from one ``_gue_blocks`` call, and each trace
+is taken once per key over the stacked blocks.  POISSON and GUE_LARGE_D
+take their sinc and h values time by time, so a grid gives the same bits as
+its times one at a time.
 
 Both GUE flavours share the <|H_ij|^2> = 1/d normalization, so every
 ensemble lives on the spectral span [-2, 2].  ``EnsembleKind`` and the
@@ -33,6 +39,7 @@ them without this module.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import functools
 import itertools
 import math
@@ -42,7 +49,7 @@ import numpy as np
 
 from .closed_forms import FormFactorInputs, TimeCoeffs, time_coeffs
 from .errors import DimensionError
-from .linalg import BipartiteDims, EnsembleKind, check_dim, check_time
+from .linalg import WORD_CAP, BipartiteDims, EnsembleKind, check_dim, check_time
 from .weingarten import cycles_of
 
 GUE_NUMERIC_MAX_DIM = 16
@@ -74,8 +81,8 @@ def _gue_window(d: int) -> float:
     return 2.0 + 12.0 / math.sqrt(d)
 
 
-def _gue_grid(d: int, tau: float) -> tuple[np.ndarray, float]:
-    """Uniform abscissae E = h j covering the window, and the step h.
+def _gue_step(d: int, tau):
+    """Trapezoidal step of the GUE block integrals at |tau|, elementwise on an array.
 
     The integrands phi_k phi_l exp(-i E tau) are entire and decay like a
     Gaussian, so the trapezoidal rule converges geometrically once the
@@ -83,7 +90,12 @@ def _gue_grid(d: int, tau: float) -> tuple[np.ndarray, float]:
     2d from the highest pair of Hermite functions and 12 sqrt(d) for the tails
     (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
     """
-    step = 2.0 * math.pi / (abs(tau) + 2.0 * d + 12.0 * math.sqrt(d))
+    return 2.0 * math.pi / (np.abs(tau) + 2.0 * d + 12.0 * math.sqrt(d))
+
+
+def _gue_grid(d: int, tau: float) -> tuple[np.ndarray, float]:
+    """Uniform abscissae E = h j covering the window, and the step h of ``_gue_step``."""
+    step = _gue_step(d, tau)
     j = math.ceil(_gue_window(d) / step)
     return step * np.arange(-j, j + 1), step
 
@@ -107,18 +119,55 @@ def _hermite_functions(e: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _gue_block(tau: float, d: int) -> np.ndarray:
-    """G(tau)_kl = int phi_k(E) phi_l(E) exp(-i E tau) dE; G(0) is exactly I_d.
+def _gue_blocks(taus, d: int) -> np.ndarray:
+    """G(tau)_kl = int phi_k(E) phi_l(E) exp(-i E tau) dE for each tau of an
+    array, shape (*taus.shape, d, d); G(0) is exactly I_d.
+
+    phi_k has the parity of k and the grid of ``_gue_grid`` is symmetric
+    about E = 0, so the nodes E and -E pair up: G_kl is the cos transform,
+    real, for k + l even and -i times the sin transform for k + l odd, each
+    summed over the nodes E >= 0 with weight 2h (h at E = 0).
+
+    The taus are taken in order of |tau| and cut into slices whose (tau,
+    node) phase array holds at most WORD_CAP entries, or one tau whose own
+    grid is larger.  A slice shares one grid, whose step ``_gue_step`` sets
+    by its largest |tau|, and one ``_hermite_functions`` evaluation.  Its
+    largest temporary holds d/2 real entries per phase entry, at most d/2
+    WORD_CAP unless one tau's grid alone is longer, so a long grid takes no
+    more memory than its largest tau would alone.
 
     The products here and in ``_moment_function`` use einsum's own loops: at
     d <= 16 BLAS is no faster, and not calling it keeps its kernels out of
     the resident memory of a process that needs no other BLAS call.
     """
-    if tau == 0.0:
-        return np.eye(d, dtype=complex)
-    e, step = _gue_grid(d, tau)
-    phi = _hermite_functions(e, d)
-    return np.einsum("kn,ln->kl", phi, step * np.exp(-1j * tau * e) * phi)
+    taus = np.asarray(taus, dtype=float)
+    flat = taus.ravel()
+    out = np.empty((flat.size, d, d), dtype=complex)
+    out[flat == 0.0] = np.eye(d)
+    order = np.argsort(np.abs(flat), kind="stable")
+    order = order[flat[order] != 0.0]
+    nodes = np.ceil(_gue_window(d) / _gue_step(d, flat[order])) + 1.0
+    start = 0
+    while start < order.size:
+        # n taus from start hold n times the nodes of the last: True, then False
+        fits = np.arange(1, order.size - start + 1) * nodes[start:] <= WORD_CAP
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        idx = order[start:stop]
+        e, step = _gue_grid(d, flat[idx[-1]])
+        e = e[e.size // 2 :]
+        phi = _hermite_functions(e, d)
+        even, odd = phi[0::2], phi[1::2]
+        phase = np.multiply.outer(flat[idx], e)
+        weight = np.where(e > 0.0, 2.0 * step, step)
+        cos, sin = weight * np.cos(phase), weight * np.sin(phase)
+        g = np.empty((idx.size, d, d), dtype=complex)
+        g[:, 0::2, 0::2] = np.einsum("tkn,ln->tkl", cos[:, None, :] * even, even)
+        g[:, 1::2, 1::2] = np.einsum("tkn,ln->tkl", cos[:, None, :] * odd, odd)
+        g[:, 0::2, 1::2] = -1j * np.einsum("tkn,ln->tkl", sin[:, None, :] * even, odd)
+        g[:, 1::2, 0::2] = g[:, 0::2, 1::2].swapaxes(-1, -2)
+        out[idx] = g
+        start = stop
+    return out.reshape(*taus.shape, d, d)
 
 
 def _set_partitions(items: list) -> list:
@@ -156,18 +205,27 @@ def _expansion(kind: EnsembleKind, ks: tuple[int, ...]) -> tuple:
     return tuple((key, c) for key, c in terms.items() if c)
 
 
-def _moment_function(kind: EnsembleKind, d: int, t: float):
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn of each element of x, as an array of x's shape."""
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _moment_function(kind: EnsembleKind, d: int, t):
     """ks -> E[prod_a S(k_a t)] by the compiled expansion of the module docstring.
 
-    Blocks, traces and h values are cached for the life of the returned
-    function, so the moments of one time point share them.
+    t is one time or an array of times, and each moment an array of t's
+    shape.  Blocks, traces and h values are cached for the life of the
+    returned function, so the moments of one time grid share them.  A moment
+    whose expansion needs a multiplier k > 0 not yet built builds G(k t) for
+    every such k in one ``_gue_blocks`` call.
     """
     check_dim("d", d, 1)
+    t = np.asarray(t, dtype=float)
     if kind == EnsembleKind.GUE_LARGE_D:
-        h = functools.cache(lambda k: d * bessel_j1_over_t(k * t))
+        h = functools.cache(lambda k: d * _elementwise(bessel_j1_over_t, k * t))
         return lambda ks: math.prod(h(abs(k)) for k in ks)
     if kind == EnsembleKind.POISSON:
-        s = functools.cache(lambda k: sinc(2.0 * k * t))
+        s = functools.cache(lambda k: _elementwise(sinc, 2.0 * k * t))
         return lambda ks: sum(
             c * math.perm(d, n) * math.prod(map(s, sums))
             for (n, sums), c in _expansion(kind, tuple(ks))
@@ -176,10 +234,10 @@ def _moment_function(kind: EnsembleKind, d: int, t: float):
         raise ValueError(f"no spectral moments for ensemble {kind}")
     if d > GUE_NUMERIC_MAX_DIM:
         raise DimensionError(f"GUE_NUMERIC needs d <= {GUE_NUMERIC_MAX_DIM}, got {d}")
+    blocks = {}  # k > 0 -> G(k t), stacked over the times
 
-    @functools.cache
     def block(k):
-        return _gue_block(k * t, d) if k > 0 else block(-k).conj()
+        return blocks[k] if k > 0 else blocks[-k].conj()
 
     @functools.cache
     def trace(key):
@@ -187,41 +245,58 @@ def _moment_function(kind: EnsembleKind, d: int, t: float):
         if flipped < key:
             return trace(flipped).conjugate()
         if len(key) < 2:
-            return np.trace(block(key[0])) if key else d
-        head = functools.reduce(lambda a, b: np.einsum("ij,jk->ik", a, b), map(block, key[:-1]))
-        return np.einsum("ij,ij->", head, block(key[-1]))  # G symmetric
+            return np.einsum("...ii->...", block(key[0])) if key else d
+        head = functools.reduce(
+            lambda a, b: np.einsum("...ij,...jk->...ik", a, b), map(block, key[:-1])
+        )
+        return np.einsum("...ij,...ij->...", head, block(key[-1]))  # G symmetric
 
-    return lambda ks: complex(
-        sum(c * math.prod(map(trace, key)) for key, c in _expansion(kind, tuple(ks)))
-    )
+    def moment(ks):
+        terms = _expansion(kind, tuple(ks))
+        new = sorted({abs(k) for keys, _ in terms for key in keys for k in key} - blocks.keys())
+        if new:
+            blocks.update(zip(new, _gue_blocks(np.multiply.outer(new, t), d)))
+        return sum(c * math.prod(map(trace, keys)) for keys, c in terms)
+
+    return moment
 
 
 @functools.cache
-def _form_factors(kind: EnsembleKind, t: float, d: int) -> FormFactorInputs:
-    """The four spectral functions at time t as normalized moments of S.
+def _form_factors(kind: EnsembleKind, times: tuple[float, ...], d: int) -> FormFactorInputs:
+    """The four spectral functions on a time grid as normalized moments of S,
+    each a read-only array over the times.
 
-    Cached on (kind, t, d), so curves that differ only in the initial state
-    share one evaluation.
+    Cached on (kind, times, d), so curves that differ only in the initial
+    state share one evaluation.  |f(t)|^4 comes first: its expansion needs
+    both G(t) and G(2t), so one ``_gue_blocks`` call builds every block.
     """
-    moment = _moment_function(kind, d, t)
-    return FormFactorInputs(
-        f2=moment((1, -1)).real / d**2,
-        f2_2t=moment((2, -2)).real / d**2,
-        re_f2fc2t=moment((1, 1, -2)).real / d**3,
-        f4=moment((1, 1, -1, -1)).real / d**4,
-    )
+    moment = _moment_function(kind, d, np.array(times))
+    f4 = moment((1, 1, -1, -1)).real / d**4
+    f2 = moment((1, -1)).real / d**2
+    f2_2t = moment((2, -2)).real / d**2
+    re_f2fc2t = moment((1, 1, -2)).real / d**3
+    for a in (f2, f2_2t, re_f2fc2t, f4):
+        a.flags.writeable = False
+    return FormFactorInputs(f2=f2, f2_2t=f2_2t, re_f2fc2t=re_f2fc2t, f4=f4)
 
 
-def averaged_form_factors(ensemble: EnsembleKind, t: float, d: int) -> FormFactorInputs:
-    """The ensemble's averaged spectral functions at time t.
+def averaged_form_factors(ensemble: EnsembleKind, t, d: int) -> FormFactorInputs:
+    """The ensemble's averaged spectral functions at time t: floats for one
+    time, arrays of its shape for an array of times, evaluated as one grid.
 
     POISSON, GUE_NUMERIC and GUE_LARGE_D have them; ``_moment_function``
     refuses any other ensemble with ValueError.
     """
-    check_time(t)
+    times = np.asarray(t, dtype=float)
+    for x in times.flat:
+        check_time(x)
     if ensemble == EnsembleKind.GUE_LARGE_D and d < GUE_NUMERIC_MAX_DIM:
         warnings.warn(f"GUE large-d limit used at small dimension d = {d}", stacklevel=2)
-    return _form_factors(ensemble, float(t), d)
+    ff = _form_factors(ensemble, tuple(times.ravel().tolist()), d)
+    values = [getattr(ff, f.name) for f in dataclasses.fields(ff)]
+    if times.ndim == 0:
+        return FormFactorInputs(*(float(v[0]) for v in values))
+    return FormFactorInputs(*(v.reshape(times.shape) for v in values))
 
 
 def poisson_form_factors(t: float, d: int) -> FormFactorInputs:

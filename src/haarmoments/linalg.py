@@ -19,8 +19,9 @@ from .errors import DimensionError
 HERMITIAN_RTOL = 1e-12
 STATE_PSD_TOL = 1e-9
 # complex entries in one working stack (512 KiB): stacked d x d steps run on
-# at most WORD_CAP // d^2 matrices at a time, and the word kernel of ``mc``
-# sizes its two buffers by it
+# at most WORD_CAP // d^2 matrices at a time, the word kernel of ``mc``
+# sizes its two buffers by it, and the GUE blocks of ``ensembles`` cut their
+# (time, node) phase arrays by it
 WORD_CAP = 2**15
 
 
@@ -88,6 +89,15 @@ def check_time(t: float) -> None:
     """A time is finite."""
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
+
+
+def check_levels(levels) -> np.ndarray:
+    """Energy levels are finite reals; returns them as a float array."""
+    e = np.asarray(levels, dtype=float)
+    finite = np.isfinite(e)
+    if not finite.all():
+        raise ValueError(f"energy levels must be finite, got {e[~finite][0]}")
+    return e
 
 
 def check_beta(beta: float) -> None:

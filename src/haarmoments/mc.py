@@ -47,6 +47,7 @@ from .linalg import (
     as_matrix,
     check_beta,
     check_dim,
+    check_levels,
     check_purity,
     check_sampled_kind,
     check_state,
@@ -145,10 +146,12 @@ class McMoments:
 
 
 def worker_count(explicit: int | None = None) -> int:
+    """Worker threads: an explicit count, a Python or numpy integer >= 1 and
+    never a bool, else ``HAARMOMENTS_THREADS``, else min(4, cpu_count)."""
     if explicit is not None:
-        if explicit < 1:
+        if isinstance(explicit, bool) or not isinstance(explicit, (int, np.integer)) or explicit < 1:
             raise ValueError(f"workers must be an integer >= 1, got {explicit!r}")
-        return explicit
+        return int(explicit)
     env = os.environ.get("HAARMOMENTS_THREADS")
     if not env:
         return min(4, os.cpu_count() or 1)
@@ -326,7 +329,7 @@ def empirical_fixed_spectrum(
 ) -> McEstimate:
     """Mean of ||Tr_E{W e^{-iDt} W^dag M W e^{iDt} W^dag}||^2 over Haar W."""
     m = as_matrix(m, dims.d)
-    e = np.asarray(levels, dtype=float)
+    e = check_levels(levels)
     if e.shape != (dims.d,):
         raise DimensionError(f"spectrum length {e.shape} != d = {dims.d}")
     check_time(t)
@@ -469,11 +472,11 @@ def empirical_thermal_distance(
     rho_G = W g W^dag, with g the Gibbs weights of the levels.  No time is
     taken: U(t) = W e^{-iDt} W^dag commutes with rho_G, so by the unitary
     invariance of the Hilbert-Schmidt norm ||rho_G - U rho0 U^dag||^2 =
-    ||rho_G - rho0||^2 at every t.  beta that is not finite and >= 0, or a
-    rho0 that is not a d x d density matrix, is refused before any sample is
-    drawn.
+    ||rho_G - rho0||^2 at every t.  A level or beta that is not finite, a
+    negative beta, or a rho0 that is not a d x d density matrix, is refused
+    before any sample is drawn.
     """
-    e = np.asarray(levels, dtype=float)
+    e = check_levels(levels)
     d = e.size
     check_beta(beta)
     rho0 = check_state(as_matrix(rho0, d))

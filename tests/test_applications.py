@@ -285,6 +285,14 @@ def test_gibbs_purity_refuses_non_finite_beta():
             gibbs_purity([-1.0, 1.0], beta)
 
 
+def test_gibbs_purity_refuses_non_finite_levels():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="energy levels must be finite"):
+            gibbs_purity([0.0, 1.0, bad, 2.0], 1.0)
+        with pytest.raises(ValueError, match="energy levels must be finite"):
+            gibbs_purity([[0.0, 1.0], [bad, 2.0]], 1.0)
+
+
 def test_gibbs_purity_mc_beta_zero():
     assert gibbs_purity_mc(EnsembleKind.POISSON, 4, 0.0, 100, RngStream(50)) == (
         0.25,

@@ -1,8 +1,11 @@
 import argparse
 import csv
 import json
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,21 +288,25 @@ def test_figure_purity_compare(tmp_path):
 
 
 def test_figure_purity_compare_builds_two_blocks_per_time(tmp_path, monkeypatch):
-    # The pure and mixed columns share one form-factor evaluation, and a time
-    # point builds only G(t) and G(2t): G(-tau) is the conjugate of G(tau).
+    # The pure and mixed columns share one form-factor evaluation, which
+    # builds G(t) and G(2t) for every time of the grid in one call: never
+    # G(-tau), the conjugate of G(tau), and never a block per time point.
     calls = []
-    build = ensembles._gue_block
+    build = ensembles._gue_blocks
 
-    def counted(tau, d):
-        calls.append((tau, d))
-        return build(tau, d)
+    def counted(taus, d):
+        calls.append((np.array(taus), d))
+        return build(taus, d)
 
-    monkeypatch.setattr(ensembles, "_gue_block", counted)
+    monkeypatch.setattr(ensembles, "_gue_blocks", counted)
     ensembles._form_factors.cache_clear()
     out = tmp_path / "pc.csv"
     assert main(["figure", "purity-compare", "--nt", "3", "--out", str(out)]) == 0
-    assert 0 < len(calls) <= 2 * 3
-    assert {d for _, d in calls} == {16}
+    assert len(calls) == 1
+    ((taus, d),) = calls
+    assert d == 16
+    times = np.linspace(0.0, 15.0, 3)
+    assert np.array_equal(taus, np.multiply.outer([1, 2], times))
 
 
 def test_figure_gibbs_d(tmp_path):
@@ -480,3 +487,39 @@ def test_validate_quick_exit_code_matches_report(tmp_path):
     assert [c["name"] for c in saved["criteria"]] == [
         c["name"] for c in report["criteria"]
     ]
+
+
+def test_one_process_runs_like_separate_processes(tmp_path, monkeypatch, capsys):
+    # main() reuses one parser and the form-factor caches across calls, so a
+    # sequence of calls in one process matches one process per call
+    runs = [
+        ["figure", "purity-compare", "--nt", "3", "--out", "a.csv"],
+        ["validate", "--quick"],
+        ["figure", "purity-compare", "--nt", "3", "--out", "b.csv"],
+        ["figure", "c1-of-t", "--nt", "3", "--t1", "2", "--out", "c.csv"],
+    ]
+    one, separate = tmp_path / "one", tmp_path / "separate"
+    one.mkdir()
+    separate.mkdir()
+    monkeypatch.chdir(one)
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for argv, (code, out) in zip(runs, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "haarmoments", *argv],
+            cwd=separate, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+    assert in_process[1][0] == 1  # criterion 08, red by design
+    for name in ("a.csv", "b.csv", "c.csv"):
+        assert (one / name).read_bytes() == (separate / name).read_bytes(), name
+        metas = [json.loads((d / f"{name}.meta.json").read_text()) for d in (one, separate)]
+        for meta in metas:
+            meta.pop("wall_time_s")
+        assert metas[0] == metas[1], name
+    assert (one / "a.csv").read_bytes() == (one / "b.csv").read_bytes()

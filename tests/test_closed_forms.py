@@ -27,6 +27,15 @@ from haarmoments.mc import empirical_fixed_spectrum, empirical_reduced_norm
 from conftest import random_hermitian, random_state
 
 
+def test_spectral_functions_refuse_non_finite_levels():
+    # exp(-i inf t) would warn and give NaN; the level is refused instead
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="energy levels must be finite"):
+            form_factor_inputs([0.0, 1.0, bad, 2.0], 0.5)
+        with pytest.raises(ValueError, match="energy levels must be finite"):
+            f_of_t([bad], 0.0)
+
+
 def test_f_of_t_basics(gen):
     assert f_of_t(np.zeros(5), 1.23) == 1.0
     for t in (0.0, 0.4, 2.0):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from haarmoments.ensembles import (
     EnsembleKind,
     _expansion,
-    _gue_block,
+    _form_factors,
+    _gue_blocks,
     _gue_grid,
     _hermite_functions,
     _moment_function,
@@ -182,7 +184,7 @@ def _brute_force_moment(kind, d, t, ks):
     # E[prod_a S(k_a t)] summed term by term: every set partition of the
     # factors and, for the GUE, every permutation of its blocks, with each
     # block G(tau) built directly, negative tau and tau = 0 included.
-    block = functools.cache(lambda tau: _gue_block(tau, d))
+    block = functools.cache(lambda tau: _gue_blocks(tau, d))
     total = 0j
     for partition in _set_partitions(list(ks)):
         taus = [sum(b) * t for b in partition]
@@ -325,9 +327,15 @@ def _jacobi_blocks(d, times):
 def test_gue_block_against_jacobi_matrix():
     times = [0.1, 0.7, 2.0, 5.0, 12.0, 30.0]
     for d in (2, 4, 8, 16):
-        for t, ref in zip(times, _jacobi_blocks(d, times)):
-            assert np.max(np.abs(_gue_block(t, d) - ref)) <= 1e-13, (d, t)
-        assert np.array_equal(_gue_block(0.0, d), np.eye(d))
+        refs = _jacobi_blocks(d, times)
+        # one at a time, and as one grid that also holds tau = 0 and -tau
+        grid = _gue_blocks([0.0, *times, *(-t for t in times)], d)
+        assert np.array_equal(grid[0], np.eye(d))
+        for i, (t, ref) in enumerate(zip(times, refs)):
+            assert np.max(np.abs(_gue_blocks(t, d) - ref)) <= 1e-13, (d, t)
+            assert np.max(np.abs(grid[1 + i] - ref)) <= 1e-13, (d, t)
+            assert np.max(np.abs(grid[1 + len(times) + i] - ref.conj())) <= 1e-13, (d, t)
+        assert np.array_equal(_gue_blocks(0.0, d), np.eye(d))
 
 
 def test_gue_block_step_halving():
@@ -338,7 +346,79 @@ def test_gue_block_step_halving():
             fine = (step / 2) * np.arange(-2 * j, 2 * j + 1)
             phi = _hermite_functions(fine, d)
             halved = phi @ (step / 2 * np.exp(-1j * t * fine) * phi).T
-            assert np.max(np.abs(_gue_block(t, d) - halved)) <= 1e-13, (d, t)
+            assert np.max(np.abs(_gue_blocks(t, d) - halved)) <= 1e-13, (d, t)
+
+
+def _fields(ff):
+    return [getattr(ff, f.name) for f in dataclasses.fields(ff)]
+
+
+_GRIDS = [
+    np.linspace(0.0, 15.0, 301),
+    np.array([3.0, -0.5, 0.0, 1e-3, 250.0, 3.0, 40.0]),
+    np.linspace(0.0, 2000.0, 41),
+]
+
+
+def test_a_time_alone_and_inside_a_grid_agree():
+    # a grid shares one Hermite evaluation per slice of its times, on a step
+    # set by the slice's largest time; a time alone has its own grid
+    cases = [(EnsembleKind.GUE_NUMERIC, d) for d in (1, 2, 8, 16)]
+    cases += [(EnsembleKind.POISSON, 16), (EnsembleKind.GUE_LARGE_D, 64)]
+    for kind, d in cases:
+        dims = BipartiteDims(2, max(2, d // 2))
+        for times in _GRIDS:
+            grid = _fields(averaged_form_factors(kind, times, d))
+            c1 = averaged_time_coeffs(kind, times, dims).ct1
+            for i, t in enumerate(times):
+                alone = _fields(averaged_form_factors(kind, float(t), d))
+                got = [v[i] for v in grid]
+                if kind == EnsembleKind.GUE_NUMERIC:
+                    # Re f(t)^2 f*(2t) changes sign and c1(0) = 0, so near
+                    # their zeros the bound is absolute, at rounding level
+                    assert np.allclose(got, alone, rtol=1e-12, atol=1e-15), (kind, d, t)
+                    ref = averaged_time_coeffs(kind, float(t), dims).ct1
+                    assert c1[i] == pytest.approx(ref, rel=1e-12, abs=1e-15), (kind, d, t)
+                else:  # scalar sinc and h values: the same bits
+                    assert got == alone, (kind, d, t)
+
+
+def test_grid_is_exactly_one_at_t0():
+    for kind, d in ((EnsembleKind.GUE_NUMERIC, 4), (EnsembleKind.GUE_NUMERIC, 16),
+                    (EnsembleKind.POISSON, 8), (EnsembleKind.GUE_LARGE_D, 32)):
+        for times in _GRIDS[:2]:
+            ff = averaged_form_factors(kind, times, d)
+            for v in _fields(ff):
+                assert v.shape == times.shape
+                assert np.all(v[times == 0.0] == 1.0), (kind, d)
+            assert not ff.f2.flags.writeable  # shared by the cache
+
+
+def _per_tau_block(tau, d):
+    # a block on its own grid, built alone: the route the grid route replaced
+    e, step = _gue_grid(d, tau)
+    phi = _hermite_functions(e, d)
+    return np.einsum("kn,ln->kl", phi, step * np.exp(-1j * tau * e) * phi)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_grid_holds_no_more_memory_than_one_time_at_a_time():
+    # The per-time route peaks on the largest block of a grid, G(2 t_max);
+    # the grid route slices its (tau, node) phase array, so it may hold the
+    # stacked blocks on top of that but never a whole grid's phases.
+    d, times = 16, np.linspace(0.0, 1e4, 301)
+    _form_factors.cache_clear()
+    per_tau = _traced_peak(lambda: _per_tau_block(2.0 * times[-1], d))
+    grid = _traced_peak(lambda: averaged_form_factors(EnsembleKind.GUE_NUMERIC, times, d))
+    assert grid <= 1.5 * per_tau, (grid, per_tau)
 
 
 def test_gue_numeric_against_sampled_spectra():

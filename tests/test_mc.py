@@ -172,6 +172,49 @@ def test_explicit_worker_count_below_one_is_refused_before_drawing(monkeypatch):
         chunks.clear()
 
 
+def test_explicit_worker_count_must_be_an_integer(monkeypatch):
+    for bad in (1.5, 2.0, True, False, "2"):
+        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {bad!r}"):
+            worker_count(bad)
+    assert worker_count(np.int64(2)) == 2 and type(worker_count(np.int64(2))) is int
+    chunks = []
+
+    def counted(self, *subkeys):
+        chunks.append(subkeys)
+        return np.random.default_rng([self.seed, self.stream, *subkeys])
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    dims, rng = BipartiteDims(2, 2), RngStream(78)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            empirical_purity(dims, "uniform", product_state(dims), 1.0, 100, rng, workers=bad)
+    assert chunks == []
+    est = empirical_purity(dims, "uniform", product_state(dims), 1.0, 100, rng, workers=np.int64(2))
+    assert chunks == [(0,)]
+    assert est == empirical_purity(dims, "uniform", product_state(dims), 1.0, 100, rng, workers=1)
+
+
+def test_non_finite_levels_are_refused_before_drawing(monkeypatch):
+    draws = []
+
+    def counted(d, n, rng):
+        draws.append(n)
+        return haar_batches(d, n, rng)
+
+    monkeypatch.setattr(mc, "haar_batches", counted)
+    dims = BipartiteDims(2, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        levels = [0.0, 1.0, bad, 2.0]
+        with pytest.raises(ValueError, match="energy levels must be finite"):
+            empirical_thermal_distance(levels, 1.0, np.eye(4) / 4, 100, RngStream(79))
+        with pytest.raises(ValueError, match="energy levels must be finite"):
+            empirical_fixed_spectrum(np.eye(4), dims, levels, 1.0, 100, RngStream(79))
+    assert draws == []
+    empirical_thermal_distance([0.0, 1.0, 1.5, 2.0], 1.0, np.eye(4) / 4, 100, RngStream(79))
+    empirical_fixed_spectrum(np.eye(4), dims, [0.0, 1.0, 1.5, 2.0], 1.0, 100, RngStream(79))
+    assert draws == [100, 100]
+
+
 def test_empirical_reduced_norm_identity_input():
     dims = BipartiteDims(2, 3)
     mean_est, var_est = empirical_reduced_norm(np.eye(6), dims, 4096, RngStream(2))
