@@ -164,6 +164,7 @@ def gibbs_purity_mc(
 
 def closed_thermalization(p_gibbs: float, p0: float, d: int) -> float:
     """Time-independent mean squared distance to the Gibbs state (closed system)."""
+    check_dim("d", d, 1)
     check_purity("p_gibbs", p_gibbs, d)
     check_purity("p0", p0, d)
     return p_gibbs + p0 - 2.0 / d
@@ -196,14 +197,15 @@ def equilibration_large_de(
     with c0 the initial reduced-purity excess over 1/d_S.
     """
     check_dim("d_s", d_s, 2)
+    check_purity("p_s0", p_s0, d_s)
     c0 = p_s0 - 1.0 / d_s
     times = np.asarray(times, dtype=float)
     for t in times:
         check_time(t)
     if ensemble == EnsembleKind.POISSON:
-        values = np.array([c0 * sinc(2.0 * t) ** 4 for t in times])
+        values = c0 * sinc(2.0 * times) ** 4
     elif ensemble == EnsembleKind.GUE_LARGE_D:
-        values = np.array([c0 * bessel_j1_over_t(t) ** 4 for t in times])
+        values = c0 * bessel_j1_over_t(times) ** 4
     else:
         raise ValueError(f"no large-d_E limit curve for ensemble {ensemble}")
     return Curve(times=times, values=values)

@@ -24,11 +24,9 @@ products per trace: G(0) = I, so zero multipliers drop out of a key;
 G(-tau) = conj G(tau), as the phi_k are real, so a negated key gives the
 conjugate trace; G is symmetric, so a trace's last factor enters elementwise.
 
-Every function is evaluated on a whole time grid at once: the GUE blocks
-G(k t) of all its times come from one ``_gue_blocks`` call, and each trace
-is taken once per key over the stacked blocks.  POISSON and GUE_LARGE_D
-take their sinc and h values time by time, so a grid gives the same bits as
-its times one at a time.
+Every function takes a whole time grid at once: the GUE blocks G(k t) of
+all its times come from one ``_gue_blocks`` call, each trace is taken once
+per key over the stacked blocks, and sinc and h take the grid as an array.
 
 Both GUE flavours share the <|H_ij|^2> = 1/d normalization, so every
 ensemble lives on the spectral span [-2, 2].  ``EnsembleKind`` and the
@@ -55,24 +53,37 @@ from .weingarten import cycles_of
 GUE_NUMERIC_MAX_DIM = 16
 
 
-def sinc(x: float) -> float:
-    """sin(x)/x with the limit value 1 at x = 0."""
-    return math.sin(x) / x if x else 1.0
+def sinc(x):
+    """sin(x)/x, 1 at x = 0: a float for a scalar x, else an array of its shape."""
+    x = np.asarray(x, dtype=float)
+    return np.divide(np.sin(x), x, out=np.ones(x.shape), where=x != 0.0)[()]
 
 
-def bessel_j1_over_t(t: float) -> float:
-    """h(t) = J1(2t)/t = (2/pi) int_0^pi sin^2(theta) cos(2t cos theta) dtheta.
+def bessel_j1_over_t(t):
+    """h(t) = J1(2t)/t = (2/pi) int_0^pi sin^2(theta) cos(2t cos theta) dtheta:
+    a float for a scalar t, else an array of its shape.
 
     The integrand is smooth, even and 2 pi-periodic, so the trapezoidal rule
     converges geometrically once the panel count n exceeds the bandwidth 2|t|
     (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).  The end points, where
-    sin^2 vanishes, carry no weight.
+    sin^2 vanishes, carry no weight.  Each t takes n = 2 ceil|t| + 32 panels,
+    so its bits are the same alone as inside an array: the times of one n are
+    summed together, a row each, in (time, node) pieces of at most WORD_CAP.
     """
-    if t == 0.0:
-        return 1.0
-    n = 2 * math.ceil(abs(t)) + 32
-    theta = np.pi / n * np.arange(1, n)
-    return float(2.0 / n * np.sum(np.sin(theta) ** 2 * np.cos(2.0 * t * np.cos(theta))))
+    t = np.asarray(t, dtype=float)
+    flat, out = t.ravel(), np.ones(t.size)
+    nonzero = np.flatnonzero(flat)
+    panels = 2.0 * np.ceil(np.abs(flat[nonzero])) + 32.0  # exact: no int64 to wrap
+    for n in map(int, sorted(set(panels.tolist()))):
+        rows, per = nonzero[panels == n], max(1, WORD_CAP // n)
+        for piece in (rows[i : i + per] for i in range(0, rows.size, per)):
+            total = -0.0  # the exact identity of +, so one node piece keeps every bit
+            for j in range(1, n, WORD_CAP):
+                theta = np.pi / n * np.arange(j, min(j + WORD_CAP, n))
+                cos = np.cos(2.0 * flat[piece, None] * np.cos(theta))
+                total = total + np.sum(np.sin(theta) ** 2 * cos, axis=-1)
+            out[piece] = 2.0 / n * total
+    return out.reshape(t.shape)[()]
 
 
 def _gue_window(d: int) -> float:
@@ -91,13 +102,6 @@ def _gue_step(d: int, tau):
     (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
     """
     return 2.0 * math.pi / (np.abs(tau) + 2.0 * d + 12.0 * math.sqrt(d))
-
-
-def _gue_grid(d: int, tau: float) -> tuple[np.ndarray, float]:
-    """Uniform abscissae E = h j covering the window, and the step h of ``_gue_step``."""
-    step = _gue_step(d, tau)
-    j = math.ceil(_gue_window(d) / step)
-    return step * np.arange(-j, j + 1), step
 
 
 def _hermite_functions(e: np.ndarray, d: int) -> np.ndarray:
@@ -123,18 +127,20 @@ def _gue_blocks(taus, d: int) -> np.ndarray:
     """G(tau)_kl = int phi_k(E) phi_l(E) exp(-i E tau) dE for each tau of an
     array, shape (*taus.shape, d, d); G(0) is exactly I_d.
 
-    phi_k has the parity of k and the grid of ``_gue_grid`` is symmetric
-    about E = 0, so the nodes E and -E pair up: G_kl is the cos transform,
-    real, for k + l even and -i times the sin transform for k + l odd, each
-    summed over the nodes E >= 0 with weight 2h (h at E = 0).
+    The abscissae are E = h j, uniform and symmetric about E = 0, covering
+    the window with the step h of ``_gue_step``.  phi_k has the parity of k,
+    so the nodes E and -E pair up: G_kl is the cos transform, real, for
+    k + l even and -i times the sin transform for k + l odd, each summed over
+    the nodes E >= 0 with weight 2h (h at E = 0).
 
     The taus are taken in order of |tau| and cut into slices whose (tau,
     node) phase array holds at most WORD_CAP entries, or one tau whose own
-    grid is larger.  A slice shares one grid, whose step ``_gue_step`` sets
-    by its largest |tau|, and one ``_hermite_functions`` evaluation.  Its
-    largest temporary holds d/2 real entries per phase entry, at most d/2
-    WORD_CAP unless one tau's grid alone is longer, so a long grid takes no
-    more memory than its largest tau would alone.
+    grid is larger.  A slice shares one grid, whose step is set by its
+    largest |tau|, and one ``_hermite_functions`` evaluation.  A tau alone
+    with more than WORD_CAP nodes sums them in pieces of WORD_CAP, each with
+    its own Hermite values (the recurrence runs node by node).  The largest
+    temporary holds d/2 real entries per phase entry, at most d/2 WORD_CAP,
+    so neither a long grid nor a long time takes more memory.
 
     The products here and in ``_moment_function`` use einsum's own loops: at
     d <= 16 BLAS is no faster, and not calling it keeps its kernels out of
@@ -146,24 +152,26 @@ def _gue_blocks(taus, d: int) -> np.ndarray:
     out[flat == 0.0] = np.eye(d)
     order = np.argsort(np.abs(flat), kind="stable")
     order = order[flat[order] != 0.0]
-    nodes = np.ceil(_gue_window(d) / _gue_step(d, flat[order])) + 1.0
+    steps = _gue_step(d, flat[order])
+    nodes = np.ceil(_gue_window(d) / steps) + 1.0  # E >= 0
     start = 0
     while start < order.size:
         # n taus from start hold n times the nodes of the last: True, then False
         fits = np.arange(1, order.size - start + 1) * nodes[start:] <= WORD_CAP
         stop = start + max(1, int(np.count_nonzero(fits)))
-        idx = order[start:stop]
-        e, step = _gue_grid(d, flat[idx[-1]])
-        e = e[e.size // 2 :]
-        phi = _hermite_functions(e, d)
-        even, odd = phi[0::2], phi[1::2]
-        phase = np.multiply.outer(flat[idx], e)
-        weight = np.where(e > 0.0, 2.0 * step, step)
-        cos, sin = weight * np.cos(phase), weight * np.sin(phase)
-        g = np.empty((idx.size, d, d), dtype=complex)
-        g[:, 0::2, 0::2] = np.einsum("tkn,ln->tkl", cos[:, None, :] * even, even)
-        g[:, 1::2, 1::2] = np.einsum("tkn,ln->tkl", cos[:, None, :] * odd, odd)
-        g[:, 0::2, 1::2] = -1j * np.einsum("tkn,ln->tkl", sin[:, None, :] * even, odd)
+        idx, step, n = order[start:stop], steps[stop - 1], int(nodes[stop - 1])
+        # -0.0 is the exact identity of +, so a one-piece sum keeps every bit
+        g = np.full((idx.size, d, d), complex(-0.0, -0.0))
+        for j in range(0, n, WORD_CAP):  # one piece unless one tau has more nodes
+            e = step * np.arange(j, min(j + WORD_CAP, n))
+            phi = _hermite_functions(e, d)
+            even, odd = phi[0::2], phi[1::2]
+            phase = np.multiply.outer(flat[idx], e)
+            weight = np.where(e > 0.0, 2.0 * step, step)
+            cos, sin = weight * np.cos(phase), weight * np.sin(phase)
+            g[:, 0::2, 0::2] += np.einsum("tkn,ln->tkl", cos[:, None, :] * even, even)
+            g[:, 1::2, 1::2] += np.einsum("tkn,ln->tkl", cos[:, None, :] * odd, odd)
+            g[:, 0::2, 1::2] += -1j * np.einsum("tkn,ln->tkl", sin[:, None, :] * even, odd)
         g[:, 1::2, 0::2] = g[:, 0::2, 1::2].swapaxes(-1, -2)
         out[idx] = g
         start = stop
@@ -205,11 +213,6 @@ def _expansion(kind: EnsembleKind, ks: tuple[int, ...]) -> tuple:
     return tuple((key, c) for key, c in terms.items() if c)
 
 
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """fn of each element of x, as an array of x's shape."""
-    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 def _moment_function(kind: EnsembleKind, d: int, t):
     """ks -> E[prod_a S(k_a t)] by the compiled expansion of the module docstring.
 
@@ -217,15 +220,15 @@ def _moment_function(kind: EnsembleKind, d: int, t):
     shape.  Blocks, traces and h values are cached for the life of the
     returned function, so the moments of one time grid share them.  A moment
     whose expansion needs a multiplier k > 0 not yet built builds G(k t) for
-    every such k in one ``_gue_blocks`` call.
+    every such k in one ``_gue_blocks`` call.  ``averaged_form_factors``
+    checks d.
     """
-    check_dim("d", d, 1)
     t = np.asarray(t, dtype=float)
     if kind == EnsembleKind.GUE_LARGE_D:
-        h = functools.cache(lambda k: d * _elementwise(bessel_j1_over_t, k * t))
+        h = functools.cache(lambda k: d * bessel_j1_over_t(k * t))
         return lambda ks: math.prod(h(abs(k)) for k in ks)
     if kind == EnsembleKind.POISSON:
-        s = functools.cache(lambda k: _elementwise(sinc, 2.0 * k * t))
+        s = functools.cache(lambda k: sinc(2.0 * k * t))
         return lambda ks: sum(
             c * math.perm(d, n) * math.prod(map(s, sums))
             for (n, sums), c in _expansion(kind, tuple(ks))
@@ -290,6 +293,7 @@ def averaged_form_factors(ensemble: EnsembleKind, t, d: int) -> FormFactorInputs
     times = np.asarray(t, dtype=float)
     for x in times.flat:
         check_time(x)
+    check_dim("d", d, 1)
     if ensemble == EnsembleKind.GUE_LARGE_D and d < GUE_NUMERIC_MAX_DIM:
         warnings.warn(f"GUE large-d limit used at small dimension d = {d}", stacklevel=2)
     ff = _form_factors(ensemble, tuple(times.ravel().tolist()), d)

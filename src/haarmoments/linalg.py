@@ -92,8 +92,11 @@ def check_time(t: float) -> None:
 
 
 def check_levels(levels) -> np.ndarray:
-    """Energy levels are finite reals; returns them as a float array."""
+    """Energy levels are finite reals, at least one per spectrum (the last
+    axis); returns them as a float array."""
     e = np.asarray(levels, dtype=float)
+    if e.shape[-1:] == (0,):
+        raise ValueError("a spectrum needs at least one energy level")
     finite = np.isfinite(e)
     if not finite.all():
         raise ValueError(f"energy levels must be finite, got {e[~finite][0]}")

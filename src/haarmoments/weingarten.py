@@ -197,17 +197,28 @@ def _wg_matrix(m: int, d: int) -> np.ndarray:
     return wg
 
 
-@lru_cache(maxsize=None)
+# typed: True and 2.0 equal 1 and 2 as keys, and would skip the check
+@lru_cache(maxsize=None, typed=True)
 def weingarten_table(m: int, d: int) -> dict[Partition, float]:
-    """Wg values for every conjugacy class of S_m at dimension d."""
+    """Wg values for every conjugacy class of S_m at dimension d, an integer >= 1."""
+    check_dim("d", d, 1)
     row = _wg_matrix(m, d)[0]
     return {conjugacy_class_of(p): float(w) for p, w in zip(_plan(m).perms, row)}
 
 
 def weingarten(sigma_class: Partition, d: int) -> float:
-    """Weingarten function of a conjugacy class (cycle type) at dimension d."""
-    m = sum(sigma_class)
-    return weingarten_table(m, d)[sigma_class]
+    """Weingarten function of a conjugacy class (cycle type) at dimension d.
+
+    The class is a partition of m, weakly decreasing positive integers;
+    anything else is refused with ValueError.
+    """
+    parts = tuple(sigma_class)
+    positive = all(
+        isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1 for k in parts
+    )
+    if not (parts and positive and list(parts) == sorted(parts, reverse=True)):
+        raise ValueError(f"a class is weakly decreasing positive integers, got {sigma_class!r}")
+    return weingarten_table(sum(parts), d)[parts]
 
 
 def _levels(ops: np.ndarray, steps: tuple[Step, ...]):

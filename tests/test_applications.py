@@ -19,6 +19,7 @@ from haarmoments.applications import (
     uniform_purity,
 )
 from haarmoments.closed_forms import (
+    f_of_t,
     form_factor_inputs,
     general_average,
     time_coeffs,
@@ -285,6 +286,17 @@ def test_gibbs_purity_refuses_non_finite_beta():
             gibbs_purity([-1.0, 1.0], beta)
 
 
+def test_spectra_with_no_level_are_refused():
+    # refused up front, not answered with NaN or numpy's zero-size error
+    for levels in ([], np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="at least one energy level"):
+            gibbs_purity(levels, 1.0)
+        with pytest.raises(ValueError, match="at least one energy level"):
+            f_of_t(levels, 1.0)
+        with pytest.raises(ValueError, match="at least one energy level"):
+            form_factor_inputs(levels, 1.0)
+
+
 def test_gibbs_purity_refuses_non_finite_levels():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="energy levels must be finite"):
@@ -358,6 +370,9 @@ def test_closed_thermalization_values():
     assert closed_thermalization(0.4, 1.0, 4) == pytest.approx(0.9, rel=1e-14)
     with pytest.raises(ValueError):
         closed_thermalization(0.1, 1.0, 4)
+    for d in (0, 2.5, True):
+        with pytest.raises(DimensionError, match="d must be >= 1 and an integer"):
+            closed_thermalization(0.5, 0.5, d)
 
 
 def test_closed_thermalization_time_independent_mc(gen):
@@ -455,6 +470,10 @@ def test_equilibration_large_de_curves():
         equilibration_large_de(EnsembleKind.POISSON, 1, 1.0, times)
     with pytest.raises(DimensionError, match="d_s must be >= 2 and an integer"):
         equilibration_large_de(EnsembleKind.POISSON, 2.0, 1.0, times)
+    for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_LARGE_D):
+        for p_s0 in (5.0, 0.4):  # a purity of a qubit lies in [1/2, 1]
+            with pytest.raises(ValueError, match="p_s0 = .* outside"):
+                equilibration_large_de(kind, 2, p_s0, times)
 
 
 def test_curves_refuse_non_finite_times():

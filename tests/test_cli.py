@@ -523,3 +523,23 @@ def test_one_process_runs_like_separate_processes(tmp_path, monkeypatch, capsys)
             meta.pop("wall_time_s")
         assert metas[0] == metas[1], name
     assert (one / "a.csv").read_bytes() == (one / "b.csv").read_bytes()
+
+
+def test_spectral_figures_leave_numpy_ma_unimported(tmp_path):
+    # np.unique, say, imports numpy.ma on its first call (about 11 ms), which
+    # would land in every fresh-process spectral figure; none may load it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from haarmoments.cli import main\n"
+        "for name in ('c1-of-t', 'purity-compare', 'equilibration'):\n"
+        "    assert main(['figure', name, '--out', name + '.csv']) == 0, name\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, src],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"

@@ -13,7 +13,8 @@ from haarmoments.ensembles import (
     _expansion,
     _form_factors,
     _gue_blocks,
-    _gue_grid,
+    _gue_step,
+    _gue_window,
     _hermite_functions,
     _moment_function,
     averaged_form_factors,
@@ -24,7 +25,13 @@ from haarmoments.ensembles import (
     sinc,
 )
 from haarmoments.errors import DimensionError
-from haarmoments.linalg import BipartiteDims, RngStream, sample_gue_hamiltonians, sample_spectra
+from haarmoments.linalg import (
+    WORD_CAP,
+    BipartiteDims,
+    RngStream,
+    sample_gue_hamiltonians,
+    sample_spectra,
+)
 from haarmoments.mc import empirical_form_factors
 from haarmoments.weingarten import cycles_of
 
@@ -85,6 +92,23 @@ def test_bessel_j1_over_t_node_doubling():
         theta = np.pi / n * np.arange(1, n)
         doubled = 2.0 / n * np.sum(np.sin(theta) ** 2 * np.cos(2.0 * t * np.cos(theta)))
         assert abs(bessel_j1_over_t(t) - doubled) <= 1e-13, t
+
+
+def test_sinc_and_h_arrays_match_the_scalar_formulas():
+    # the per-time formulas the array route replaced, bit for bit: each time
+    # keeps its panel count n = 2 ceil|t| + 32, inside a grid of any shape
+    def h_alone(t):
+        n = 2 * math.ceil(abs(t)) + 32
+        theta = np.pi / n * np.arange(1, n)
+        return 2.0 / n * np.sum(np.sin(theta) ** 2 * np.cos(2.0 * t * np.cos(theta)))
+
+    times = np.concatenate([np.linspace(-50.0, 50.0, 1001), [0.0, 1e-9, 1234.5, 9999.9]])
+    h = bessel_j1_over_t(times.reshape(5, 201))
+    assert h.shape == (5, 201)
+    assert h.ravel().tolist() == [h_alone(t) if t else 1.0 for t in times.tolist()]
+    x = np.concatenate([2.0 * times, 4.0 * times])
+    assert sinc(x).tolist() == [math.sin(v) / v if v else 1.0 for v in x.tolist()]
+    assert isinstance(sinc(0.5), float) and isinstance(bessel_j1_over_t(0.5), float)
 
 
 def test_bessel_j1_over_t_limit():
@@ -155,11 +179,18 @@ def test_poisson_bounds_invariants():
             assert 0.0 <= ff.f4 <= 1.0
 
 
+def _full_grid(d, tau):
+    # the abscissae E = h j of ``_gue_blocks`` at tau, both signs, and the step h
+    step = _gue_step(d, tau)
+    j = math.ceil(_gue_window(d) / step)
+    return step * np.arange(-j, j + 1), step
+
+
 def test_gue_level_density_normalization():
     # the Hermite functions are orthonormal on the trapezoidal grid, so the
     # level density R1 = sum_k phi_k^2 integrates to d
     for d in (1, 4, 16, 64):
-        e, step = _gue_grid(d, 0.0)
+        e, step = _full_grid(d, 0.0)
         phi = _hermite_functions(e, d)
         assert np.max(np.abs(step * phi @ phi.T - np.eye(d))) <= 1e-12, d
 
@@ -341,7 +372,7 @@ def test_gue_block_against_jacobi_matrix():
 def test_gue_block_step_halving():
     for d in (2, 8, 16):
         for t in (100.0, 200.0):
-            e, step = _gue_grid(d, t)
+            e, step = _full_grid(d, t)
             j = len(e) // 2
             fine = (step / 2) * np.arange(-2 * j, 2 * j + 1)
             phi = _hermite_functions(fine, d)
@@ -396,7 +427,7 @@ def test_grid_is_exactly_one_at_t0():
 
 def _per_tau_block(tau, d):
     # a block on its own grid, built alone: the route the grid route replaced
-    e, step = _gue_grid(d, tau)
+    e, step = _full_grid(d, tau)
     phi = _hermite_functions(e, d)
     return np.einsum("kn,ln->kl", phi, step * np.exp(-1j * tau * e) * phi)
 
@@ -419,6 +450,33 @@ def test_long_grid_holds_no_more_memory_than_one_time_at_a_time():
     per_tau = _traced_peak(lambda: _per_tau_block(2.0 * times[-1], d))
     grid = _traced_peak(lambda: averaged_form_factors(EnsembleKind.GUE_NUMERIC, times, d))
     assert grid <= 1.5 * per_tau, (grid, per_tau)
+
+
+def test_a_long_time_holds_bounded_memory():
+    # one time's nodes are summed in pieces of at most WORD_CAP, so the peak
+    # does not grow with t: whole-grid sums here take 122 and 255 MiB
+    for kind, d in ((EnsembleKind.GUE_LARGE_D, 64), (EnsembleKind.GUE_NUMERIC, 2)):
+        _form_factors.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            peak = _traced_peak(lambda: averaged_form_factors(kind, 1e6, d))
+        assert peak <= 8 * 2**20, (kind, peak)
+
+
+def test_a_time_past_the_cap_agrees_with_one_piece():
+    # just past WORD_CAP nodes: the pieces' sum against one whole-grid sum
+    for t in (16_400.0, -20_000.5):
+        n = 2 * math.ceil(abs(t)) + 32
+        assert n - 1 > WORD_CAP
+        theta = np.pi / n * np.arange(1, n)
+        whole = 2.0 / n * np.sum(np.sin(theta) ** 2 * np.cos(2.0 * t * np.cos(theta)))
+        assert abs(bessel_j1_over_t(t) - whole) <= 1e-13, t
+        assert bessel_j1_over_t(np.array([1.0, t]))[1] == bessel_j1_over_t(t)
+    for d, tau in ((2, 2e4), (4, -3e4)):
+        e, _ = _full_grid(d, tau)
+        assert e.size // 2 + 1 > WORD_CAP
+        got = _gue_blocks(tau, d)
+        assert np.max(np.abs(got - _per_tau_block(tau, d))) <= 1e-13, (d, tau)
 
 
 def test_gue_numeric_against_sampled_spectra():
@@ -502,6 +560,11 @@ def test_form_factors_refuse_non_finite_times():
 def test_form_factors_refuse_bad_dimension_and_mode():
     with pytest.raises(DimensionError, match="d must be >= 1"):
         poisson_form_factors(1.0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # d is refused before the small-d warning
+        for d in (0, True, 32.0):
+            with pytest.raises(DimensionError, match="d must be >= 1 and an integer"):
+                averaged_form_factors(EnsembleKind.GUE_LARGE_D, 1.0, d)
     with pytest.raises(ValueError, match="expects a GUE mode"):
         gue_form_factors(1.0, 4, EnsembleKind.POISSON)
 

@@ -138,6 +138,28 @@ def test_weingarten_refuses_orders_beyond_the_plans():
         weingarten((6,), 3)
 
 
+@pytest.mark.parametrize(
+    "fn, args, error, match",
+    [
+        (weingarten_table, (2, 0), DimensionError, "d must be >= 1"),
+        (weingarten, ((1, 1), -2), DimensionError, "d must be >= 1"),
+        (weingarten, ((1, 1), 1.5), DimensionError, "an integer"),
+        (weingarten, ((1, 1), True), DimensionError, "an integer"),
+        (weingarten, ((1, 2), 3), ValueError, "weakly decreasing"),
+        (weingarten, ((2, 0), 3), ValueError, "weakly decreasing"),
+        (weingarten, ((), 3), ValueError, "weakly decreasing"),
+        (weingarten, ((1.0, 1), 3), ValueError, "weakly decreasing"),
+    ],
+    ids=["table-d0", "d-2", "d1.5", "dTrue", "class12", "class20", "class-empty", "class-float"],
+)
+def test_weingarten_refuses_bad_dimensions_and_classes(fn, args, error, match):
+    # d is an integer >= 1 and a class weakly decreasing positive integers;
+    # anything else is refused, never answered or a bare KeyError
+    weingarten_table(2, 1)  # a cached d = 1 table must not answer d = True
+    with pytest.raises(error, match=match):
+        fn(*args)
+
+
 def test_second_moment():
     out = moment_function([np.diag([2.0, 3.0])], 2)
     assert np.allclose(out, 2.5 * np.eye(2), atol=1e-14)
