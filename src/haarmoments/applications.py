@@ -200,8 +200,7 @@ def equilibration_large_de(
     check_purity("p_s0", p_s0, d_s)
     c0 = p_s0 - 1.0 / d_s
     times = np.asarray(times, dtype=float)
-    for t in times:
-        check_time(t)
+    check_time(times)
     if ensemble == EnsembleKind.POISSON:
         values = c0 * sinc(2.0 * times) ** 4
     elif ensemble == EnsembleKind.GUE_LARGE_D:

@@ -16,17 +16,14 @@ at the summed multiplier k_B:
 - GUE_LARGE_D, the factorized large-d limit: prod_a d h(k_a t), with the
   semicircle transform h(t) = J1(2t)/t.
 
-The sum is compiled once per tuple k into integer-coefficient terms: for
-POISSON keyed by |pi| and the sorted |k_B| (sinc is even), for the GUE as
-monomials in cycle traces keyed up to rotation.  Three identities leave two
-blocks to build per time, G(t) and G(2t), and at most |c| - 2 matrix
-products per trace: G(0) = I, so zero multipliers drop out of a key;
-G(-tau) = conj G(tau), as the phi_k are real, so a negated key gives the
-conjugate trace; G is symmetric, so a trace's last factor enters elementwise.
-
-Every function takes a whole time grid at once: the GUE blocks G(k t) of
-all its times come from one ``_gue_blocks`` call, each trace is taken once
-per key over the stacked blocks, and sinc and h take the grid as an array.
+The four functions compile once per kind into one table of integer-weighted
+factor products: sinc(2kt) keyed by |pi| and the sorted |k_B| (sinc is even),
+h(kt), or cycle traces keyed up to rotation.  Three identities leave two
+blocks per time, G(t) and G(2t), and two block products, G(t) G(t) and
+G(t) conj G(t): G(0) = I, so zero multipliers drop out of a key;
+G(-tau) = conj G(tau), as the phi_k are real; G is symmetric, so a trace cut
+into halves L, R is sum G(L) * G(reversed R).  A time grid is evaluated at
+once, its sinc or h values for every d and its blocks in one call.
 
 Both GUE flavours share the <|H_ij|^2> = 1/d normalization, so every
 ensemble lives on the spectral span [-2, 2].  ``EnsembleKind`` and the
@@ -37,7 +34,6 @@ them without this module.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import itertools
 import math
@@ -48,7 +44,6 @@ import numpy as np
 from .closed_forms import FormFactorInputs, TimeCoeffs, time_coeffs
 from .errors import DimensionError
 from .linalg import WORD_CAP, BipartiteDims, EnsembleKind, check_dim, check_time
-from .weingarten import cycles_of
 
 GUE_NUMERIC_MAX_DIM = 16
 
@@ -140,11 +135,9 @@ def _gue_blocks(taus, d: int) -> np.ndarray:
     with more than WORD_CAP nodes sums them in pieces of WORD_CAP, each with
     its own Hermite values (the recurrence runs node by node).  The largest
     temporary holds d/2 real entries per phase entry, at most d/2 WORD_CAP,
-    so neither a long grid nor a long time takes more memory.
-
-    The products here and in ``_moment_function`` use einsum's own loops: at
-    d <= 16 BLAS is no faster, and not calling it keeps its kernels out of
-    the resident memory of a process that needs no other BLAS call.
+    so neither a long grid nor a long time takes more memory.  The products
+    here and in ``_product`` use einsum's own loops, not BLAS, whose first
+    call would add its buffers to the resident memory (DECISIONS.md).
     """
     taus = np.asarray(taus, dtype=float)
     flat = taus.ravel()
@@ -178,129 +171,153 @@ def _gue_blocks(taus, d: int) -> np.ndarray:
     return out.reshape(*taus.shape, d, d)
 
 
-def _set_partitions(items: list) -> list:
-    """Every partition of items into blocks, each block in the items' order."""
-    if not items:
-        return [[]]
-    first, rest = items[0], items[1:]
-    out = []
-    for p in _set_partitions(rest):
-        out.append([[first], *p])
-        out += [[*p[:i], [first, *b], *p[i + 1 :]] for i, b in enumerate(p)]
-    return out
+@functools.cache
+def _block_sums(ks: tuple[int, ...]) -> tuple:
+    """The block sums k_B of every set partition pi of the multipliers."""
+    if not ks:
+        return ((),)
+    return tuple(s for p in _block_sums(ks[1:]) for s in [(ks[0], *p)]
+                 + [p[:i] + (ks[0] + b,) + p[i + 1 :] for i, b in enumerate(p)])
 
 
-def _cycle_key(ks: list[int]) -> tuple[int, ...]:
-    """Trace key of a cycle: zero multipliers dropped, then its least rotation."""
-    ks = tuple(k for k in ks if k)
-    return min((ks[i:] + ks[:i] for i in range(len(ks))), default=())
+FUNCTIONS = ((1, -1), (2, -2), (1, 1, -2), (1, 1, -1, -1))  # in FormFactorInputs order
 
 
 @functools.cache
 def _expansion(kind: EnsembleKind, ks: tuple[int, ...]) -> tuple:
     """E[prod_a S(k_a t)] as (key, integer coefficient) pairs: a POISSON key is
-    (|pi|, sorted nonzero |k_B|), a GUE key the trace keys of one monomial."""
+    (|pi|, sorted nonzero |k_B|), a GUE_LARGE_D key (len(k), |k|) and a GUE key
+    the trace keys of one monomial, each the least rotation of a cycle."""
+    if kind == EnsembleKind.GUE_LARGE_D:
+        return (((len(ks), tuple(map(abs, ks))), 1),)
     terms = collections.Counter()
-    for p in _set_partitions(list(ks)):
-        sums = [sum(b) for b in p]
+    for sums, count in collections.Counter(tuple(sorted(p)) for p in _block_sums(ks)).items():
         if kind == EnsembleKind.POISSON:
-            terms[len(sums), tuple(sorted(abs(s) for s in sums if s))] += 1
+            terms[len(sums), tuple(sorted(abs(s) for s in sums if s))] += count
             continue
+        nonzero = [(s,) if s else () for s in sums]  # G(0) = I drops out of a trace
         for perm in itertools.permutations(range(len(sums))):
-            cycles = cycles_of(perm)
-            key = tuple(sorted(_cycle_key([sums[i] for i in c]) for c in cycles))
-            terms[key] += (-1) ** (len(sums) - len(cycles))
+            keys, seen = [], [False] * len(sums)
+            for i in (j for j in range(len(sums)) if not seen[j]):  # a new cycle starts at i
+                cyc = ()
+                while not seen[i]:
+                    seen[i] = True
+                    cyc += nonzero[i]
+                    i = perm[i]
+                keys.append(min(cyc[j:] + cyc[:j] for j in range(len(cyc))) if cyc[1:] else cyc)
+            terms[tuple(sorted(keys))] += count * (-1) ** (len(sums) - len(keys))
     return tuple((key, c) for key, c in terms.items() if c)
 
 
-def _moment_function(kind: EnsembleKind, d: int, t):
-    """ks -> E[prod_a S(k_a t)] by the compiled expansion of the module docstring.
-
-    t is one time or an array of times, and each moment an array of t's
-    shape.  Blocks, traces and h values are cached for the life of the
-    returned function, so the moments of one time grid share them.  A moment
-    whose expansion needs a multiplier k > 0 not yet built builds G(k t) for
-    every such k in one ``_gue_blocks`` call.  ``averaged_form_factors``
-    checks d.
-    """
-    t = np.asarray(t, dtype=float)
-    if kind == EnsembleKind.GUE_LARGE_D:
-        h = functools.cache(lambda k: d * bessel_j1_over_t(k * t))
-        return lambda ks: math.prod(h(abs(k)) for k in ks)
-    if kind == EnsembleKind.POISSON:
-        s = functools.cache(lambda k: sinc(2.0 * k * t))
-        return lambda ks: sum(
-            c * math.perm(d, n) * math.prod(map(s, sums))
-            for (n, sums), c in _expansion(kind, tuple(ks))
-        )
-    if kind != EnsembleKind.GUE_NUMERIC:
-        raise ValueError(f"no spectral moments for ensemble {kind}")
-    if d > GUE_NUMERIC_MAX_DIM:
-        raise DimensionError(f"GUE_NUMERIC needs d <= {GUE_NUMERIC_MAX_DIM}, got {d}")
-    blocks = {}  # k > 0 -> G(k t), stacked over the times
-
-    def block(k):
-        return blocks[k] if k > 0 else blocks[-k].conj()
-
-    @functools.cache
-    def trace(key):
-        flipped = _cycle_key([-k for k in key])  # the conjugate blocks
-        if flipped < key:
-            return trace(flipped).conjugate()
-        if len(key) < 2:
-            return np.einsum("...ii->...", block(key[0])) if key else d
-        head = functools.reduce(
-            lambda a, b: np.einsum("...ij,...jk->...ik", a, b), map(block, key[:-1])
-        )
-        return np.einsum("...ij,...ij->...", head, block(key[-1]))  # G symmetric
-
-    def moment(ks):
-        terms = _expansion(kind, tuple(ks))
-        new = sorted({abs(k) for keys, _ in terms for key in keys for k in key} - blocks.keys())
-        if new:
-            blocks.update(zip(new, _gue_blocks(np.multiply.outer(new, t), d)))
-        return sum(c * math.prod(map(trace, keys)) for keys, c in terms)
-
-    return moment
+@functools.cache
+def _table(kind: EnsembleKind, functions: tuple) -> tuple:
+    """The functions' terms in one table: the sorted factor keys, each term's
+    factor indices into them padded with len(keys) (a factor 1), each
+    function's coefficient row, and each term's (function, coefficient, size)."""
+    gue = kind == EnsembleKind.GUE_NUMERIC
+    terms = [(f, c, 0 if gue else key[0], key if gue else key[1])
+             for f, ks in enumerate(functions) for key, c in _expansion(kind, ks)]
+    at = {k: i for i, k in enumerate(sorted({k for t in terms for k in t[3]}))}
+    index = np.full((len(terms), max(len(t[3]) for t in terms)), len(at), dtype=np.intp)
+    coef = np.zeros((len(functions), len(terms)), dtype=int)
+    for m, (f, c, _, factors) in enumerate(terms):
+        index[m, : len(factors)] = [at[k] for k in factors]
+        coef[f, m] = c
+    index.flags.writeable = coef.flags.writeable = False  # shared by every caller
+    return tuple(at), index, coef, tuple(t[:3] for t in terms)
 
 
 @functools.cache
-def _form_factors(kind: EnsembleKind, times: tuple[float, ...], d: int) -> FormFactorInputs:
-    """The four spectral functions on a time grid as normalized moments of S,
-    each a read-only array over the times.
+def _monomials(kind: EnsembleKind, times: tuple, functions: tuple) -> np.ndarray:
+    """The POISSON or GUE_LARGE_D terms of the table without their weights, a
+    row over the times: products of sinc(2kt) or h(kt), one sinc or
+    ``bessel_j1_over_t`` call for every k, read-only and shared by every d."""
+    keys, index, _, _ = _table(kind, functions)
+    x, values = np.multiply.outer(keys, times), np.ones((len(keys) + 1, len(times)))
+    values[:-1] = sinc(2.0 * x) if kind == EnsembleKind.POISSON else bessel_j1_over_t(x)
+    out = values[index].prod(axis=1)
+    out.flags.writeable = False
+    return out
 
-    Cached on (kind, times, d), so curves that differ only in the initial
-    state share one evaluation.  |f(t)|^4 comes first: its expansion needs
-    both G(t) and G(2t), so one ``_gue_blocks`` call builds every block.
-    """
-    moment = _moment_function(kind, d, np.array(times))
-    f4 = moment((1, 1, -1, -1)).real / d**4
-    f2 = moment((1, -1)).real / d**2
-    f2_2t = moment((2, -2)).real / d**2
-    re_f2fc2t = moment((1, 1, -2)).real / d**3
-    for a in (f2, f2_2t, re_f2fc2t, f4):
-        a.flags.writeable = False
-    return FormFactorInputs(f2=f2, f2_2t=f2_2t, re_f2fc2t=re_f2fc2t, f4=f4)
+
+_product = functools.partial(np.einsum, "...ij,...jk->...ik")  # stacked, see _gue_blocks
+
+
+@functools.cache
+def _split(key: tuple) -> tuple:
+    """(left, right, conj) with Tr prod_{k in key} G(k) = sum G(left) * G(right),
+    conjugated if conj: the least cut of a rotation of the key or its negation,
+    where a three-factor cut keeps its largest |k| alone for the least product."""
+    n, three, neg = max(1, len(key) // 2), len(key) == 3, tuple(-k for k in key)
+    cuts = [(-abs(r[0]) * three, r[:n], r[n:][::-1], c) for c, k in ((False, key), (True, neg))
+            for r in (k[i:] + k[:i] for i in range(len(k)))]
+    return min(cuts, default=(0, (), (), False))[1:]
+
+
+def _traces(keys, blocks: dict, d: int) -> list:
+    """Tr prod_{k in key} G(k) for each trace key by its ``_split``, from the
+    stacked blocks {k > 0: G(k)}.  A block product is built once, for the
+    largest of its sequence, the reversal (transpose) and their negations."""
+    @functools.cache
+    def operand(p):
+        neg = tuple(-k for k in p)
+        q = max(p, p[::-1], neg, neg[::-1])
+        if p == q:
+            return blocks[p[0]] if len(p) == 1 else _product(operand(p[:-1]), operand(p[-1:]))
+        return operand(q).swapaxes(-1, -2) if q == p[::-1] else operand(neg).conj()
+
+    @functools.cache
+    def trace(left, right):
+        if not right:
+            return np.einsum("...ii->...", operand(left)) if left else d
+        return np.einsum("...ij,...ij->...", operand(left), operand(right))
+
+    return [np.conj(trace(left, right)) if conj else trace(left, right)
+            for left, right, conj in map(_split, keys)]
+
+
+def _moment_function(kind: EnsembleKind, d: int, times: tuple, functions: tuple) -> np.ndarray:
+    """E[prod_a S(k_a t)] for each multiplier tuple k of functions, a row over
+    the times, from the term table of the module docstring; the caller checks d."""
+    if kind not in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC, EnsembleKind.GUE_LARGE_D):
+        raise ValueError(f"no spectral moments for ensemble {kind}")
+    if kind == EnsembleKind.GUE_NUMERIC and d > GUE_NUMERIC_MAX_DIM:
+        raise DimensionError(f"GUE_NUMERIC needs d <= {GUE_NUMERIC_MAX_DIM}, got {d}")
+    keys, index, coef, terms = _table(kind, functions)
+    if kind == EnsembleKind.GUE_NUMERIC:
+        ks = sorted({abs(k) for key in keys for k in key})
+        blocks = dict(zip(ks, _gue_blocks(np.multiply.outer(ks, times), d)))
+        values = np.ones((len(keys) + 1, len(times)), dtype=complex)  # a last row of ones
+        for i, trace in enumerate(_traces(keys, blocks, d)):
+            values[i] = trace
+        return np.einsum("fm,mt->ft", coef, values[index].prod(axis=1))
+    scale, out = math.perm if kind == EnsembleKind.POISSON else pow, [0] * len(functions)
+    weights = [[float(c * scale(d, n))] for _, c, n in terms]
+    for (f, _, _), term in zip(terms, _monomials(kind, times, functions) * weights):
+        out[f] = out[f] + term  # in term order: a time's bits alone and in a grid
+    return np.array(out)
+
+
+@functools.cache
+def _form_factors(kind: EnsembleKind, times: tuple[float, ...], d: int) -> np.ndarray:
+    """The four spectral functions on a time grid, one read-only row each in
+    FormFactorInputs order, cached on (kind, times, d) for every curve."""
+    values = _moment_function(kind, d, times, FUNCTIONS).real / [[d ** len(k)] for k in FUNCTIONS]
+    values.flags.writeable = False
+    return values
 
 
 def averaged_form_factors(ensemble: EnsembleKind, t, d: int) -> FormFactorInputs:
     """The ensemble's averaged spectral functions at time t: floats for one
     time, arrays of its shape for an array of times, evaluated as one grid.
-
-    POISSON, GUE_NUMERIC and GUE_LARGE_D have them; ``_moment_function``
-    refuses any other ensemble with ValueError.
-    """
+    POISSON, GUE_NUMERIC and GUE_LARGE_D have them, any other is a ValueError."""
     times = np.asarray(t, dtype=float)
-    for x in times.flat:
-        check_time(x)
+    check_time(times)
     check_dim("d", d, 1)
     if ensemble == EnsembleKind.GUE_LARGE_D and d < GUE_NUMERIC_MAX_DIM:
         warnings.warn(f"GUE large-d limit used at small dimension d = {d}", stacklevel=2)
-    ff = _form_factors(ensemble, tuple(times.ravel().tolist()), d)
-    values = [getattr(ff, f.name) for f in dataclasses.fields(ff)]
-    if times.ndim == 0:
-        return FormFactorInputs(*(float(v[0]) for v in values))
-    return FormFactorInputs(*(v.reshape(times.shape) for v in values))
+    values = _form_factors(ensemble, tuple(times.ravel().tolist()), d).reshape(-1, *times.shape)
+    return FormFactorInputs(*(values.tolist() if times.ndim == 0 else values))
 
 
 def poisson_form_factors(t: float, d: int) -> FormFactorInputs:
@@ -309,11 +326,8 @@ def poisson_form_factors(t: float, d: int) -> FormFactorInputs:
 
 
 def gue_form_factors(t: float, d: int, mode: EnsembleKind) -> FormFactorInputs:
-    """GUE averages of the spectral functions at time t.
-
-    GUE_NUMERIC: all four functions exact at finite d, from the blocks
-    G(+-t), G(+-2t).  GUE_LARGE_D: everything factorizes through h(t).
-    """
+    """GUE averages of the spectral functions at time t: GUE_NUMERIC exact at
+    finite d, GUE_LARGE_D factorized through h(t)."""
     if mode not in (EnsembleKind.GUE_NUMERIC, EnsembleKind.GUE_LARGE_D):
         raise ValueError(f"gue_form_factors expects a GUE mode, got {mode}")
     return averaged_form_factors(mode, t, d)

@@ -9,7 +9,6 @@ operator ``A`` acts on the full space as ``kron(A, I_E)``.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +84,11 @@ def check_dim(name: str, d: int, low: int) -> None:
         raise DimensionError(f"{name} must be >= {low} and an integer, got {d!r}")
 
 
-def check_time(t: float) -> None:
-    """A time is finite."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+def check_time(t) -> None:
+    """A time, or every time of an array, is finite; the first that is not is named."""
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise ValueError(f"time must be finite, got {np.asarray(t)[~finite].flat[0]}")
 
 
 def check_levels(levels) -> np.ndarray:

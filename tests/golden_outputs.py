@@ -2,9 +2,14 @@
 ``validate --quick`` criterion's name, pass flag and detail.
 
 ``test_golden.py`` rebuilds these outputs in-process and compares them with
-the committed manifest ``golden_outputs.json``.  After a change that moves a
-reported number on purpose, regenerate the manifest from the repository root
-with
+the committed manifest ``golden_outputs.json``.  To list what a change moves,
+old value against new, without touching the manifest, run from the
+repository root
+
+    PYTHONPATH=src python tests/golden_outputs.py --check
+
+which exits 1 if anything differs.  After a change that moves a reported
+number on purpose, regenerate the manifest with
 
     PYTHONPATH=src python tests/golden_outputs.py
 
@@ -107,11 +112,18 @@ def dumps(outputs: dict) -> str:
     return f'{{\n "figures": {{\n{figures}\n }},\n "validate_quick": [\n{criteria}\n ]\n}}\n'
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv == ["--check"]:
+        found = differences(json.loads(MANIFEST.read_text()), build_outputs())
+        print("\n".join(found) if found else f"no differences from {MANIFEST}")
+        return 1 if found else 0
+    if argv:
+        print("usage: golden_outputs.py [--check]", file=sys.stderr)
+        return 2
     MANIFEST.write_text(dumps(build_outputs()))
     print(f"wrote {MANIFEST}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -491,6 +491,31 @@ def test_curves_refuse_non_finite_times():
                 equilibration_large_de(kind, 2, 1.0, times)
 
 
+def test_large_de_curve_takes_one_time_like_a_grid():
+    # one time gives a scalar value, as in purity_evolution: the grid's value
+    assert np.ndim(purity_evolution(EnsembleKind.POISSON, BipartiteDims(2, 4), 1.0, 1.5).values) == 0
+    for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_LARGE_D):
+        alone = equilibration_large_de(kind, 2, 1.0, 1.5)
+        grid = equilibration_large_de(kind, 2, 1.0, [0.5, 1.5])
+        assert np.ndim(alone.values) == 0 and alone.values == grid.values[1], kind
+        with pytest.raises(ValueError, match="time must be finite, got nan"):
+            equilibration_large_de(kind, 2, 1.0, np.nan)
+
+
+def test_one_check_names_the_first_non_finite_time_of_a_long_grid():
+    # criterion 07's 6001 times, one of them NaN and a later one infinite
+    times = np.linspace(0.0, 30.0, 6001)
+    times[4321], times[5000] = np.nan, np.inf
+    for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_LARGE_D):
+        with pytest.raises(ValueError, match="time must be finite, got nan"):
+            equilibration_large_de(kind, 2, 1.0, times)
+        with pytest.raises(ValueError, match="time must be finite, got nan"):
+            averaged_form_factors(kind, times, 64)
+    times[4321] = 1.0
+    with pytest.raises(ValueError, match="time must be finite, got inf"):
+        equilibration_large_de(EnsembleKind.POISSON, 2, 1.0, times)
+
+
 def test_fit_decay_exponent_pure_power_law():
     times = np.linspace(2.0, 30.0, 4000)
     from haarmoments.applications import Curve

@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+from haarmoments import ensembles
 from haarmoments.ensembles import (
+    FUNCTIONS,
     EnsembleKind,
     _expansion,
     _form_factors,
@@ -17,6 +19,9 @@ from haarmoments.ensembles import (
     _gue_window,
     _hermite_functions,
     _moment_function,
+    _split,
+    _table,
+    _traces,
     averaged_form_factors,
     averaged_time_coeffs,
     bessel_j1_over_t,
@@ -197,7 +202,7 @@ def test_gue_level_density_normalization():
 
 def _mean_f(t, d, kind):
     # the ensemble mean of f(t): the normalized first moment of S
-    return _moment_function(kind, d, float(t))((1,)) / d
+    return _moment_function(kind, d, (float(t),), ((1,),))[0, 0] / d
 
 
 def _set_partitions(items):
@@ -238,9 +243,9 @@ def test_compiled_expansion_matches_brute_force_sum():
     for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC):
         for d in (1, 2, 3, 4, 8, 16):
             for t in (0.0, 1e-3, 0.7, 15.0, 100.0):
-                moment = _moment_function(kind, d, t)
-                for ks in MULTIPLIERS:
-                    got = moment(ks) / d ** len(ks)
+                moments = _moment_function(kind, d, (t,), tuple(MULTIPLIERS))[:, 0]
+                for ks, moment in zip(MULTIPLIERS, moments):
+                    got = moment / d ** len(ks)
                     ref = _brute_force_moment(kind, d, t, ks) / d ** len(ks)
                     assert abs(got - ref) <= 1e-13, (kind, d, t, ks, got, ref)
                     if t == 0.0:
@@ -252,6 +257,38 @@ def test_gue_expansion_size():
     expansions = [_expansion(EnsembleKind.GUE_NUMERIC, ks) for ks in MULTIPLIERS[:4]]
     assert sum(map(len, expansions)) == 41
     assert len({key for e in expansions for keys, _ in e for key in keys}) == 17
+
+
+def test_split_traces_equal_the_full_products():
+    # Random complex symmetric blocks with B(-k) = conj B(k), as G is: each
+    # trace key's split at its chosen rotation is the trace of the product.
+    keys = _table(EnsembleKind.GUE_NUMERIC, FUNCTIONS)[0]
+    gen = np.random.default_rng(28)
+    for d in (1, 2, 5, 16):
+        raw = gen.normal(size=(2, 3, d, d)) + 1j * gen.normal(size=(2, 3, d, d))
+        blocks = dict(zip((1, 2), (raw + raw.swapaxes(-1, -2)) / (2.0 * d)))
+
+        def block(k):
+            return blocks[k] if k > 0 else blocks[-k].conj()
+
+        for key, got in zip(keys, _traces(keys, blocks, d)):
+            full = functools.reduce(np.matmul, [block(k) for k in key], np.eye(d))
+            ref = np.trace(full, axis1=-2, axis2=-1)
+            assert np.max(np.abs(got - ref)) <= 1e-13, (d, key, _split(key))
+
+
+def test_a_gue_grid_builds_two_block_products(monkeypatch):
+    # G(t) and G(2t) come from one _gue_blocks call, and every trace of the
+    # four functions from G(t) G(t) and G(t) conj G(t), each stacked over the grid
+    products, blocks = [], []
+    product, build = ensembles._product, ensembles._gue_blocks
+    monkeypatch.setattr(ensembles, "_product", lambda a, b: products.append(a.shape) or product(a, b))
+    monkeypatch.setattr(ensembles, "_gue_blocks", lambda taus, d: blocks.append(d) or build(taus, d))
+    _form_factors.cache_clear()
+    times = np.linspace(0.0, 15.0, 31)
+    averaged_form_factors(EnsembleKind.GUE_NUMERIC, times, 16)
+    assert products == [(31, 16, 16)] * 2
+    assert blocks == [16]
 
 
 def test_gue_h_normalization_and_modes():

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import golden_outputs
 from golden_outputs import MANIFEST, build_outputs, differences
 
 
@@ -38,3 +39,15 @@ def test_comparison_catches_a_planted_change(manifest):
     planted["validate_quick"][0]["detail"] = detail.replace("max", "min")
     assert differences(manifest, planted)
     assert len(rows) == 301
+
+
+def test_check_mode_lists_differences_and_leaves_the_manifest(manifest, monkeypatch, capsys):
+    planted = copy.deepcopy(manifest)
+    planted["figures"]["c1-of-t"]["rows"][3][1] *= 1 + 1e-9
+    before = MANIFEST.read_bytes()
+    for outputs, code in ((manifest, 0), (planted, 1)):
+        monkeypatch.setattr(golden_outputs, "build_outputs", lambda outputs=outputs: outputs)
+        assert golden_outputs.main(["--check"]) == code
+    assert "c1-of-t row 3" in capsys.readouterr().out
+    assert MANIFEST.read_bytes() == before
+    assert golden_outputs.main(["--bogus"]) == 2

@@ -267,7 +267,7 @@ def test_sample_spectra_gue_law_matches_dense_sampler(d, n):
         assert abs(m_tri - m_dense) <= 5 * np.hypot(se_tri, se_dense), (d, name)
     # <f(t)> of the tridiagonal draws against the exact finite-d mean
     for t in (0.5, 1.0, 2.0):
-        exact = _moment_function(EnsembleKind.GUE_NUMERIC, d, t)((1,)) / d
+        exact = _moment_function(EnsembleKind.GUE_NUMERIC, d, (t,), ((1,),))[0, 0] / d
         for name, value in ((f"re f({t})", exact.real), (f"im f({t})", exact.imag)):
             m, se = _mean_se(tri_stats[name])
             assert abs(m - value) <= 5 * se, (d, name)
