@@ -227,7 +227,7 @@ def _table(kind: EnsembleKind, functions: tuple) -> tuple:
     return tuple(at), index, coef, tuple(t[:3] for t in terms)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)  # keyed on the times: unbounded, every new time would stay
 def _monomials(kind: EnsembleKind, times: tuple, functions: tuple) -> np.ndarray:
     """The POISSON or GUE_LARGE_D terms of the table without their weights, a
     row over the times: products of sinc(2kt) or h(kt), one sinc or
@@ -298,7 +298,7 @@ def _moment_function(kind: EnsembleKind, d: int, times: tuple, functions: tuple)
     return np.array(out)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)  # keyed on the times: unbounded, every new time would stay
 def _form_factors(kind: EnsembleKind, times: tuple[float, ...], d: int) -> np.ndarray:
     """The four spectral functions on a time grid, one read-only row each in
     FormFactorInputs order, cached on (kind, times, d) for every curve."""

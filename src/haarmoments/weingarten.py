@@ -13,18 +13,18 @@ and still the Weingarten matrix where G is singular, so every d >= 1 works.
 The odd-side traced words depend on tau alone and the even-side words on
 sigma alone, so the double sum is one matrix-vector product.
 
-The contraction is compiled once per m, independent of d: the distinct
-traced words and the distinct open words, each set as a prefix trie by
-length, and index arrays from every permutation to its words.  A call builds
-each trie length with one stacked matmul and takes each trace as an
-elementwise sum against the word's last operator, which needs no product:
-0, 0, 4, 25 and 122 d x d products for m = 1..5, against 0, 1, 10, 65 and
-408 when every word was multiplied out on its own.
+The contraction is compiled once per m, independent of d: one prefix trie
+holding the heads of the distinct traced words and the distinct open words,
+and index arrays from every permutation to its words.  A call builds each
+trie length with one stacked matmul into a per-thread stack and takes each
+trace as an elementwise sum of a head against the word's last operator,
+which needs no product: 0, 0, 4, 23 and 111 d x d products for m = 1..5.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,6 +38,8 @@ Word = tuple[int, ...]
 Step = tuple[np.ndarray, np.ndarray]  # per trie length: (parent nodes, letters)
 
 MAX_HALF_ORDER = 5  # largest supported m; moments up to E^(10)
+
+_workspace = threading.local()  # .stack: moment_function's products, one per thread
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -75,19 +77,18 @@ def conjugacy_class_of(p: Permutation) -> Partition:
 
 
 def _trie(words: list[Word], letters: int) -> tuple[tuple[Step, ...], dict[Word, int]]:
-    """Prefix trie of the products ``words`` need, one level per length.
-
-    Length 1 is the ``letters`` operators themselves, so the steps start at
-    length 2: node k of length n is node parent[k] of length n - 1 times
-    operator letter[k].  Returns the steps and every word's node within its
-    length (the empty word is node 0 of length 0).
+    """Prefix trie of the products ``words`` need, its nodes numbered across
+    lengths: node 0 is the empty word (I), nodes 1..letters the operators,
+    then each longer length in turn.  The steps start at length 2: node k of
+    length n is node parent[k] times operator letter[k].  Returns the steps
+    and the node of every word and prefix.
     """
-    index: dict[Word, int] = {(): 0} | {(a,): a for a in range(letters)}
+    index: dict[Word, int] = {(): 0} | {(a,): 1 + a for a in range(letters)}
     prefixes = {w[:n] for w in words for n in range(2, len(w) + 1)}
     steps = []
     for n in range(2, max(map(len, words), default=0) + 1):
         level = sorted(w for w in prefixes if len(w) == n)
-        index |= {w: k for k, w in enumerate(level)}
+        index |= {w: len(index) + k for k, w in enumerate(level)}
         steps.append(
             (np.array([index[w[:-1]] for w in level], dtype=np.intp),
              np.array([w[-1] for w in level], dtype=np.intp))
@@ -114,23 +115,21 @@ class _Plan:
     that is the canonical rotation, and equal traces share one word.
 
     The traced words of both sides are every single letter, then the longer
-    ones by length n.  Tr(X_w1 ... X_wn) = sum_ij (X_w1 ... X_w(n-1))_ij
-    (X_wn)_ji, so only the head of a word, its first n - 1 letters, is a
-    product: ``heads[n - 2]`` holds the nodes of the heads of the words of
-    length n in the trie ``steps``, and ``lasts[n - 2]`` their last letters.
-    A word position one past the last stands for a trace of 1.  The open
-    words are the nodes of their own trie ``free_steps``, by length from 0.
+    ones.  Tr(X_w1 ... X_wn) = sum_ij (X_w1 ... X_w(n-1))_ij (X_wn)_ji, so
+    only the head of a word, its first n - 1 letters, is a product: ``heads``
+    holds the trie nodes of the heads (node 0, I, for a single letter) and
+    ``lasts`` the last letters.  A word position one past the last stands for
+    a trace of 1.  The open words are nodes of the same trie ``steps``.
     """
 
     perms: list[Permutation]
     ncycles: np.ndarray  # ncycles[s, t] = #cycles(tau sigma^{-1})
     steps: tuple[Step, ...]
-    heads: tuple[np.ndarray, ...]
-    lasts: tuple[np.ndarray, ...]
+    heads: np.ndarray
+    lasts: np.ndarray
     odd_words: np.ndarray  # [:, t] = positions of the traced words of tau
     even_words: np.ndarray  # [:, s] = positions of the traced words of sigma
-    free_steps: tuple[Step, ...]
-    free_sums: np.ndarray  # [k, s] = 1 if trie node k (by length) is sigma's open word
+    free_sums: np.ndarray  # [k, s] = 1 if trie node k is sigma's open word
 
 
 @lru_cache(maxsize=None)
@@ -158,27 +157,20 @@ def _plan(m: int) -> _Plan:
         even.append([tuple(2 * b - 1 for b in cyc) for cyc in closed])
     odd = [[tuple(2 * a for a in cyc) for cyc in cycles_of(inverse(tau))] for tau in perms]
 
-    longer = sorted({w for ws in odd + even for w in ws if len(w) > 1}, key=lambda w: (len(w), w))
-    steps, index = _trie([w[:-1] for w in longer], letters)
-    by_length = [
-        [w for w in longer if len(w) == n] for n in range(2, max(map(len, longer), default=1) + 1)
-    ]
-    position = {w: k for k, w in enumerate([(a,) for a in range(letters)] + longer)}
-
-    free_steps, free_index = _trie(free, letters)
-    offsets = np.cumsum([0, 1, letters, *(len(parent) for parent, _ in free_steps)])
-    free_sums = np.zeros((offsets[-1], len(perms)))
-    for s, word in enumerate(free):
-        free_sums[offsets[len(word)] + free_index[word], s] = 1.0
+    traced = [(a,) for a in range(letters)]
+    traced += sorted({w for ws in odd + even for w in ws if len(w) > 1})
+    steps, index = _trie([w[:-1] for w in traced] + free, letters)
+    free_sums = np.zeros((len(index), len(perms)))
+    free_sums[[index[w] for w in free], range(len(perms))] = 1.0
+    position = {w: k for k, w in enumerate(traced)}
     return _Plan(
         perms,
         ncycles,
         steps,
-        tuple(np.array([index[w[:-1]] for w in ws], dtype=np.intp) for ws in by_length),
-        tuple(np.array([w[-1] for w in ws], dtype=np.intp) for ws in by_length),
+        np.array([index[w[:-1]] for w in traced], dtype=np.intp),
+        np.array([w[-1] for w in traced], dtype=np.intp),
         _positions(odd, position),
         _positions(even, position),
-        free_steps,
         free_sums,
     )
 
@@ -221,17 +213,6 @@ def weingarten(sigma_class: Partition, d: int) -> float:
     return weingarten_table(sum(parts), d)[parts]
 
 
-def _levels(ops: np.ndarray, steps: tuple[Step, ...]):
-    """Yield the products of the trie nodes by length from 1: ``ops``, then
-    one stacked matmul per longer length.  Only the current length is kept
-    alive, which bounds the memory of a call to a few stacks of d x d."""
-    level = ops
-    yield level
-    for parent, letter in steps:
-        level = level[parent] @ ops[letter]
-        yield level
-
-
 def moment_function(xs, d: int) -> np.ndarray:
     """Exact Haar average of the word U X1 U^dag X2 U X3 U^dag ... X_{n-1} U^dag.
 
@@ -240,14 +221,16 @@ def moment_function(xs, d: int) -> np.ndarray:
     lists.  Every d >= 1 is supported: below d = n/2 the Weingarten matrix is
     the Gram pseudo-inverse.
 
-    Each trie length costs one stacked d x d matmul, 0, 0, 4, 25 and 122
-    products in all for m = 1..5, and the traces of each word length one
-    ``einsum``.  The Weingarten sum and the open-word sums are ``einsum`` as
-    well: OpenBLAS threads a matrix-vector product as it does a GEMM, which
-    made an m = 5, d = 8 call take 8.0 ms instead of 1.7 ms on one BLAS
-    thread (2-vCPU Xeon, OpenBLAS 0.3.31); it now takes 0.25 ms either way.
-    Each product of a stack is its own d x d GEMM, below the threading
-    threshold m n k = 2^16 for d <= 40.
+    One (nodes + 2 traced, d, d) stack holds I, the operators, one stacked
+    matmul per trie length (0, 0, 4, 23 and 111 products for m = 1..5) and
+    the heads and last letters of the traced words: one ``einsum`` takes
+    every trace, one sums the open words.  The stack is kept per thread and
+    grows to the largest call, 1.5 MiB at m = 4 and 5.4 MiB at m = 5
+    (d = 32): fewer page faults than a fresh stack (DECISIONS.md).  The
+    Weingarten sum and open-word weights are ``einsum``: OpenBLAS threads a
+    matrix-vector product like a GEMM, which made an m = 5, d = 8 call take
+    8.0 ms instead of 1.7 ms (2-vCPU Xeon, OpenBLAS 0.3.31).  Each stacked
+    product is its own d x d GEMM, unthreaded below m n k = 2^16 (d <= 40).
     """
     check_dim("d", d, 1)
     mats = [as_matrix(x, d) for x in xs]
@@ -260,23 +243,25 @@ def moment_function(xs, d: int) -> np.ndarray:
     wg = _wg_matrix(m, d)
     plan = _plan(m)
 
-    ops = np.stack(mats)
-    traces = [np.einsum("nii->n", ops)]
-    traces += [
-        np.einsum("nij,nji->n", level[heads], ops[lasts])
-        for heads, lasts, level in zip(plan.heads, plan.lasts, _levels(ops, plan.steps))
-    ]
-    traces = np.concatenate([*traces, [1.0]])
+    nodes, traced = len(plan.free_sums), len(plan.lasts)
+    size = (nodes + 2 * traced) * d * d
+    if len(getattr(_workspace, "stack", ())) < size:
+        _workspace.stack = np.empty(size, dtype=complex)
+    stack = _workspace.stack[:size].reshape(-1, d, d)
+    stack[0] = np.identity(d)
+    ops = np.stack(mats, out=stack[1 : len(mats) + 1])
+    start = len(mats) + 1
+    for parent, letter in plan.steps:
+        np.matmul(stack[parent], ops[letter], out=stack[start : start + len(parent)])
+        start += len(parent)
+    heads, lasts = stack[nodes : nodes + traced], stack[nodes + traced :]
+    # mode="clip" writes straight into out; "raise" would copy through a temporary
+    np.take(stack[:nodes], plan.heads, axis=0, out=heads, mode="clip")
+    np.take(ops, plan.lasts, axis=0, out=lasts, mode="clip")
+    traces = np.append(np.einsum("nij,nji->n", heads, lasts), 1.0)
     coef = np.einsum("st,t->s", wg, traces[plan.odd_words].prod(axis=0))
     coef *= traces[plan.even_words].prod(axis=0)
-
-    weights = np.einsum("ks,s->k", plan.free_sums, coef)
-    result = np.diag(np.full(d, weights[0]))  # the empty open word
-    weights = weights[1:]
-    for level in _levels(ops, plan.free_steps):
-        result += np.einsum("k,kij->ij", weights[: len(level)], level)
-        weights = weights[len(level) :]
-    return result
+    return np.einsum("k,kij->ij", np.einsum("ks,s->k", plan.free_sums, coef), stack[:nodes])
 
 
 def fourth_moment_closed(x1, x2, x3, d: int) -> np.ndarray:

@@ -8,8 +8,10 @@ repository root
 
     PYTHONPATH=src python tests/golden_outputs.py --check
 
-which exits 1 if anything differs.  After a change that moves a reported
-number on purpose, regenerate the manifest with
+which exits 1 if anything differs.  It also prints the largest relative
+difference among the values within tolerance, with its place, so a move at
+rounding level can be stated without building the parent commit.  After a
+change that moves a reported number on purpose, regenerate the manifest with
 
     PYTHONPATH=src python tests/golden_outputs.py
 
@@ -71,6 +73,29 @@ def _split(text: str) -> tuple[list[str], list[float]]:
     return _NUMBER.split(text), [float(x) for x in _NUMBER.findall(text)]
 
 
+def _same_shape(have: dict, want: dict) -> bool:
+    return have["header"] == want["header"] and len(have["rows"]) == len(want["rows"])
+
+
+def _numbers(expected: dict, got: dict):
+    """(place, new, old) for every number both outputs hold at the same place:
+    the figure rows, and the numbers of each criterion detail whose text matches."""
+    for name, want in expected["figures"].items():
+        have = got["figures"].get(name)
+        if have is None or not _same_shape(have, want):
+            continue
+        for i, (hr, wr) in enumerate(zip(have["rows"], want["rows"])):
+            for col, h, w in zip(want["header"], hr, wr):
+                yield f"{name} row {i} {col}", h, w
+    have_c, want_c = got["validate_quick"], expected["validate_quick"]
+    if [c["name"] for c in have_c] == [c["name"] for c in want_c]:
+        for h, w in zip(have_c, want_c):
+            (h_text, h_nums), (w_text, w_nums) = _split(h["detail"]), _split(w["detail"])
+            if h["passed"] == w["passed"] and h_text == w_text:
+                for k, (a, b) in enumerate(zip(h_nums, w_nums)):
+                    yield f"{w['name']} number {k}", a, b
+
+
 def differences(expected: dict, got: dict) -> list[str]:
     """Where got departs from expected: strings exactly, numbers to RTOL relative."""
     out = []
@@ -78,26 +103,27 @@ def differences(expected: dict, got: dict) -> list[str]:
         out.append(f"figures {list(got['figures'])} != {list(expected['figures'])}")
     for name, want in expected["figures"].items():
         have = got["figures"].get(name)
-        if have is None:
-            continue
-        if have["header"] != want["header"] or len(have["rows"]) != len(want["rows"]):
+        if have is not None and not _same_shape(have, want):
             out.append(f"{name}: header or row count differs")
-            continue
-        for i, (hr, wr) in enumerate(zip(have["rows"], want["rows"])):
-            for col, h, w in zip(want["header"], hr, wr):
-                if not _close(h, w):
-                    out.append(f"{name} row {i} {col}: {h!r} != {w!r}")
     have_c, want_c = got["validate_quick"], expected["validate_quick"]
     if [c["name"] for c in have_c] != [c["name"] for c in want_c]:
         out.append("validate criteria names differ")
-        return out
-    for h, w in zip(have_c, want_c):
-        (h_text, h_nums), (w_text, w_nums) = _split(h["detail"]), _split(w["detail"])
-        if h["passed"] != w["passed"] or h_text != w_text:
-            out.append(f"{w['name']}: {h['passed']} {h['detail']!r} != {w['passed']} {w['detail']!r}")
-        elif not all(_close(a, b) for a, b in zip(h_nums, w_nums)):
-            out.append(f"{w['name']}: {h['detail']!r} != {w['detail']!r}")
-    return out
+    else:
+        for h, w in zip(have_c, want_c):
+            if h["passed"] != w["passed"] or _split(h["detail"])[0] != _split(w["detail"])[0]:
+                out.append(f"{w['name']}: {h['passed']} {h['detail']!r} != {w['passed']} {w['detail']!r}")
+    numbers = _numbers(expected, got)
+    return out + [f"{place}: {h!r} != {w!r}" for place, h, w in numbers if not _close(h, w)]
+
+
+def largest_move(expected: dict, got: dict) -> tuple[float, str | None]:
+    """The largest relative difference among the numbers within RTOL, and its place."""
+    moves = [
+        (abs(h - w) / max(abs(h), abs(w)), place)
+        for place, h, w in _numbers(expected, got)
+        if h != w and _close(h, w) and not math.isnan(h)
+    ]
+    return max(moves, default=(0.0, None))
 
 
 def dumps(outputs: dict) -> str:
@@ -114,8 +140,12 @@ def dumps(outputs: dict) -> str:
 
 def main(argv: list[str]) -> int:
     if argv == ["--check"]:
-        found = differences(json.loads(MANIFEST.read_text()), build_outputs())
+        expected, got = json.loads(MANIFEST.read_text()), build_outputs()
+        found = differences(expected, got)
         print("\n".join(found) if found else f"no differences from {MANIFEST}")
+        move, place = largest_move(expected, got)
+        at = f", at {place}" if place else ""
+        print(f"largest move within {RTOL:g}: {move:.3g} relative{at}")
         return 1 if found else 0
     if argv:
         print("usage: golden_outputs.py [--check]", file=sys.stderr)

@@ -19,6 +19,7 @@ from haarmoments.ensembles import (
     _gue_window,
     _hermite_functions,
     _moment_function,
+    _monomials,
     _split,
     _table,
     _traces,
@@ -289,6 +290,15 @@ def test_a_gue_grid_builds_two_block_products(monkeypatch):
     averaged_form_factors(EnsembleKind.GUE_NUMERIC, times, 16)
     assert products == [(31, 16, 16)] * 2
     assert blocks == [16]
+
+
+def test_time_keyed_caches_stay_bounded():
+    # every distinct time is a new key: 10^4 of them fill neither cache past its bound
+    for t in np.linspace(0.0, 50.0, 10_000):
+        averaged_form_factors(EnsembleKind.POISSON, float(t), 4)
+    for cache in (_form_factors, _monomials):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, info
 
 
 def test_gue_h_normalization_and_modes():

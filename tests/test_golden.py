@@ -49,5 +49,12 @@ def test_check_mode_lists_differences_and_leaves_the_manifest(manifest, monkeypa
         monkeypatch.setattr(golden_outputs, "build_outputs", lambda outputs=outputs: outputs)
         assert golden_outputs.main(["--check"]) == code
     assert "c1-of-t row 3" in capsys.readouterr().out
+    # a move within tolerance passes, and is named with its size and place
+    within = copy.deepcopy(manifest)
+    within["figures"]["c1-of-t"]["rows"][3][1] *= 1 + 1e-13
+    monkeypatch.setattr(golden_outputs, "build_outputs", lambda: within)
+    assert golden_outputs.main(["--check"]) == 0
+    header = manifest["figures"]["c1-of-t"]["header"]
+    assert f"1e-13 relative, at c1-of-t row 3 {header[1]}" in capsys.readouterr().out
     assert MANIFEST.read_bytes() == before
     assert golden_outputs.main(["--bogus"]) == 2

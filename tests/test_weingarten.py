@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 
 import numpy as np
@@ -343,7 +346,7 @@ def test_contraction_plan_size():
     sizes, products = [], []
     for m in range(1, 6):
         plan = _plan(m)
-        pad = 2 * m - 1 + sum(map(len, plan.lasts))
+        pad = len(plan.lasts)
         sizes.append(
             (
                 len(np.setdiff1d(plan.odd_words, [pad])),
@@ -351,9 +354,53 @@ def test_contraction_plan_size():
                 int(np.count_nonzero(plan.free_sums.any(axis=1))),
             )
         )
-        products.append(sum(len(parent) for parent, _ in plan.steps + plan.free_steps))
+        products.append(sum(len(parent) for parent, _ in plan.steps))
     assert sizes == [(1, 0, 1), (3, 1, 2), (8, 3, 5), (24, 8, 16), (89, 24, 65)]
-    assert products == [0, 0, 4, 25, 122]
+    assert products == [0, 0, 4, 23, 111]
+
+
+def _on_fresh_thread(fn):
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return out[0]
+
+
+def test_moment_function_bit_equal_across_threads():
+    # every thread has its own product stack, so concurrent calls are the
+    # serial calls bit for bit; more threads than cores, switching often
+    gen = np.random.default_rng(61)
+    calls = [
+        ([random_complex(gen, d) for _ in range(order - 1)], d)
+        for order in range(2, 11, 2)
+        for d in (1, 2, 5, 16)
+    ] * 5
+    serial = [moment_function(xs, d) for xs, d in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            parallel = list(pool.map(lambda call: moment_function(*call), calls, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(serial, parallel):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_moment_function_reused_stack_leaks_no_stale_entry():
+    # a small call after a large one reads none of what the large one left
+    # in the thread's stack: it returns the bits of the same call on a
+    # thread whose stack is fresh
+    gen = np.random.default_rng(62)
+    calls = [
+        ([random_complex(gen, d) for _ in range(order - 1)], d)
+        for order, d in [(10, 32), (4, 3), (2, 1)]
+    ]
+    got = _on_fresh_thread(lambda: [moment_function(xs, d) for xs, d in calls])
+    for (xs, d), value in zip(calls, got):
+        np.testing.assert_array_equal(value, _on_fresh_thread(lambda: moment_function(xs, d)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 9])
