@@ -21,7 +21,6 @@ from .weingarten import (
     conjugacy_class_of,
     fourth_moment_closed,
     moment_function,
-    weingarten,
 )
 from .closed_forms import (
     FormFactorInputs,

@@ -12,7 +12,8 @@ at the summed multiplier k_B:
   with a projection kernel of scaled Hermite functions phi_k, and pi
   contributes sum_{sigma in S_|pi|} prod_{cycles c of sigma}
   (-1)^(|c| - 1) Tr prod_{B in c} G(k_B t), with the d x d blocks
-  G(tau)_kl = int phi_k phi_l exp(-i E tau) dE.
+  G(tau)_kl = int phi_k phi_l exp(-i E tau) dE, the truncated displacement
+  operator D(-i tau / sqrt(d)), built in closed form from Laguerre values.
 - GUE_LARGE_D, the factorized large-d limit: prod_a d h(k_a t), with the
   semicircle transform h(t) = J1(2t)/t.
 
@@ -81,94 +82,42 @@ def bessel_j1_over_t(t):
     return out.reshape(t.shape)[()]
 
 
-def _gue_window(d: int) -> float:
-    # Semicircle support [-2, 2] plus room for the Gaussian tails of the
-    # highest Hermite function, whose square is below double precision there.
-    return 2.0 + 12.0 / math.sqrt(d)
-
-
-def _gue_step(d: int, tau):
-    """Trapezoidal step of the GUE block integrals at |tau|, elementwise on an array.
-
-    The integrands phi_k phi_l exp(-i E tau) are entire and decay like a
-    Gaussian, so the trapezoidal rule converges geometrically once the
-    Nyquist frequency 2 pi / h exceeds their bandwidth: |tau| from the phase,
-    2d from the highest pair of Hermite functions and 12 sqrt(d) for the tails
-    (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
-    """
-    return 2.0 * math.pi / (np.abs(tau) + 2.0 * d + 12.0 * math.sqrt(d))
-
-
-def _hermite_functions(e: np.ndarray, d: int) -> np.ndarray:
-    """Scaled Hermite functions phi_0..phi_{d-1} at abscissae e, shape (d, len(e)).
-
-    Stable three-term recurrence on the normalized functions; the weight
-    exp(-d E^2 / 4) is carried inside each value, never split off.
-    """
-    y = np.sqrt(d / 2.0) * np.asarray(e, dtype=float)
-    scale = (d / 2.0) ** 0.25
-    out = np.empty((d, y.size), dtype=float)
-    out[0] = scale * np.pi**-0.25 * np.exp(-0.5 * y * y)
-    if d > 1:
-        out[1] = math.sqrt(2.0) * y * out[0]
-    for k in range(2, d):
-        out[k] = math.sqrt(2.0 / k) * y * out[k - 1] - math.sqrt(
-            (k - 1) / k
-        ) * out[k - 2]
-    return out
-
-
 def _gue_blocks(taus, d: int) -> np.ndarray:
     """G(tau)_kl = int phi_k(E) phi_l(E) exp(-i E tau) dE for each tau of an
     array, shape (*taus.shape, d, d); G(0) is exactly I_d.
 
-    The abscissae are E = h j, uniform and symmetric about E = 0, covering
-    the window with the step h of ``_gue_step``.  phi_k has the parity of k,
-    so the nodes E and -E pair up: G_kl is the cos transform, real, for
-    k + l even and -i times the sin transform for k + l odd, each summed over
-    the nodes E >= 0 with weight 2h (h at E = 0).
+    G(tau) is the truncated displacement operator D(-i tau / sqrt(d)), whose
+    matrix elements are, for k <= l, p = l - k and x = tau^2 / d (Cahill &
+    Glauber, Phys. Rev. 177, 1857 (1969)),
 
-    The taus are taken in order of |tau| and cut into slices whose (tau,
-    node) phase array holds at most WORD_CAP entries, or one tau whose own
-    grid is larger.  A slice shares one grid, whose step is set by its
-    largest |tau|, and one ``_hermite_functions`` evaluation.  A tau alone
-    with more than WORD_CAP nodes sums them in pieces of WORD_CAP, each with
-    its own Hermite values (the recurrence runs node by node).  The largest
-    temporary holds d/2 real entries per phase entry, at most d/2 WORD_CAP,
-    so neither a long grid nor a long time takes more memory.  The products
-    here and in ``_product`` use einsum's own loops, not BLAS, whose first
-    call would add its buffers to the resident memory (DECISIONS.md).
+        G_kl = G_lk = sqrt(k!/l!) (-i tau / sqrt(d))^p exp(-x/2) L_k^(p)(x).
+
+    One three-term recurrence in k, (k + 1) L_{k+1} = (2k + 1 + p - x) L_k -
+    (k + p) L_{k-1}, gives every value at once on a (k, p, tau) array of the
+    real factors sqrt(k!/l!) (tau / sqrt(d))^p exp(-x/2) L_k^(p)(x), with the
+    weight carried inside from k = 0.  The exact phase (-i)^p then makes G_kl
+    real for k + l even and imaginary for k + l odd, the other part an exact
+    zero.  As |L_k^(p)(x)| <= 2^l (1 + x)^k, |G_kl| <= 2^l (1 + x)^l exp(-x/2),
+    below 1e-260 at x >= 1500 for every d <= GUE_NUMERIC_MAX_DIM, so past that
+    x the block is zero.
     """
     taus = np.asarray(taus, dtype=float)
     flat = taus.ravel()
-    out = np.empty((flat.size, d, d), dtype=complex)
-    out[flat == 0.0] = np.eye(d)
-    order = np.argsort(np.abs(flat), kind="stable")
-    order = order[flat[order] != 0.0]
-    steps = _gue_step(d, flat[order])
-    nodes = np.ceil(_gue_window(d) / steps) + 1.0  # E >= 0
-    start = 0
-    while start < order.size:
-        # n taus from start hold n times the nodes of the last: True, then False
-        fits = np.arange(1, order.size - start + 1) * nodes[start:] <= WORD_CAP
-        stop = start + max(1, int(np.count_nonzero(fits)))
-        idx, step, n = order[start:stop], steps[stop - 1], int(nodes[stop - 1])
-        # -0.0 is the exact identity of +, so a one-piece sum keeps every bit
-        g = np.full((idx.size, d, d), complex(-0.0, -0.0))
-        for j in range(0, n, WORD_CAP):  # one piece unless one tau has more nodes
-            e = step * np.arange(j, min(j + WORD_CAP, n))
-            phi = _hermite_functions(e, d)
-            even, odd = phi[0::2], phi[1::2]
-            phase = np.multiply.outer(flat[idx], e)
-            weight = np.where(e > 0.0, 2.0 * step, step)
-            cos, sin = weight * np.cos(phase), weight * np.sin(phase)
-            g[:, 0::2, 0::2] += np.einsum("tkn,ln->tkl", cos[:, None, :] * even, even)
-            g[:, 1::2, 1::2] += np.einsum("tkn,ln->tkl", cos[:, None, :] * odd, odd)
-            g[:, 0::2, 1::2] += -1j * np.einsum("tkn,ln->tkl", sin[:, None, :] * even, odd)
-        g[:, 1::2, 0::2] = g[:, 0::2, 1::2].swapaxes(-1, -2)
-        out[idx] = g
-        start = stop
-    return out.reshape(*taus.shape, d, d)
+    live = np.abs(flat) <= math.sqrt(1500.0 * d)  # x <= 1500, else the zero block
+    a = np.where(live, flat, 0.0) / math.sqrt(d)
+    i = np.arange(d)
+    k, p = i[:-1, None, None], i[:, None]
+    step, back, norm = 2 * k + 1 + p - a * a, np.sqrt(k * (k + p)), np.sqrt((k + 1) * (k + 1 + p))
+    real = np.zeros((d + 1, d, flat.size))  # rows k = 0..d-1, then zeros for k = -1
+    real[0] = np.cumprod(np.vstack([np.where(live, np.exp(-0.5 * a * a), 0.0),
+                                    a / np.sqrt(i[1:, None])]), axis=0)
+    for j in range(d - 1):
+        np.multiply(step[j], real[j], out=real[j + 1])
+        real[j + 1] -= back[j] * real[j - 1]
+        real[j + 1] /= norm[j]  # a division, so G(0) is exactly I
+    k, p = np.minimum.outer(i, i), np.abs(np.subtract.outer(i, i))
+    out = real[k, p] * np.array([1.0, -1j, -1.0, 1j])[p % 4, None]
+    return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(*taus.shape, d, d)
 
 
 @functools.cache
@@ -240,7 +189,9 @@ def _monomials(kind: EnsembleKind, times: tuple, functions: tuple) -> np.ndarray
     return out
 
 
-_product = functools.partial(np.einsum, "...ij,...jk->...ik")  # stacked, see _gue_blocks
+# Stacked products in einsum's own loops, not BLAS, whose first call would add
+# its buffers to the resident memory (DECISIONS.md).
+_product = functools.partial(np.einsum, "...ij,...jk->...ik")
 
 
 @functools.cache

@@ -19,8 +19,8 @@ HERMITIAN_RTOL = 1e-12
 STATE_PSD_TOL = 1e-9
 # complex entries in one working stack (512 KiB): stacked d x d steps run on
 # at most WORD_CAP // d^2 matrices at a time, the word kernel of ``mc``
-# sizes its two buffers by it, and the GUE blocks of ``ensembles`` cut their
-# (time, node) phase arrays by it
+# sizes its two buffers by it, and ``ensembles.bessel_j1_over_t`` sums its
+# (time, node) phases in pieces of it
 WORD_CAP = 2**15
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -11,13 +12,11 @@ import pytest
 from haarmoments import ensembles
 from haarmoments.ensembles import (
     FUNCTIONS,
+    GUE_NUMERIC_MAX_DIM,
     EnsembleKind,
     _expansion,
     _form_factors,
     _gue_blocks,
-    _gue_step,
-    _gue_window,
-    _hermite_functions,
     _moment_function,
     _monomials,
     _split,
@@ -185,11 +184,52 @@ def test_poisson_bounds_invariants():
             assert 0.0 <= ff.f4 <= 1.0
 
 
+# A reference for the GUE blocks, independent of their closed form: the
+# integrals G(tau)_kl = int phi_k phi_l exp(-i E tau) dE summed on a
+# trapezoidal grid of scaled Hermite functions phi_k.
+
+
+def _gue_window(d):
+    # Semicircle support [-2, 2] plus room for the Gaussian tails of the
+    # highest Hermite function, whose square is below double precision there.
+    return 2.0 + 12.0 / math.sqrt(d)
+
+
+def _gue_step(d, tau):
+    # The integrands are entire and decay like a Gaussian, so the trapezoidal
+    # rule converges geometrically once the Nyquist frequency 2 pi / h exceeds
+    # their bandwidth: |tau| from the phase, 2d from the highest pair of
+    # Hermite functions and 12 sqrt(d) for the tails (Trefethen & Weideman,
+    # SIAM Rev. 56, 385 (2014)).
+    return 2.0 * math.pi / (abs(tau) + 2.0 * d + 12.0 * math.sqrt(d))
+
+
+def _hermite_functions(e, d):
+    # phi_0..phi_{d-1} at abscissae e, shape (d, len(e)): the stable
+    # recurrence on the normalized functions, the weight exp(-d E^2 / 4)
+    # carried inside each value
+    y = np.sqrt(d / 2.0) * np.asarray(e, dtype=float)
+    out = np.empty((d, y.size))
+    out[0] = (d / 2.0) ** 0.25 * np.pi**-0.25 * np.exp(-0.5 * y * y)
+    if d > 1:
+        out[1] = math.sqrt(2.0) * y * out[0]
+    for k in range(2, d):
+        out[k] = math.sqrt(2.0 / k) * y * out[k - 1] - math.sqrt((k - 1) / k) * out[k - 2]
+    return out
+
+
 def _full_grid(d, tau):
-    # the abscissae E = h j of ``_gue_blocks`` at tau, both signs, and the step h
+    # the abscissae E = h j at tau, both signs, and the step h
     step = _gue_step(d, tau)
     j = math.ceil(_gue_window(d) / step)
     return step * np.arange(-j, j + 1), step
+
+
+def _per_tau_block(tau, d):
+    # one block on its own grid
+    e, step = _full_grid(d, tau)
+    phi = _hermite_functions(e, d)
+    return np.einsum("kn,ln->kl", phi, step * np.exp(-1j * tau * e) * phi)
 
 
 def test_gue_level_density_normalization():
@@ -396,7 +436,7 @@ def test_gue_h_against_laguerre_closed_form():
 def _jacobi_blocks(d, times):
     # P exp(-i t sqrt(2/d) Y) P with Y the position operator in the Hermite
     # basis, truncated to N functions and diagonalised once (Golub-Welsch).
-    n = d + 40 + int(np.ceil(max(times) ** 2 / d))
+    n = d + 40 + int(np.ceil(max(map(abs, times)) ** 2 / d))
     off = np.sqrt(np.arange(1, n) / 2.0)
     y, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     return [(v[:d] * np.exp(-1j * t * np.sqrt(2.0 / d) * y)) @ v[:d].T for t in times]
@@ -417,6 +457,7 @@ def test_gue_block_against_jacobi_matrix():
 
 
 def test_gue_block_step_halving():
+    # the closed form against the reference grid at half its step
     for d in (2, 8, 16):
         for t in (100.0, 200.0):
             e, step = _full_grid(d, t)
@@ -425,6 +466,51 @@ def test_gue_block_step_halving():
             phi = _hermite_functions(fine, d)
             halved = phi @ (step / 2 * np.exp(-1j * t * fine) * phi).T
             assert np.max(np.abs(_gue_blocks(t, d) - halved)) <= 1e-13, (d, t)
+
+
+def test_gue_blocks_over_every_dimension_and_time():
+    # the closed form at every d of GUE_NUMERIC on [-200, 200]: against the
+    # Jacobi matrix to |tau| = 30 and the trapezoid grid beyond, with the
+    # exact identity at 0 and the exact zero parts of its parity
+    taus = np.concatenate([[0.0, 1e-9, -1e-9], np.linspace(-200.0, 200.0, 161)])
+    near = np.abs(taus) <= 30.0
+    for d in range(1, GUE_NUMERIC_MAX_DIM + 1):
+        got = _gue_blocks(taus, d)
+        refs = np.empty_like(got)
+        refs[near] = _jacobi_blocks(d, taus[near])
+        refs[~near] = [_per_tau_block(tau, d) for tau in taus[~near]]
+        assert np.max(np.abs(got - refs)) <= 1e-13, d
+        assert np.array_equal(got[0], np.eye(d))
+        odd = np.add.outer(np.arange(d), np.arange(d)) % 2 == 1
+        assert np.all(got.imag[:, ~odd] == 0.0) and np.all(got.real[:, odd] == 0.0), d
+
+
+def test_gue_block_cutoff_keeps_its_bound():
+    # |G_kl| <= 2^l (1 + x)^l exp(-x/2) for k <= l and x = tau^2 / d, which is
+    # below 1e-260 at the cutoff x = 1500, past which the block is zero; the
+    # weight exp(-x/2) underflows there, not before
+    x = np.concatenate([np.linspace(0.0, 1500.0, 61), [1499.999]])
+    for d in range(1, GUE_NUMERIC_MAX_DIM + 1):
+        order = np.maximum.outer(np.arange(d), np.arange(d))
+        log_bound = order * np.log(2.0 * (1.0 + x[:, None, None])) - x[:, None, None] / 2
+        bound = np.exp(log_bound) * (1.0 + 1e-12)  # x is rounded on its way through tau
+        assert np.all(np.abs(_gue_blocks(np.sqrt(x * d), d)) <= bound), d
+        assert (d - 1) * math.log(2.0 * 1501.0) - 750.0 < math.log(1e-260), d
+        assert _gue_blocks(math.sqrt(1480.0 * d), d)[0, 0] > 0.0, d
+        past = np.sqrt(1500.0 * d) * np.array([1.0 + 1e-12, -1.0 - 1e-12, 10.0, 1e300])
+        assert np.array_equal(_gue_blocks(past, d), np.zeros((4, d, d))), d
+
+
+def test_gue_numeric_long_times_sit_on_the_plateau():
+    # past the cutoff every block is zero, so the four functions take their
+    # t -> infinity values exactly, at a cost that does not grow with t
+    start = time.perf_counter()
+    for d in range(1, GUE_NUMERIC_MAX_DIM + 1):
+        plateau = [1 / d, 1 / d, 1 / d**2, (2 * d - 1) / d**3]
+        for t in (1e4, -1e8, 1e8, 1e300):
+            got = _fields(averaged_form_factors(EnsembleKind.GUE_NUMERIC, t, d))
+            assert got == pytest.approx(plateau, rel=1e-15, abs=0.0), (d, t)
+    assert time.perf_counter() - start < 1.0
 
 
 def _fields(ff):
@@ -439,8 +525,8 @@ _GRIDS = [
 
 
 def test_a_time_alone_and_inside_a_grid_agree():
-    # a grid shares one Hermite evaluation per slice of its times, on a step
-    # set by the slice's largest time; a time alone has its own grid
+    # a grid takes its GUE traces from block products stacked over its times,
+    # so they round differently from a time alone; sinc and h keep every bit
     cases = [(EnsembleKind.GUE_NUMERIC, d) for d in (1, 2, 8, 16)]
     cases += [(EnsembleKind.POISSON, 16), (EnsembleKind.GUE_LARGE_D, 64)]
     for kind, d in cases:
@@ -472,13 +558,6 @@ def test_grid_is_exactly_one_at_t0():
             assert not ff.f2.flags.writeable  # shared by the cache
 
 
-def _per_tau_block(tau, d):
-    # a block on its own grid, built alone: the route the grid route replaced
-    e, step = _full_grid(d, tau)
-    phi = _hermite_functions(e, d)
-    return np.einsum("kn,ln->kl", phi, step * np.exp(-1j * tau * e) * phi)
-
-
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -489,9 +568,9 @@ def _traced_peak(fn):
 
 
 def test_long_grid_holds_no_more_memory_than_one_time_at_a_time():
-    # The per-time route peaks on the largest block of a grid, G(2 t_max);
-    # the grid route slices its (tau, node) phase array, so it may hold the
-    # stacked blocks on top of that but never a whole grid's phases.
+    # The grid reference peaks on the largest block of a grid, G(2 t_max),
+    # alone; the closed form holds the whole grid's (k, p, tau) values and
+    # stacked blocks in less.
     d, times = 16, np.linspace(0.0, 1e4, 301)
     _form_factors.cache_clear()
     per_tau = _traced_peak(lambda: _per_tau_block(2.0 * times[-1], d))
@@ -500,8 +579,9 @@ def test_long_grid_holds_no_more_memory_than_one_time_at_a_time():
 
 
 def test_a_long_time_holds_bounded_memory():
-    # one time's nodes are summed in pieces of at most WORD_CAP, so the peak
-    # does not grow with t: whole-grid sums here take 122 and 255 MiB
+    # the peak does not grow with t: h(t) sums one time's nodes in pieces of
+    # at most WORD_CAP, and past its cutoff a GUE block is zero.  Whole-grid
+    # sums here took 122 and 255 MiB.
     for kind, d in ((EnsembleKind.GUE_LARGE_D, 64), (EnsembleKind.GUE_NUMERIC, 2)):
         _form_factors.cache_clear()
         with warnings.catch_warnings():
@@ -519,11 +599,6 @@ def test_a_time_past_the_cap_agrees_with_one_piece():
         whole = 2.0 / n * np.sum(np.sin(theta) ** 2 * np.cos(2.0 * t * np.cos(theta)))
         assert abs(bessel_j1_over_t(t) - whole) <= 1e-13, t
         assert bessel_j1_over_t(np.array([1.0, t]))[1] == bessel_j1_over_t(t)
-    for d, tau in ((2, 2e4), (4, -3e4)):
-        e, _ = _full_grid(d, tau)
-        assert e.size // 2 + 1 > WORD_CAP
-        got = _gue_blocks(tau, d)
-        assert np.max(np.abs(got - _per_tau_block(tau, d))) <= 1e-13, (d, tau)
 
 
 def test_gue_numeric_against_sampled_spectra():

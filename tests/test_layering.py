@@ -1,6 +1,7 @@
 """Import layering of the package, read from its source with ast."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -62,6 +63,17 @@ def test_one_ensemble_vocabulary():
     ]
     assert defined == ["linalg.py"]
     assert ensembles.EnsembleKind is linalg.EnsembleKind
+
+
+def test_every_module_is_the_package_attribute_of_its_name():
+    # a name re-exported by __init__ must not shadow a submodule of the same
+    # name: haarmoments.weingarten is the module, not its function weingarten
+    import haarmoments
+
+    for path in sorted(SRC.glob("*.py")):
+        if not path.stem.startswith("__"):
+            module = importlib.import_module(f"{PACKAGE}.{path.stem}")
+            assert getattr(haarmoments, path.stem) is module, path.stem
 
 
 def test_package_imports_only_stdlib_and_numpy():
