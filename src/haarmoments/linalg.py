@@ -169,6 +169,20 @@ def trace_power(m, k: int) -> complex:
     return complex(np.trace(p))
 
 
+def real_embedding(b: np.ndarray) -> np.ndarray:
+    """The real 2k x 2n matrix R(B) of a complex k x n matrix B, or of each
+    matrix of a stack, with ``a.view(float) @ R(B) == (a @ B).view(float)``
+    up to rounding: entry B_lj becomes the block [[Re, Im], [-Im, Re]] in
+    rows 2l, 2l + 1 and columns 2j, 2j + 1.  The result is contiguous."""
+    b = np.asarray(b, dtype=complex)
+    *lead, k, n = b.shape
+    r = np.empty((*lead, k, 2, n, 2))
+    r[..., 0, :, 0] = r[..., 1, :, 1] = b.real
+    r[..., 0, :, 1] = b.imag
+    np.negative(b.imag, out=r[..., 1, :, 0])
+    return r.reshape(*lead, 2 * k, 2 * n)
+
+
 def _as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngStream) else rng
 

@@ -55,15 +55,21 @@ from .linalg import (
     complex_normal,
     haar_batches,
     partial_trace_env,
+    real_embedding,
     sample_spectra,
 )
 
 CHUNK = 1024
-# m n k of one X-step GEMM in empirical_moments: OpenBLAS threads a GEMM from
-# m n k = 2^16 on, which made a 4096 x 4 x 4 product take 8.6 ms instead of
-# 0.27 ms for 4095 x 4 x 4 (2-vCPU Xeon, OpenBLAS 0.3.31).  It threads a
-# matrix-vector product too: with two workers, the 1024 x 16 zgemv of a
-# purity chunk took 11 ms against 0.02 ms on one BLAS thread.  Small
+# s d^3 <= GEMM_CAP bounds the samples s of a word chunk.  It was set for
+# complex products: OpenBLAS threads a zgemm from m n k = 2^16 on, which made
+# a 4096 x 4 x 4 product take 8.6 ms instead of 0.27 ms for 4095 x 4 x 4
+# (2-vCPU Xeon, OpenBLAS 0.3.31).  The word products are now real GEMMs of
+# m n k = 4 s d^3 (X-step) and 4 P d^3 (U-step), and OpenBLAS keeps a dgemm
+# on the calling thread up to m n k = 10^6, its small-matrix kernel: with two
+# workers, 62500 x 4 x 4 took 0.33 ms and 62501 x 4 x 4 took 10.6 ms.  The
+# cap stays as it is, because s fixes each chunk's Haar stream.  OpenBLAS
+# threads a matrix-vector product too: with two workers, the 1024 x 16 zgemv
+# of a purity chunk took 11 ms against 0.02 ms on one BLAS thread.  Small
 # matrix-vector products, here and in weingarten, are einsum: no BLAS call.
 GEMM_CAP = 2**15
 
@@ -198,10 +204,11 @@ def word_sizes(d: int) -> tuple[int, int]:
     """Samples per chunk and patterns per block of the word kernel at dimension d.
 
     The chunk is sized from the buffers: s = min(CHUNK, GEMM_CAP // d^3,
-    WORD_CAP // (8 d^2)), at least 1, so an X-step GEMM of s samples stays
-    within GEMM_CAP (for d <= 32; past that one sample's product is above
-    it) and a block of WORD_CAP // (s d^2) patterns fills at most WORD_CAP
-    entries.  That is at least 8 patterns up to d = 64.  Both depend on d
+    WORD_CAP // (8 d^2)), at least 1, so s d^3 stays within GEMM_CAP and
+    the real X-step GEMM, m n k = 4 s d^3, on the calling thread (for
+    d <= 32; past that one sample's product is above it), and a block of
+    WORD_CAP // (s d^2) patterns fills at most WORD_CAP entries.  That is
+    at least 8 patterns up to d = 64.  Both depend on d
     alone, and s is at most one ``sub_batches`` slice, so a chunk's
     unitaries are one stack of ``haar_batches``.
     """
@@ -221,9 +228,12 @@ def empirical_moments(
     worker thread and call: laid out as (P, c d, d), a step by the fixed X's
     is one GEMM per pattern; laid out as (c, P d, d), a step by U or U^dag is
     one (P d x d)(d x d) product per sample; one copy moves the words between
-    the two layouts.  Every word entry takes the same BLAS sums as when the
-    words are built one at a time, so the estimates are bit-identical to that
-    route.
+    the two layouts.  Every product is a real GEMM: its left operand and
+    output are float views of the buffers, and its right operand is the
+    2d x 2d ``linalg.real_embedding`` R(B), built once per call for the X's
+    and once per chunk for U and U^dag.  Every word entry takes the same BLAS
+    sums as when the words are built one at a time through R, so the
+    estimates are bit-identical to that route.
 
     The per-sample U-step costs one BLAS call whatever P is, so the sizing
     runs from the buffers to the chunk: ``word_sizes(d)`` gives c and P,
@@ -240,7 +250,8 @@ def empirical_moments(
         raise ValueError("each pattern needs an odd number of operators")
 
     # blocks of at most per_block patterns of one length, in stable length
-    # order; a block is stacked as (length, P, d, d), its k-th operators first
+    # order; a block is stacked as R of its (length, P, d, d) operators, its
+    # k-th operators first
     order = sorted(range(len(mats)), key=lambda i: len(mats[i]))
     chunk_size, per_block = word_sizes(d)
     blocks, stacks = [], []
@@ -248,7 +259,7 @@ def empirical_moments(
         group = list(group)
         for start in range(0, len(group), per_block):
             blocks.append(group[start : start + per_block])
-            stacks.append(np.array(list(zip(*(mats[i] for i in blocks[-1])))))
+            stacks.append(real_embedding(np.array(list(zip(*(mats[i] for i in blocks[-1]))))))
 
     # each worker thread allocates the two buffers on its first chunk and
     # reuses them for the rest of this call
@@ -257,26 +268,28 @@ def empirical_moments(
 
     def chunk(gen: np.random.Generator, count: int):
         (u,) = haar_batches(d, count, gen)
-        uh = u.conj().swapaxes(-1, -2)
+        # R(U^dag) is filled from U^dag, not taken as the transposed view of
+        # R(U): that strided operand made a word's bits depend on its block
+        # size at d = 1 and d = 16
+        right = real_embedding(u.conj().swapaxes(-1, -2)), real_embedding(u)
         if not hasattr(local, "buffers"):
             local.buffers = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-        a, b = local.buffers
+        a, b = (buf.view(float) for buf in local.buffers)
         for ops in stacks:
             p = ops.shape[1]
-            by_pattern, by_sample = (p, count * d, d), (count, p * d, d)
-            src, dst = a[: p * count * d * d], b[: p * count * d * d]
-            w = u.reshape(count * d, d)
+            by_pattern, by_sample = (p, count * d, 2 * d), (count, p * d, 2 * d)
+            src, dst = a[: 2 * p * count * d * d], b[: 2 * p * count * d * d]
+            w = u.view(float).reshape(count * d, 2 * d)
             for k, x in enumerate(ops):
                 np.matmul(w, x, out=dst.reshape(by_pattern))
-                src.reshape(count, p, d, d)[...] = dst.reshape(p, count, d, d).swapaxes(0, 1)
-                right = uh if k % 2 == 0 else u
-                np.matmul(src.reshape(by_sample), right, out=dst.reshape(by_sample))
+                src.reshape(count, p, d, 2 * d)[...] = dst.reshape(p, count, d, 2 * d).swapaxes(0, 1)
+                np.matmul(src.reshape(by_sample), right[k % 2], out=dst.reshape(by_sample))
                 if k + 1 < len(ops):
-                    src.reshape(p, count, d, d)[...] = dst.reshape(count, p, d, d).swapaxes(0, 1)
+                    src.reshape(p, count, d, 2 * d)[...] = dst.reshape(count, p, d, 2 * d).swapaxes(0, 1)
                     w = src.reshape(by_pattern)
             # one row of p words per sample, reduced by the caller before the
             # next block overwrites it
-            yield dst.reshape(count, -1).view(float)
+            yield dst.reshape(count, -1)
 
     merged = accumulate_chunks(chunk, n, rng, workers=workers, chunk_size=chunk_size)
     estimates = [None] * len(order)

@@ -15,6 +15,7 @@ from haarmoments.linalg import (
     hs_norm_sq,
     partial_trace_env,
     partial_trace_sys,
+    real_embedding,
     sample_gue_hamiltonians,
     sample_spectra,
     sub_batches,
@@ -124,6 +125,26 @@ def test_trace_power():
     assert abs(trace_power(proj, 4) - 1.0) < 1e-14
     with pytest.raises(ValueError):
         trace_power(np.eye(2), 5)
+
+
+def test_real_embedding_turns_complex_products_real(gen):
+    # a.view(float) @ R(b) is (a @ b).view(float) up to rounding, for one
+    # matrix, a stack, a rectangular b and b = U^dag given as a strided view
+    u = haar_unitaries(4, 6, RngStream(8))
+    uh = u.conj().swapaxes(-1, -2)
+    a = gen.standard_normal((6, 5, 4)) + 1j * gen.standard_normal((6, 5, 4))
+    b = gen.standard_normal((4, 3)) + 1j * gen.standard_normal((4, 3))
+    cases = ((a[0], random_complex(gen, 4)), (a, random_complex(gen, 4)), (a, b), (a, u), (a, uh))
+    for left, right in cases:
+        r = real_embedding(right)
+        assert r.dtype == float and r.flags.c_contiguous
+        assert r.shape == (*right.shape[:-2], 2 * right.shape[-2], 2 * right.shape[-1])
+        got = left.view(float) @ r
+        expect = (left @ right).view(float)
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+    # the entries are copied exactly: R(U^dag) is the transpose of R(U)
+    assert np.array_equal(real_embedding(uh), real_embedding(u).swapaxes(-1, -2))
+    assert np.array_equal(real_embedding(np.array([[1 + 2j]])), [[1.0, 2.0], [-2.0, 1.0]])
 
 
 def test_haar_unitarity():

@@ -17,6 +17,7 @@ from haarmoments.linalg import (
     haar_batches,
     hs_norm_sq,
     partial_trace_env,
+    real_embedding,
     sample_spectra,
     sub_batches,
 )
@@ -61,7 +62,12 @@ def test_empirical_moment_second_and_fourth_order(gen):
     assert np.all(np.abs(est4.mean - closed) <= 5 * est4.stderr + 1e-12)
 
 
-def _moments_one_pattern_at_a_time(patterns, d, n, rng, workers):
+def _real_product(a, b):
+    # the word kernel's product: a real GEMM on a's float view and R(b)
+    return (a.view(float) @ real_embedding(b)).view(complex)
+
+
+def _moments_one_pattern_at_a_time(patterns, d, n, rng, workers, product=_real_product):
     # reference: each pattern's word built on its own, one pattern after
     # another, in chunks of the word kernel's size at d
     mats = [[as_matrix(x) for x in xs] for xs in patterns]
@@ -72,8 +78,7 @@ def _moments_one_pattern_at_a_time(patterns, d, n, rng, workers):
         for xs in mats:
             w = u
             for k, x in enumerate(xs):
-                w = w @ x
-                w = w @ (uh if k % 2 == 0 else u)
+                w = product(product(w, x), uh if k % 2 == 0 else u)
             yield w.view(float)
 
     estimates = []
@@ -106,19 +111,33 @@ def test_stacked_words_bit_identical_to_one_pattern_at_a_time(gen):
                 assert np.array_equal(a.stderr, b.stderr), (d, workers)
 
 
-def test_word_estimate_independent_of_the_other_patterns(gen):
-    d, n = 3, 3 * CHUNK + 7
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 32])
+def test_word_means_match_complex_products(gen, d):
+    # an oracle that shares no code with the kernel's product: words built
+    # by complex matmul, one pattern at a time
+    n = 2 * word_sizes(d)[0] + 3
+    patterns = [[random_complex(gen, d) for _ in range(k)] for k in (3, 1, 3, 5)]
+    stacked = empirical_moments(patterns, d, n, RngStream(14, d))
+    plain = _moments_one_pattern_at_a_time(patterns, d, n, RngStream(14, d), None, np.matmul)
+    for a, b in zip(stacked, plain):
+        assert np.max(np.abs(a.mean - b.mean)) <= 1e-13 * np.max(np.abs(b.mean)), d
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 32])
+def test_word_estimate_independent_of_the_other_patterns(gen, d):
+    # more than three chunks, the last one partial where a chunk holds more than one sample
+    n = 3 * word_sizes(d)[0] + 7
     alone = [random_complex(gen, d) for _ in range(3)]
     others = [[random_complex(gen, d) for _ in range(k)] for k in (1, 5, 3, 3, 7, 1, 3, 5, 3)]
     together = others[:4] + [alone] + others[4:]
     (single,) = empirical_moments([alone], d, n, RngStream(13))
     mixed = empirical_moments(together, d, n, RngStream(13))[4]
-    assert np.array_equal(single.mean, mixed.mean)
-    assert np.array_equal(single.stderr, mixed.stderr)
+    assert np.array_equal(single.mean, mixed.mean), d
+    assert np.array_equal(single.stderr, mixed.stderr), d
 
 
 def test_word_sizes_keep_the_blas_rule():
-    # OpenBLAS threads a GEMM from m n k = 2^16 on (see mc.GEMM_CAP); past
+    # OpenBLAS threads a zgemm from m n k = 2^16 on (see mc.GEMM_CAP); past
     # d = 32 a single sample's d x d product is already above the cap, so
     # the chunk holds one sample there.  A chunk also fits in one sub-batch,
     # so its unitaries are one stack of haar_batches
@@ -128,6 +147,14 @@ def test_word_sizes_keep_the_blas_rule():
         assert samples * d**3 <= max(GEMM_CAP, d**3), d
         assert per_block * samples * d * d <= WORD_CAP, d
         assert per_block >= 8 or d > 64, d
+        # the products are real GEMMs, which OpenBLAS keeps on the calling
+        # thread up to m n k = 10^6: the X-step (s d x 2d)(2d x 2d) for
+        # d <= 32, the U-step (P d x 2d)(2d x 2d) for d <= 16; at d = 32 a
+        # block of 8 patterns is already 4 * 8 * 32^3 = 1.05e6
+        if d <= 32:
+            assert 4 * samples * d**3 <= 10**6, d
+        if d <= 16:
+            assert 4 * per_block * d**3 <= 10**6, d
 
 
 def test_worker_count_env(monkeypatch):
