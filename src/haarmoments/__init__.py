@@ -28,9 +28,9 @@ from .closed_forms import (
     f_of_t,
     form_factor_inputs,
     general_average,
+    haar_form_factors,
     time_coeffs,
     uniform_average,
-    uniform_coeffs,
     uniform_variance,
     variance_coeffs,
 )

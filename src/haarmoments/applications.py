@@ -11,8 +11,9 @@ import numpy as np
 from .closed_forms import (
     FormFactorInputs,
     general_average,
+    haar_form_factors,
+    time_coeffs,
     uniform_average,
-    uniform_coeffs,
     uniform_variance,
 )
 from .ensembles import EnsembleKind, averaged_time_coeffs, bessel_j1_over_t, sinc
@@ -85,22 +86,18 @@ def depolarizing_average(rho0, f2: float, d: int) -> np.ndarray:
 def uniform_purity(p_total: float, dims: BipartiteDims) -> tuple[float, float | None]:
     """Mean reduced purity under a Haar average, plus the pure-state variance.
 
-    The mean depends on the total state only through its purity; the variance
-    closed form holds for pure total states only and is None otherwise.
+    The mean depends on the total state only through its purity: it is
+    ct1 p_total + ct2 at ``haar_form_factors``, where ct3 and ct4 vanish.  The
+    variance closed form holds for pure total states only and is None otherwise.
     """
     d = dims.d
     check_purity("total purity", p_total, d)
     ds, de = dims.d_s, dims.d_e
-    c1, c2 = uniform_coeffs(dims)
-    mean = c1 * p_total + c2
+    c = time_coeffs(haar_form_factors(d), dims)
+    mean = c.ct1 * p_total + c.ct2
     variance = None
     if abs(p_total - 1.0) <= 1e-12:
-        variance = (
-            2.0
-            * (de**2 - 1)
-            * (ds**2 - 1)
-            / ((d + 1) ** 2 * (d + 2) * (d + 3))
-        )
+        variance = 2.0 * (de**2 - 1) * (ds**2 - 1) / ((d + 1) ** 2 * (d + 2) * (d + 3))
     return mean, variance
 
 
@@ -116,13 +113,8 @@ def purity_evolution(
     """
     check_purity("reduced purity", p0, dims.d_s)
     times = np.asarray(times, dtype=float)
-    if ensemble == EnsembleKind.UNIFORM:
-        mean, _ = uniform_purity(1.0, dims)
-        values = np.full(times.shape, mean)
-    else:
-        c = averaged_time_coeffs(ensemble, times, dims)
-        values = c.ct1 + c.ct2 + (c.ct3 + c.ct4) * p0
-    return Curve(times=times, values=values)
+    c = averaged_time_coeffs(ensemble, times, dims)
+    return Curve(times=times, values=c.ct1 + c.ct2 + (c.ct3 + c.ct4) * p0)
 
 
 def gibbs_purity(levels, beta: float) -> float | np.ndarray:
@@ -180,8 +172,7 @@ def open_thermalization(
     check_purity("p_rho0", params.p_rho0, d)
     check_purity("p_s0", params.p_s0, dims.d_s)
     check_purity("p_e0", params.p_e0, dims.d_e)
-    c1, c2 = uniform_coeffs(dims)
-    base = c1 * params.p_gibbs + c2 - 2.0 / dims.d_s
+    base = uniform_purity(params.p_gibbs, dims)[0] - 2.0 / dims.d_s
     times = np.asarray(times, dtype=float)
     c = averaged_time_coeffs(ensemble, times, dims)
     values = base + c.ct1 * params.p_rho0 + c.ct2 + c.ct3 * params.p_s0 + c.ct4 * params.p_e0

@@ -1,9 +1,9 @@
 """Exact analytic Haar averages of reduced-operator norms.
 
-Two families: the time-independent uniform average (with its variance), and
-the four-coefficient time-dependent average for a Hamiltonian with Haar
-eigenvectors and an arbitrary spectrum, which enters through the normalized
-Fourier transform of the level density f(t) = (1/d) sum_j exp(-i E_j t).
+The four-coefficient average for Haar eigenvectors and any spectrum, which
+enters through f(t) = (1/d) sum_j exp(-i E_j t), is every mean: a Haar U is
+W Lambda W^dag with CUE eigenvalues Lambda (Weyl), so the uniform mean is it
+at ``haar_form_factors``.  The uniform variance has its own closed form.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import (
     BipartiteDims,
     as_matrix,
+    check_dim,
     check_levels,
     check_time,
     hs_norm_sq,
@@ -80,11 +81,12 @@ def _hermitian(m, dims: BipartiteDims) -> np.ndarray:
     return m
 
 
-def uniform_coeffs(dims: BipartiteDims) -> tuple[float, float]:
-    """Coefficients (C1, C2) of the uniform average C1*||M||^2 + C2*(Tr M)^2."""
-    ds, de = dims.d_s, dims.d_e
-    denom = ds**2 * de**2 - 1
-    return (ds**2 * de - de) / denom, (ds * de**2 - ds) / denom
+def haar_form_factors(d: int) -> FormFactorInputs:
+    """The constant spectral functions of a d x d Haar unitary, f = Tr U / d, from
+    the CUE moments (Diaconis & Shahshahani, J. Appl. Probab. 31A, 49 (1994)).
+    They hold for d >= 2; at d = 1 |Tr U|^4 = 1, not 2, so d < 2 is refused."""
+    check_dim("d", d, 2)
+    return FormFactorInputs(f2=1.0 / d**2, f2_2t=2.0 / d**2, re_f2fc2t=0.0, f4=2.0 / d**4)
 
 
 def variance_coeffs(dims: BipartiteDims) -> tuple[float, float, float, float, float]:
@@ -102,11 +104,9 @@ def variance_coeffs(dims: BipartiteDims) -> tuple[float, float, float, float, fl
 
 
 def uniform_average(m, dims: BipartiteDims) -> float:
-    """Haar mean of ||Tr_E{U M U^dag}||^2 for Hermitian M."""
-    m = _hermitian(m, dims)
-    c1, c2 = uniform_coeffs(dims)
-    tr = trace_power(m, 1).real
-    return c1 * hs_norm_sq(m) + c2 * tr**2
+    """Haar mean of ||Tr_E{U M U^dag}||^2 for Hermitian M: the general
+    average at ``haar_form_factors``."""
+    return general_average(m, dims, haar_form_factors(dims.d))
 
 
 def uniform_variance(m, dims: BipartiteDims) -> float:

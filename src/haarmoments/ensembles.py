@@ -16,6 +16,7 @@ at the summed multiplier k_B:
   operator D(-i tau / sqrt(d)), built in closed form from Laguerre values.
 - GUE_LARGE_D, the factorized large-d limit: prod_a d h(k_a t), with the
   semicircle transform h(t) = J1(2t)/t.
+- UNIFORM, Haar unitaries with their CUE eigenvalues: ``haar_form_factors``.
 
 The four functions compile once per kind into one table of integer-weighted
 factor products: sinc(2kt) keyed by |pi| and the sorted |k_B| (sinc is even),
@@ -39,10 +40,11 @@ import functools
 import itertools
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 
-from .closed_forms import FormFactorInputs, TimeCoeffs, time_coeffs
+from .closed_forms import FormFactorInputs, TimeCoeffs, haar_form_factors, time_coeffs
 from .errors import DimensionError
 from .linalg import WORD_CAP, BipartiteDims, EnsembleKind, check_dim, check_time
 
@@ -261,13 +263,17 @@ def _form_factors(kind: EnsembleKind, times: tuple[float, ...], d: int) -> np.nd
 def averaged_form_factors(ensemble: EnsembleKind, t, d: int) -> FormFactorInputs:
     """The ensemble's averaged spectral functions at time t: floats for one
     time, arrays of its shape for an array of times, evaluated as one grid.
-    POISSON, GUE_NUMERIC and GUE_LARGE_D have them, any other is a ValueError."""
+    Every EnsembleKind has them, UNIFORM at d >= 2 only; a value that is not
+    an EnsembleKind is a ValueError."""
     times = np.asarray(t, dtype=float)
     check_time(times)
     check_dim("d", d, 1)
     if ensemble == EnsembleKind.GUE_LARGE_D and d < GUE_NUMERIC_MAX_DIM:
         warnings.warn(f"GUE large-d limit used at small dimension d = {d}", stacklevel=2)
-    values = _form_factors(ensemble, tuple(times.ravel().tolist()), d).reshape(-1, *times.shape)
+    if ensemble == EnsembleKind.UNIFORM:
+        values = np.multiply.outer(astuple(haar_form_factors(d)), np.ones(times.shape))
+    else:
+        values = _form_factors(ensemble, tuple(times.ravel().tolist()), d).reshape(-1, *times.shape)
     return FormFactorInputs(*(values.tolist() if times.ndim == 0 else values))
 
 

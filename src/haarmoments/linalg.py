@@ -25,8 +25,8 @@ WORD_CAP = 2**15
 
 
 class EnsembleKind(enum.Enum):
-    """Spectral statistics of the evolution: Haar-uniform unitaries, or Haar
-    eigenvectors with Poisson or GUE levels."""
+    """Spectral statistics of the evolution: Haar-uniform unitaries (CUE
+    eigenvalues, no levels), or Haar eigenvectors with Poisson or GUE levels."""
 
     UNIFORM = "uniform"
     POISSON = "poi"

@@ -24,7 +24,6 @@ from haarmoments.closed_forms import (
     general_average,
     time_coeffs,
     uniform_average,
-    uniform_coeffs,
 )
 from haarmoments.ensembles import (
     EnsembleKind,
@@ -51,6 +50,7 @@ from haarmoments.mc import (
 from haarmoments.weingarten import moment_function
 
 from conftest import haar_unitaries, random_complex, random_state
+from twins import uniform_coeffs
 
 
 def test_two_state_uniform_identical_states(gen):
@@ -428,7 +428,7 @@ def test_open_thermalization_is_the_average_of_concrete_states(gen):
             p_s0=hs_norm_sq(partial_trace_env(rho0, dims)),
             p_e0=hs_norm_sq(partial_trace_sys(rho0, dims)),
         )
-        for kind in (EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC):
+        for kind in (EnsembleKind.UNIFORM, EnsembleKind.POISSON, EnsembleKind.GUE_NUMERIC):
             times = [0.7, 2.3]
             curve = open_thermalization(params, kind, times)
             for t, value in zip(times, curve.values):

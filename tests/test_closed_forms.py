@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from haarmoments.closed_forms import (
     f_of_t,
     form_factor_inputs,
     general_average,
+    haar_form_factors,
     time_coeffs,
     uniform_average,
-    uniform_coeffs,
     uniform_variance,
     variance_coeffs,
 )
+from haarmoments.cli import _DE_SCAN
 from haarmoments.ensembles import EnsembleKind, poisson_form_factors
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import (
@@ -25,6 +28,7 @@ from haarmoments.linalg import (
 from haarmoments.mc import empirical_fixed_spectrum, empirical_reduced_norm
 
 from conftest import random_hermitian, random_state
+from twins import uniform_coeffs
 
 
 def test_spectral_functions_refuse_non_finite_levels():
@@ -205,6 +209,22 @@ def test_time_coeffs_gue_long_time_matches_uniform():
         assert abs(c.ct2 - c2) <= 1e-2
         assert abs(c.ct3) <= 1e-2
         assert abs(c.ct4) <= 1e-2
+
+
+def test_time_coeffs_at_the_haar_constants_are_the_exact_uniform_pair():
+    # Over (d_S, d_E) in [2, 8] x [2, 16] and the purity-vs-de grid, ct1 and
+    # ct2 at the CUE constants sit at most 0.48 eps (relative) from the exact
+    # (C1, C2), held to 4 eps; ct3 and ct4 are zero exactly and at most
+    # 4.7e-20 in floats, held to 1e-18.
+    grid = [(ds, de) for ds in range(2, 9) for de in range(2, 17)]
+    grid += [(ds, de) for ds in (2, 3, 4, 5) for de in _DE_SCAN]
+    eps = np.finfo(float).eps
+    for ds, de in grid:
+        dims = BipartiteDims(ds, de)
+        c = time_coeffs(haar_form_factors(dims.d), dims)
+        for value, exact in zip((c.ct1, c.ct2), uniform_coeffs(dims)):
+            assert abs(Fraction(value) - exact) <= 4 * eps * exact, (ds, de)
+        assert max(abs(c.ct3), abs(c.ct4)) <= 1e-18, (ds, de)
 
 
 def test_poisson_inputs_large_de_kill_ct1_ct4():

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from haarmoments import ensembles
+from haarmoments.applications import purity_evolution, uniform_purity
+from haarmoments.closed_forms import haar_form_factors
 from haarmoments.ensembles import (
     FUNCTIONS,
     GUE_NUMERIC_MAX_DIM,
@@ -34,10 +36,11 @@ from haarmoments.linalg import (
     WORD_CAP,
     BipartiteDims,
     RngStream,
+    haar_batches,
     sample_gue_hamiltonians,
     sample_spectra,
 )
-from haarmoments.mc import empirical_form_factors
+from haarmoments.mc import accumulate_chunks, empirical_form_factors
 from haarmoments.weingarten import cycles_of
 
 # high-precision reference values (Abramowitz & Stegun conventions)
@@ -665,9 +668,42 @@ def test_averaged_time_coeffs_at_zero():
         assert c.ct3 == 1.0
 
 
-def test_averaged_time_coeffs_rejects_uniform():
-    with pytest.raises(ValueError, match="no spectral moments"):
-        averaged_time_coeffs(EnsembleKind.UNIFORM, 1.0, BipartiteDims(2, 2))
+def test_uniform_spectral_functions_are_the_haar_constants():
+    # UNIFORM is the CUE spectral law: floats at one time, arrays of the
+    # times' shape on a grid, the same constants at every time; d = 1 is refused
+    ff = averaged_form_factors(EnsembleKind.UNIFORM, 1.0, 4)
+    assert dataclasses.astuple(ff) == (1 / 16, 2 / 16, 0.0, 2 / 256)
+    assert {type(v) for v in dataclasses.astuple(ff)} == {float}
+    times = np.linspace(0.0, 1e8, 6).reshape(2, 3)
+    grid = averaged_form_factors(EnsembleKind.UNIFORM, times, 4)
+    for value, row in zip(dataclasses.astuple(ff), dataclasses.astuple(grid)):
+        assert row.shape == times.shape and (row == value).all()
+    with pytest.raises(DimensionError, match="d must be >= 2"):
+        haar_form_factors(1)
+    with pytest.raises(DimensionError, match="d must be >= 2"):
+        averaged_form_factors(EnsembleKind.UNIFORM, 1.0, 1)
+    # the purity curve is flat at the uniform_purity mean, to the last bit
+    for dims in map(BipartiteDims, (2, 2, 3, 5), (2, 7, 14, 768)):
+        mean, _ = uniform_purity(1.0, dims)
+        for p0 in (1.0 / dims.d_s, 0.6, 1.0):
+            traj = purity_evolution(EnsembleKind.UNIFORM, dims, p0, times.ravel())
+            assert (traj.values == mean).all(), (dims, p0)
+
+
+def test_uniform_form_factors_against_sampled_haar_unitaries():
+    # the sampled twin of the CUE constants: f = Tr U / d and f(2) = Tr U^2 / d
+    # of Haar draws, n = 20000 per d on stream (411, d), gated at 5 sigma
+    def chunk(gen, count, d):
+        u = np.concatenate(list(haar_batches(d, count, gen)))
+        f, f_2 = np.trace(u, axis1=1, axis2=2) / d, np.einsum("sij,sji->s", u, u) / d
+        f2 = f.real**2 + f.imag**2
+        return f2, f_2.real**2 + f_2.imag**2, (f * f * f_2.conj()).real, f2**2
+
+    for d in (2, 3, 4, 8):
+        moments = accumulate_chunks(functools.partial(chunk, d=d), 20_000, RngStream(411, d))
+        exact = dataclasses.astuple(averaged_form_factors(EnsembleKind.UNIFORM, 0.7, d))
+        for est, value in zip((m.estimate() for m in moments), exact):
+            assert abs(est.mean - value) <= 5 * est.stderr, (d, est.mean, value)
 
 
 def test_form_factors_refuse_non_finite_times():

@@ -161,6 +161,14 @@ def test_only_the_sampling_layers_read_sample_spectra():
     assert readers <= {"linalg", "mc", "applications"}, readers
 
 
+def test_only_ensembles_and_mc_name_the_uniform_kind():
+    # A Haar unitary is the CUE spectral law: ensembles gives UNIFORM its
+    # constant spectral functions and mc its sampler, and every other module
+    # reaches its means through them, with no branch of its own.
+    readers = {path.stem for path in SRC.glob("*.py") if "UNIFORM" in _attributes_read(path)}
+    assert readers == {"ensembles", "mc"}, readers
+
+
 def _module_definitions(path: Path) -> set[str]:
     """Names of the functions and classes a source file defines at module level."""
     return {
