@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import astuple
@@ -47,6 +46,7 @@ import numpy as np
 from .closed_forms import FormFactorInputs, TimeCoeffs, haar_form_factors, time_coeffs
 from .errors import DimensionError
 from .linalg import WORD_CAP, BipartiteDims, EnsembleKind, check_dim, check_time
+from .weingarten import all_permutations, cycles_of
 
 GUE_NUMERIC_MAX_DIM = 16
 
@@ -122,7 +122,6 @@ def _gue_blocks(taus, d: int) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(*taus.shape, d, d)
 
 
-@functools.cache
 def _block_sums(ks: tuple[int, ...]) -> tuple:
     """The block sums k_B of every set partition pi of the multipliers."""
     if not ks:
@@ -134,7 +133,6 @@ def _block_sums(ks: tuple[int, ...]) -> tuple:
 FUNCTIONS = ((1, -1), (2, -2), (1, 1, -2), (1, 1, -1, -1))  # in FormFactorInputs order
 
 
-@functools.cache
 def _expansion(kind: EnsembleKind, ks: tuple[int, ...]) -> tuple:
     """E[prod_a S(k_a t)] as (key, integer coefficient) pairs: a POISSON key is
     (|pi|, sorted nonzero |k_B|), a GUE_LARGE_D key (len(k), |k|) and a GUE key
@@ -146,16 +144,10 @@ def _expansion(kind: EnsembleKind, ks: tuple[int, ...]) -> tuple:
         if kind == EnsembleKind.POISSON:
             terms[len(sums), tuple(sorted(abs(s) for s in sums if s))] += count
             continue
-        nonzero = [(s,) if s else () for s in sums]  # G(0) = I drops out of a trace
-        for perm in itertools.permutations(range(len(sums))):
-            keys, seen = [], [False] * len(sums)
-            for i in (j for j in range(len(sums)) if not seen[j]):  # a new cycle starts at i
-                cyc = ()
-                while not seen[i]:
-                    seen[i] = True
-                    cyc += nonzero[i]
-                    i = perm[i]
-                keys.append(min(cyc[j:] + cyc[:j] for j in range(len(cyc))) if cyc[1:] else cyc)
+        for perm in all_permutations(len(sums)):
+            # each cycle's nonzero sums: G(0) = I drops out of a trace
+            cycles = [tuple(filter(None, map(sums.__getitem__, c))) for c in cycles_of(perm)]
+            keys = [min(c[j:] + c[:j] for j in range(len(c))) if c[1:] else c for c in cycles]
             terms[tuple(sorted(keys))] += count * (-1) ** (len(sums) - len(keys))
     return tuple((key, c) for key, c in terms.items() if c)
 
@@ -273,7 +265,8 @@ def averaged_form_factors(ensemble: EnsembleKind, t, d: int) -> FormFactorInputs
     if ensemble == EnsembleKind.UNIFORM:
         values = np.multiply.outer(astuple(haar_form_factors(d)), np.ones(times.shape))
     else:
-        values = _form_factors(ensemble, tuple(times.ravel().tolist()), d).reshape(-1, *times.shape)
+        values = _form_factors(ensemble, tuple(times.ravel().tolist()), d)
+        values = values.reshape(len(FUNCTIONS), *times.shape)
     return FormFactorInputs(*(values.tolist() if times.ndim == 0 else values))
 
 

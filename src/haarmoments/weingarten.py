@@ -16,7 +16,7 @@ sigma alone, so the double sum is one matrix-vector product.
 The contraction is compiled once per m, independent of d: one prefix trie
 holding the heads of the distinct traced words and the distinct open words,
 and index arrays from every permutation to its words.  A call builds each
-trie length with one stacked matmul into a per-thread stack and takes each
+trie length with one stacked matmul into the call's own stack and takes each
 trace as an elementwise sum of a head against the word's last operator,
 which needs no product: 0, 0, 4, 23 and 111 d x d products for m = 1..5.
 """
@@ -24,7 +24,6 @@ which needs no product: 0, 0, 4, 23 and 111 d x d products for m = 1..5.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,8 +37,6 @@ Word = tuple[int, ...]
 Step = tuple[np.ndarray, np.ndarray]  # per trie length: (parent nodes, letters)
 
 MAX_HALF_ORDER = 5  # largest supported m; moments up to E^(10)
-
-_workspace = threading.local()  # .stack: moment_function's products, one per thread
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -189,8 +186,6 @@ def _wg_matrix(m: int, d: int) -> np.ndarray:
     return wg
 
 
-# typed: True and 2.0 equal 1 and 2 as keys, and would skip the check
-@lru_cache(maxsize=None, typed=True)
 def weingarten_table(m: int, d: int) -> dict[Partition, float]:
     """Wg values for every conjugacy class of S_m at dimension d, an integer >= 1."""
     check_dim("d", d, 1)
@@ -224,13 +219,14 @@ def moment_function(xs, d: int) -> np.ndarray:
     One (nodes + 2 traced, d, d) stack holds I, the operators, one stacked
     matmul per trie length (0, 0, 4, 23 and 111 products for m = 1..5) and
     the heads and last letters of the traced words: one ``einsum`` takes
-    every trace, one sums the open words.  The stack is kept per thread and
-    grows to the largest call, 1.5 MiB at m = 4 and 5.4 MiB at m = 5
-    (d = 32): fewer page faults than a fresh stack (DECISIONS.md).  The
-    Weingarten sum and open-word weights are ``einsum``: OpenBLAS threads a
-    matrix-vector product like a GEMM, which made an m = 5, d = 8 call take
-    8.0 ms instead of 1.7 ms (2-vCPU Xeon, OpenBLAS 0.3.31).  Each stacked
-    product is its own d x d GEMM, unthreaded below m n k = 2^16 (d <= 40).
+    every trace, one sums the open words.  Each call allocates its own
+    stack, 1.5 MiB at m = 4 and 5.4 MiB at m = 5 (d = 32), so concurrent
+    calls share nothing; a stack kept between calls was no faster
+    (DECISIONS.md).  The Weingarten sum and open-word weights are
+    ``einsum``: OpenBLAS threads a matrix-vector product like a GEMM, which
+    made an m = 5, d = 8 call take 8.0 ms instead of 1.7 ms (2-vCPU Xeon,
+    OpenBLAS 0.3.31).  Each stacked product is its own d x d GEMM,
+    unthreaded below m n k = 2^16 (d <= 40).
     """
     check_dim("d", d, 1)
     mats = [as_matrix(x, d) for x in xs]
@@ -244,10 +240,7 @@ def moment_function(xs, d: int) -> np.ndarray:
     plan = _plan(m)
 
     nodes, traced = len(plan.free_sums), len(plan.lasts)
-    size = (nodes + 2 * traced) * d * d
-    if len(getattr(_workspace, "stack", ())) < size:
-        _workspace.stack = np.empty(size, dtype=complex)
-    stack = _workspace.stack[:size].reshape(-1, d, d)
+    stack = np.empty((nodes + 2 * traced, d, d), dtype=complex)
     stack[0] = np.identity(d)
     ops = np.stack(mats, out=stack[1 : len(mats) + 1])
     start = len(mats) + 1

@@ -10,8 +10,12 @@ repository root
 
 which exits 1 if anything differs.  It also prints the largest relative
 difference among the values within tolerance, with its place, so a move at
-rounding level can be stated without building the parent commit.  After a
-change that moves a reported number on purpose, regenerate the manifest with
+rounding level can be stated without building the parent commit, and how
+many compared numbers differ from the manifest in any bit.  The 1e-12
+tolerance hides rounding-level moves; against a manifest that the parent
+commit wrote on the same host, a count of 0 shows that a change moves no
+bit.  After a change that moves a reported number on purpose, regenerate the
+manifest with
 
     PYTHONPATH=src python tests/golden_outputs.py
 
@@ -126,6 +130,13 @@ def largest_move(expected: dict, got: dict) -> tuple[float, str | None]:
     return max(moves, default=(0.0, None))
 
 
+def bit_moves(expected: dict, got: dict) -> tuple[int, int]:
+    """How many compared numbers differ in any bit (a sign of zero too), and
+    how many were compared."""
+    pairs = [(float(h).hex(), float(w).hex()) for _, h, w in _numbers(expected, got)]
+    return sum(h != w for h, w in pairs), len(pairs)
+
+
 def dumps(outputs: dict) -> str:
     """The manifest text: one figure row or one criterion per line."""
     figures = ",\n".join(
@@ -146,6 +157,7 @@ def main(argv: list[str]) -> int:
         move, place = largest_move(expected, got)
         at = f", at {place}" if place else ""
         print(f"largest move within {RTOL:g}: {move:.3g} relative{at}")
+        print("numbers that differ in any bit: {} of {}".format(*bit_moves(expected, got)))
         return 1 if found else 0
     if argv:
         print("usage: golden_outputs.py [--check]", file=sys.stderr)

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from haarmoments import ensembles
-from haarmoments.applications import purity_evolution, uniform_purity
+from haarmoments.applications import (
+    ThermalizationParams,
+    open_thermalization,
+    purity_evolution,
+    uniform_purity,
+)
 from haarmoments.closed_forms import haar_form_factors
 from haarmoments.ensembles import (
     FUNCTIONS,
@@ -704,6 +709,21 @@ def test_uniform_form_factors_against_sampled_haar_unitaries():
         exact = dataclasses.astuple(averaged_form_factors(EnsembleKind.UNIFORM, 0.7, d))
         for est, value in zip((m.estimate() for m in moments), exact):
             assert abs(est.mean - value) <= 5 * est.stderr, (d, est.mean, value)
+
+
+def test_an_empty_grid_gives_empty_curves():
+    # d = 16 is inside GUE_NUMERIC's range and at GUE_LARGE_D's warning bound
+    dims = BipartiteDims(4, 4)
+    for kind in EnsembleKind:
+        for times in (np.array([]), np.zeros((2, 0))):
+            values = [
+                *_fields(averaged_form_factors(kind, times, dims.d)),
+                *dataclasses.astuple(averaged_time_coeffs(kind, times, dims)),
+                purity_evolution(kind, dims, 1.0, times).values,
+                open_thermalization(ThermalizationParams(dims, 1.0 / dims.d), kind, times).values,
+            ]
+            assert [v.shape for v in values] == [times.shape] * len(values), kind
+        assert averaged_form_factors(kind, [], dims.d).f2.shape == (0,), kind
 
 
 def test_form_factors_refuse_non_finite_times():

@@ -48,13 +48,18 @@ def test_check_mode_lists_differences_and_leaves_the_manifest(manifest, monkeypa
     for outputs, code in ((manifest, 0), (planted, 1)):
         monkeypatch.setattr(golden_outputs, "build_outputs", lambda outputs=outputs: outputs)
         assert golden_outputs.main(["--check"]) == code
-    assert "c1-of-t row 3" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "c1-of-t row 3" in out
+    assert "numbers that differ in any bit: 0 of" in out  # the manifest against itself
+    assert "numbers that differ in any bit: 1 of" in out
     # a move within tolerance passes, and is named with its size and place
     within = copy.deepcopy(manifest)
     within["figures"]["c1-of-t"]["rows"][3][1] *= 1 + 1e-13
     monkeypatch.setattr(golden_outputs, "build_outputs", lambda: within)
     assert golden_outputs.main(["--check"]) == 0
     header = manifest["figures"]["c1-of-t"]["header"]
-    assert f"1e-13 relative, at c1-of-t row 3 {header[1]}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"1e-13 relative, at c1-of-t row 3 {header[1]}" in out
+    assert "numbers that differ in any bit: 1 of" in out
     assert MANIFEST.read_bytes() == before
     assert golden_outputs.main(["--bogus"]) == 2

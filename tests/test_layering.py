@@ -169,6 +169,18 @@ def test_only_ensembles_and_mc_name_the_uniform_kind():
     assert readers == {"ensembles", "mc"}, readers
 
 
+def test_only_mc_keeps_per_thread_state():
+    # The exact route is a pure function of its inputs, so the state it keeps
+    # is caches; the Monte Carlo word kernel alone holds per-thread buffers.
+    holders = {
+        path.stem
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "threading.local"
+    }
+    assert holders == {"mc"}, holders
+
+
 def _module_definitions(path: Path) -> set[str]:
     """Names of the functions and classes a source file defines at module level."""
     return {

@@ -158,7 +158,7 @@ def test_weingarten_refuses_orders_beyond_the_plans():
 def test_weingarten_refuses_bad_dimensions_and_classes(fn, args, error, match):
     # d is an integer >= 1 and a class weakly decreasing positive integers;
     # anything else is refused, never answered or a bare KeyError
-    weingarten_table(2, 1)  # a cached d = 1 table must not answer d = True
+    weingarten_table(2, 1)  # a d = 1 table built first must not answer d = True
     with pytest.raises(error, match=match):
         fn(*args)
 
