@@ -6,12 +6,13 @@ double sum over permutation pairs (sigma, tau) in S_m x S_m whose delta
 contractions split the X's into traced words plus one free word carrying the
 outer indices, each pair weighted by Wg(tau sigma^{-1}).
 
-The Weingarten matrix is the Moore-Penrose pseudo-inverse of the Gram matrix
-G_{sigma,tau} = d^{#cycles(tau sigma^{-1})} (Collins & Sniady, CMP 264, 773
-(2006); Collins & Matsumoto, ALEA 14, 631 (2017)): its inverse for d >= m,
-and still the Weingarten matrix where G is singular, so every d >= 1 works.
-The odd-side traced words depend on tau alone and the even-side words on
-sigma alone, so the double sum is one matrix-vector product.
+Wg is a class function, exact from the characters of S_m (Collins & Sniady,
+CMP 264, 773 (2006)): Wg(mu, d) = (1/m!) sum_lambda f^lambda chi^lambda(mu) /
+prod_{boxes of lambda} (d + content) over the lambda |- m with at most d rows,
+chi^lambda by the Murnaghan-Nakayama rule.  That cut is the pseudo-inverse of
+the Gram matrix d^{#cycles(tau sigma^{-1})}, singular at d < m, so every d >= 1
+works.  The odd-side traced words depend on tau alone and the even-side words
+on sigma alone, so the double sum is one matrix-vector product.
 
 The contraction is compiled once per m, independent of d: one prefix trie
 holding the heads of the distinct traced words and the distinct open words,
@@ -24,7 +25,9 @@ which needs no product: 0, 0, 4, 23 and 111 d x d products for m = 1..5.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -73,6 +76,29 @@ def conjugacy_class_of(p: Permutation) -> Partition:
     return tuple(sorted((len(c) for c in cycles_of(p)), reverse=True))
 
 
+def partitions(m: int) -> list[Partition]:
+    """Partitions of m as weakly decreasing tuples, (m) first."""
+    if m == 0:
+        return [()]
+    return [(k, *rest) for k in range(m, 0, -1) for rest in partitions(m - k) if rest[:1] <= (k,)]
+
+
+@lru_cache(maxsize=None)
+def _character(shape: Partition, cls: Partition) -> int:
+    """chi^shape(cls) by the Murnaghan-Nakayama rule on beta-sets: a rim hook of
+    length k moves a bead k places down to a free place, signed by the beads passed."""
+    def chi(beads: frozenset[int], hooks: Partition) -> int:
+        if not hooks:
+            return 1
+        k = hooks[0]
+        return sum(
+            (-1) ** sum(b - k < c < b for c in beads) * chi(beads - {b} | {b - k}, hooks[1:])
+            for b in beads if b >= k and b - k not in beads
+        )
+
+    return chi(frozenset(row + len(shape) - 1 - i for i, row in enumerate(shape)), cls)
+
+
 def _trie(words: list[Word], letters: int) -> tuple[tuple[Step, ...], dict[Word, int]]:
     """Prefix trie of the products ``words`` need, its nodes numbered across
     lengths: node 0 is the empty word (I), nodes 1..letters the operators,
@@ -106,7 +132,7 @@ def _positions(words_per_perm: list[list[Word]], position: dict[Word, int]) -> n
 class _Plan:
     """The contraction of S_m x S_m, compiled once per m and independent of d.
 
-    Indexed like ``perms`` (perms[0] is the identity).  Letters index the
+    Indexed like ``all_permutations(m)`` (the identity first).  Letters index the
     operator stack X1, X2, ..., X_{2m-1}: the odd operators are the even
     letters.  Traced words are cycles, so they start at their smallest letter:
     that is the canonical rotation, and equal traces share one word.
@@ -119,8 +145,7 @@ class _Plan:
     a trace of 1.  The open words are nodes of the same trie ``steps``.
     """
 
-    perms: list[Permutation]
-    ncycles: np.ndarray  # ncycles[s, t] = #cycles(tau sigma^{-1})
+    classes: np.ndarray  # classes[s, t] = index in partitions(m) of the class of tau sigma^{-1}
     steps: tuple[Step, ...]
     heads: np.ndarray
     lasts: np.ndarray
@@ -134,15 +159,16 @@ def _plan(m: int) -> _Plan:
     if not 1 <= m <= MAX_HALF_ORDER:
         raise ValueError(f"unsupported order m={m}")
     perms = all_permutations(m)
-    # #cycles(tau sigma^-1) depends on the product alone: count the cycles of
-    # the m! permutations once and look each product up by its rank, its
+    # the class of tau sigma^-1 depends on the product alone: find the class
+    # of the m! permutations once and look each product up by its rank, its
     # digits read in base m (all_permutations is in lexicographic order)
     table = np.array(perms)
     place = m ** np.arange(m - 1, -1, -1)
-    counts = np.array([len(cycles_of(p)) for p in perms])
+    shapes = partitions(m)
+    kinds = np.array([shapes.index(conjugacy_class_of(p)) for p in perms])
     products = table[np.arange(len(perms))[None, :, None], np.argsort(table)[:, None, :]]
-    ncycles = counts[np.searchsorted(table @ place, products @ place)]
-    ncycles.flags.writeable = False
+    classes = kinds[np.searchsorted(table @ place, products @ place)]
+    classes.flags.writeable = False
     letters = 2 * m - 1
     free, even = [], []
     for sigma in perms:
@@ -161,8 +187,7 @@ def _plan(m: int) -> _Plan:
     free_sums[[index[w] for w in free], range(len(perms))] = 1.0
     position = {w: k for k, w in enumerate(traced)}
     return _Plan(
-        perms,
-        ncycles,
+        classes,
         steps,
         np.array([index[w[:-1]] for w in traced], dtype=np.intp),
         np.array([w[-1] for w in traced], dtype=np.intp),
@@ -174,38 +199,31 @@ def _plan(m: int) -> _Plan:
 
 @lru_cache(maxsize=None)
 def _wg_matrix(m: int, d: int) -> np.ndarray:
-    """Wg[s, t] = Wg(tau sigma^{-1}) at dimension d: the pseudo-inverse Gram matrix.
-
-    For d < m the Gram matrix has rank sum (f^lambda)^2 over the partitions
-    lambda of m with at most d rows.  Its nonzero eigenvalues are at least 1;
-    the zero ones come out below 2e-12, at least 1000 times below the cut,
-    1e-12 times the largest.  ``rcond``, not ``rtol``, which needs numpy >= 2.
-    """
-    wg = np.linalg.pinv(float(d) ** _plan(m).ncycles, rcond=1e-12, hermitian=True)
+    """Wg[s, t] = Wg(tau sigma^{-1}) at dimension d, each class value rounded once."""
+    wg = np.array([float(weingarten(cls, d)) for cls in partitions(m)])[_plan(m).classes]
     wg.flags.writeable = False
     return wg
 
 
-def weingarten_table(m: int, d: int) -> dict[Partition, float]:
-    """Wg values for every conjugacy class of S_m at dimension d, an integer >= 1."""
-    check_dim("d", d, 1)
-    row = _wg_matrix(m, d)[0]
-    return {conjugacy_class_of(p): float(w) for p, w in zip(_plan(m).perms, row)}
-
-
-def weingarten(sigma_class: Partition, d: int) -> float:
-    """Weingarten function of a conjugacy class (cycle type) at dimension d.
-
-    The class is a partition of m, weakly decreasing positive integers;
-    anything else is refused with ValueError.
-    """
+def weingarten(sigma_class: Partition, d: int) -> Fraction:
+    """Weingarten function of a conjugacy class (cycle type) at dimension d, exactly:
+    the class is a partition of m <= MAX_HALF_ORDER, weakly decreasing positive
+    integers; anything else is refused with ValueError."""
     parts = tuple(sigma_class)
     positive = all(
         isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1 for k in parts
     )
     if not (parts and positive and list(parts) == sorted(parts, reverse=True)):
         raise ValueError(f"a class is weakly decreasing positive integers, got {sigma_class!r}")
-    return weingarten_table(sum(parts), d)[parts]
+    check_dim("d", d, 1)
+    parts, d, m = tuple(map(int, parts)), int(d), int(sum(parts))
+    if m > MAX_HALF_ORDER:
+        raise ValueError(f"unsupported order m={m}")
+    shapes = [s for s in partitions(m) if len(s) <= d]
+    boxes = [math.prod(d + j - i for i, row in enumerate(s) for j in range(row)) for s in shapes]
+    common = math.lcm(*boxes)  # one integer sum: a Fraction per term costs more
+    chis = [_character(s, (1,) * m) * _character(s, parts) for s in shapes]
+    return Fraction(sum(c * common // b for c, b in zip(chis, boxes)), common * math.factorial(m))
 
 
 def moment_function(xs, d: int) -> np.ndarray:
@@ -213,8 +231,8 @@ def moment_function(xs, d: int) -> np.ndarray:
 
     ``xs`` holds the n-1 fixed operators (n even, 2 <= n <= 2 MAX_HALF_ORDER);
     all contractions come from the per-m plan rather than hand-expanded term
-    lists.  Every d >= 1 is supported: below d = n/2 the Weingarten matrix is
-    the Gram pseudo-inverse.
+    lists.  Every d >= 1 is supported, with Wg rounded once per class from
+    its exact character sum.
 
     One (nodes + 2 traced, d, d) stack holds I, the operators, one stacked
     matmul per trie length (0, 0, 4, 23 and 111 products for m = 1..5) and

@@ -181,6 +181,18 @@ def test_only_mc_keeps_per_thread_state():
     assert holders == {"mc"}, holders
 
 
+def test_weingarten_takes_no_numerical_inverse():
+    # Wg comes exactly from the characters of S_m; a floating-point inverse
+    # of the Gram matrix is the test-side reference only.
+    path = SRC / "weingarten.py"
+    inverses = {
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and ast.unparse(node) in {"np.linalg", "numpy.linalg"}
+    }
+    assert not inverses, inverses
+
+
 def _module_definitions(path: Path) -> set[str]:
     """Names of the functions and classes a source file defines at module level."""
     return {

@@ -2,7 +2,9 @@ import itertools
 import math
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -12,6 +14,7 @@ from haarmoments.errors import DimensionError
 from haarmoments.linalg import RngStream
 from haarmoments.mc import empirical_moments
 from haarmoments.weingarten import (
+    _character,
     _plan,
     _wg_matrix,
     all_permutations,
@@ -20,15 +23,15 @@ from haarmoments.weingarten import (
     fourth_moment_closed,
     inverse,
     moment_function,
+    partitions,
     weingarten,
-    weingarten_table,
 )
 
 from conftest import haar_unitaries, random_complex, random_hermitian
 
 
 def compose(p, q):
-    """(p o q)(i) = p[q[i]]: the pairwise reference for the plan's cycle table."""
+    """(p o q)(i) = p[q[i]]: the pairwise reference for the plan's class table."""
     return tuple(p[q[i]] for i in range(len(p)))
 
 
@@ -71,21 +74,44 @@ def _paper_weingarten(cls, d):
 
 
 def test_weingarten_closed_forms():
+    # exact: the printed rational functions evaluated in fractions
     for m in (2, 3, 4):
         for d in range(m, 65):
-            for cls, val in weingarten_table(m, d).items():
-                ref = _paper_weingarten(cls, d)
-                assert val == pytest.approx(ref, rel=1e-14), (m, d, cls)
+            for cls in partitions(m):
+                assert weingarten(cls, d) == _paper_weingarten(cls, Fraction(d)), (m, d, cls)
 
 
-def _partitions(m, largest=None):
-    """Partitions of m as weakly decreasing tuples."""
-    if m == 0:
-        yield ()
-        return
-    for first in range(min(m, largest or m), 0, -1):
-        for rest in _partitions(m - first, first):
-            yield (first, *rest)
+def test_weingarten_second_order_values_are_exact():
+    for d in range(2, 65):
+        assert weingarten((1, 1), d) == Fraction(1, d**2 - 1), d
+        assert weingarten((2,), d) == Fraction(-1, d * (d**2 - 1)), d
+
+
+def test_partitions():
+    assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert [len(partitions(m)) for m in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+
+
+def _centralizer(cls):
+    """z_mu = prod_k k^{a_k} a_k!, the order of the centralizer of class mu."""
+    return math.prod(k**a * math.factorial(a) for k, a in Counter(cls).items())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_characters_are_column_orthogonal(m):
+    # sum_lambda chi^lambda(mu) chi^lambda(nu) = delta_{mu nu} z_mu
+    shapes = partitions(m)
+    for mu in shapes:
+        for nu in shapes:
+            total = sum(_character(shape, mu) * _character(shape, nu) for shape in shapes)
+            assert total == (_centralizer(mu) if mu == nu else 0), (mu, nu)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_character_of_the_identity_is_the_irrep_dimension(m):
+    dims = [_character(shape, (1,) * m) for shape in partitions(m)]
+    assert dims == [_irrep_dim(shape) for shape in partitions(m)]
+    assert sum(f**2 for f in dims) == math.factorial(m)
 
 
 def _irrep_dim(shape):
@@ -101,23 +127,33 @@ def _irrep_dim(shape):
 def test_gram_identity(m):
     # Wg is the pseudo-inverse of G[s, t] = d^{#cycles(tau sigma^-1)}: its
     # inverse for d >= m, and for d < m of rank sum (f^lambda)^2 over the
-    # partitions of m with at most d rows
-    for d in (*range(1, m + 2), 10):
-        gram = float(d) ** _plan(m).ncycles
+    # partitions of m with at most d rows.  The character values agree with
+    # the floating-point pseudo-inverse, whose zero eigenvalues come out
+    # below 2e-12, 1000 times below its cut (6.8e-15 relative at worst).
+    perms = all_permutations(m)
+    ncycles = np.array(
+        [[len(cycles_of(compose(tau, inverse(sigma)))) for tau in perms] for sigma in perms]
+    )
+    for d in (*range(1, 17), 32):
+        gram = float(d) ** ncycles
         wg = _wg_matrix(m, d)
+        pinv = np.linalg.pinv(gram, rcond=1e-12, hermitian=True)
+        assert np.max(np.abs(wg - pinv)) <= 1e-13 * np.max(np.abs(pinv)), d
         assert np.max(np.abs(gram @ wg @ gram - gram)) <= 1e-13 * np.max(gram), d
         assert np.max(np.abs(wg @ gram @ wg - wg)) <= 1e-13 * np.max(np.abs(wg)), d
         if d >= m:
             assert np.max(np.abs(gram @ wg - np.eye(len(gram)))) <= 1e-13, d
-        rank = sum(_irrep_dim(shape) ** 2 for shape in _partitions(m) if len(shape) <= d)
+        rank = sum(_irrep_dim(shape) ** 2 for shape in partitions(m) if len(shape) <= d)
         assert np.linalg.matrix_rank(gram, hermitian=True) == rank, d
 
 
 def test_weingarten_values():
-    assert weingarten((1, 1), 2) == pytest.approx(1 / 3, abs=1e-15)
-    assert weingarten((2,), 2) == pytest.approx(-1 / 6, abs=1e-15)
+    assert weingarten((1, 1), 2) == Fraction(1, 3)
+    assert weingarten((2,), 2) == Fraction(-1, 6)
     # the closed-form denominator at d = 4 is a = 1260, giving -5/5040
-    assert weingarten((4,), 4) == pytest.approx(-1 / 1008, rel=1e-13)
+    assert weingarten((4,), 4) == Fraction(-1, 1008)
+    # below d = m: the partitions with more than d rows are left out
+    assert weingarten((5,), 3) == Fraction(113, 302400)
 
 
 def test_weingarten_singular_below_m():
@@ -126,8 +162,8 @@ def test_weingarten_singular_below_m():
     # and E^(2m) is the product of the 1 x 1 operators
     gen = np.random.default_rng(1001)
     for m in range(1, 6):
-        for cls, value in weingarten_table(m, 1).items():
-            assert value == pytest.approx(1 / math.factorial(m) ** 2, rel=1e-14), (m, cls)
+        for cls in partitions(m):
+            assert weingarten(cls, 1) == Fraction(1, math.factorial(m) ** 2), (m, cls)
         xs = [random_complex(gen, 1) for _ in range(2 * m - 1)]
         product = math.prod(x[0, 0] for x in xs)
         assert abs(moment_function(xs, 1)[0, 0] - product) <= 1e-14 * abs(product), m
@@ -144,7 +180,7 @@ def test_weingarten_refuses_orders_beyond_the_plans():
 @pytest.mark.parametrize(
     "fn, args, error, match",
     [
-        (weingarten_table, (2, 0), DimensionError, "d must be >= 1"),
+        (weingarten, ((2,), 0), DimensionError, "d must be >= 1"),
         (weingarten, ((1, 1), -2), DimensionError, "d must be >= 1"),
         (weingarten, ((1, 1), 1.5), DimensionError, "an integer"),
         (weingarten, ((1, 1), True), DimensionError, "an integer"),
@@ -153,12 +189,12 @@ def test_weingarten_refuses_orders_beyond_the_plans():
         (weingarten, ((), 3), ValueError, "weakly decreasing"),
         (weingarten, ((1.0, 1), 3), ValueError, "weakly decreasing"),
     ],
-    ids=["table-d0", "d-2", "d1.5", "dTrue", "class12", "class20", "class-empty", "class-float"],
+    ids=["d0", "d-2", "d1.5", "dTrue", "class12", "class20", "class-empty", "class-float"],
 )
 def test_weingarten_refuses_bad_dimensions_and_classes(fn, args, error, match):
     # d is an integer >= 1 and a class weakly decreasing positive integers;
     # anything else is refused, never answered or a bare KeyError
-    weingarten_table(2, 1)  # a d = 1 table built first must not answer d = True
+    _wg_matrix(2, 1)  # a d = 1 matrix built first must not answer d = True
     with pytest.raises(error, match=match):
         fn(*args)
 
@@ -336,9 +372,10 @@ def test_plan_cycle_table_matches_pairwise_construction():
     for m in range(1, 6):
         perms = all_permutations(m)
         pairwise = [
-            [len(cycles_of(compose(tau, inverse(sigma)))) for tau in perms] for sigma in perms
+            [conjugacy_class_of(compose(tau, inverse(sigma))) for tau in perms] for sigma in perms
         ]
-        assert np.array_equal(_plan(m).ncycles, np.array(pairwise)), m
+        classes = [[partitions(m)[k] for k in row] for row in _plan(m).classes]
+        assert classes == pairwise, m
 
 
 def test_contraction_plan_size():
@@ -368,8 +405,8 @@ def _on_fresh_thread(fn):
     return out[0]
 
 
-def test_moment_function_bit_equal_across_threads():
-    # every thread has its own product stack, so concurrent calls are the
+def test_concurrent_moment_function_calls_match_serial_bits():
+    # every call allocates its own product stack, so concurrent calls are the
     # serial calls bit for bit; more threads than cores, switching often
     gen = np.random.default_rng(61)
     calls = [
@@ -389,10 +426,10 @@ def test_moment_function_bit_equal_across_threads():
         np.testing.assert_array_equal(got, want)
 
 
-def test_moment_function_reused_stack_leaks_no_stale_entry():
-    # a small call after a large one reads none of what the large one left
-    # in the thread's stack: it returns the bits of the same call on a
-    # thread whose stack is fresh
+def test_moment_function_after_a_larger_call_matches_a_fresh_thread():
+    # a small call after a large one on the same thread reads nothing the
+    # large one left behind: it returns the bits of the same call made alone
+    # on a new thread
     gen = np.random.default_rng(62)
     calls = [
         ([random_complex(gen, d) for _ in range(order - 1)], d)
