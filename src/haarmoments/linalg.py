@@ -22,6 +22,11 @@ STATE_PSD_TOL = 1e-9
 # sizes its two buffers by it, and ``ensembles.bessel_j1_over_t`` sums its
 # (time, node) phases in pieces of it
 WORD_CAP = 2**15
+# the largest d whose Haar factor is Gram-Schmidt rather than LAPACK QR: per
+# full sub-batch (2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31) QR took 4.46,
+# 2.78, 1.77, 1.61 and 1.33 ms at d = 2, 4, 8, 10, 16, Gram-Schmidt 0.49,
+# 0.75, 1.25, 1.68 and 2.84 ms
+GRAM_SCHMIDT_MAX_D = 8
 
 
 class EnsembleKind(enum.Enum):
@@ -199,17 +204,53 @@ def sub_batches(n: int, d: int) -> list[slice]:
     """Slices of range(n) holding WORD_CAP // d^2 samples each (at least one), the last the rest.
 
     A stacked d x d step run over these slices holds at most WORD_CAP entries
-    per temporary.  LAPACK and BLAS factor and multiply a stack matrix by
-    matrix, so each slice's results are the bits of the whole-stack call.
+    per temporary.  The Haar factor and BLAS factor and multiply a stack
+    matrix by matrix, so each slice's results are the bits of the
+    whole-stack call.
     """
     step = max(1, WORD_CAP // (d * d))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """x[0] + x[1] + ... in row order.  np.sum(x, axis=0) adds the rows in
+    order only when the batch axis holds more than one sample, so its bits
+    would depend on the batch size from four rows on."""
+    acc = x[0].copy()
+    for row in x[1:]:
+        acc += row
+    return acc
+
+
+def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """The Q of the QR factor of each matrix of a (k, d, d) stack whose R has a
+    positive diagonal, by classical Gram-Schmidt run twice per column (CGS2):
+    elementwise ufuncs over the batch, the innermost axis, and no BLAS or
+    LAPACK call.  Two passes give orthogonality at rounding level (Giraud,
+    Langou, Rozloznik & van den Eshof, Numer. Math. 101, 87 (2005)); each
+    matrix's bits are independent of k."""
+    cols = z.transpose(2, 1, 0).copy()  # (column, row, sample)
+    q = np.empty_like(cols)
+    q_conj = np.empty_like(cols)
+    for j, v in enumerate(cols):
+        for _ in range(2 if j else 0):
+            coeffs = _row_sum((q_conj[:j] * v).swapaxes(0, 1))
+            for term in q[:j] * coeffs[:, None, :]:
+                v -= term
+        norm = np.sqrt(_row_sum(v.real * v.real + v.imag * v.imag))
+        np.divide(v, norm, out=q[j])
+        np.conjugate(q[j], out=q_conj[j])
+    return np.ascontiguousarray(q.transpose(2, 1, 0))
+
+
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a (k, d, d) Ginibre stack: QR, then the column
-    phases conj(r_jj)/|r_jj|, which make the triangular factor's diagonal
-    positive (plain QR alone is not Haar-distributed)."""
+    """Haar unitaries from a (k, d, d) Ginibre stack: the Q of its QR factor
+    with a positive R diagonal, which is unique (plain QR alone is not
+    Haar-distributed).  Up to GRAM_SCHMIDT_MAX_D it is ``_gram_schmidt``;
+    above, LAPACK QR, then the column phases conj(r_jj)/|r_jj|.  The two
+    agree to rounding, so the choice never changes the law."""
+    if z.shape[-1] <= GRAM_SCHMIDT_MAX_D:
+        return _gram_schmidt(z)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (diag.conj() / np.abs(diag))[:, None, :]
@@ -220,8 +261,10 @@ def haar_batches(d: int, n: int, rng):
     """n Haar-distributed d x d unitaries as an iterator of (k, d, d) stacks,
     one per ``sub_batches`` slice of range(n): the package's one Haar sampler.
 
-    Ginibre matrix -> QR -> column phases (Mezzadri, Notices AMS 54, 592
-    (2007)).  Each slice of k matrices is its own Ginibre draw,
+    Ginibre matrix -> the Q of its QR factor with a positive R diagonal
+    (Mezzadri, Notices AMS 54, 592 (2007)), by ``_haar_from_ginibre``:
+    Gram-Schmidt up to GRAM_SCHMIDT_MAX_D, LAPACK QR above.  Each slice of
+    k matrices is its own Ginibre draw,
     ``complex_normal(gen, (k, d, d))``, so nothing larger than one slice is
     held.  When n fits in one slice there is one stack, taken as
     ``(u,) = haar_batches(d, n, gen)``.  d < 1 is refused at the call,

@@ -18,14 +18,15 @@ results are bit-identical for any worker count and a constant offset of the
 samples does not cancel.
 
 Each chunk runs every stacked d x d step over ``linalg.sub_batches`` of
-WORD_CAP // d^2 samples: the QR of the Haar sampler, the GUE eigensolver and
+WORD_CAP // d^2 samples: the Haar sampler's factor (Gram-Schmidt up to
+``linalg.GRAM_SCHMIDT_MAX_D``, LAPACK QR above), the GUE eigensolver and
 the per-sample maps of the Haar-based estimators.  ``linalg.haar_batches``
 draws each slice's Ginibre matrices on their own, and those estimators map
 each slice to its values as it is factored, so no chunk-sized complex stack
 exists: a worker holds temporaries of at most WORD_CAP entries each, about
-0.16 stacks at peak at d = 32.  LAPACK and BLAS work matrix by matrix, so
-every estimate is bit-identical to factoring and mapping the chunk's
-Ginibre stack, drawn slice by slice, at once.
+0.16 stacks at peak at d = 32.  The factor, LAPACK and BLAS work matrix by
+matrix, so every estimate is bit-identical to factoring and mapping the
+chunk's Ginibre stack, drawn slice by slice, at once.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ CHUNK = 1024
 # of a purity chunk took 11 ms against 0.02 ms on one BLAS thread.  Small
 # matrix-vector products, here and in weingarten, are einsum: no BLAS call.
 GEMM_CAP = 2**15
+# the largest m n k of a real GEMM that OpenBLAS keeps on the calling thread
+REAL_GEMM_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -206,14 +209,18 @@ def word_sizes(d: int) -> tuple[int, int]:
     The chunk is sized from the buffers: s = min(CHUNK, GEMM_CAP // d^3,
     WORD_CAP // (8 d^2)), at least 1, so s d^3 stays within GEMM_CAP and
     the real X-step GEMM, m n k = 4 s d^3, on the calling thread (for
-    d <= 32; past that one sample's product is above it), and a block of
-    WORD_CAP // (s d^2) patterns fills at most WORD_CAP entries.  That is
-    at least 8 patterns up to d = 64.  Both depend on d
-    alone, and s is at most one ``sub_batches`` slice, so a chunk's
-    unitaries are one stack of ``haar_batches``.
+    d <= 32; past that one sample's product is above it).  A block holds
+    P = min(WORD_CAP // (s d^2), REAL_GEMM_CAP // (4 d^3)) patterns, at
+    least 1, so it fills at most WORD_CAP entries and its U-step,
+    m n k = 4 P d^3, stays on the calling thread wherever one pattern's
+    does (d <= 62).  P is at least 8 for d < 32, and 7 at d = 32, where
+    one block of 8 patterns of length 3 took 991 ms for 1024 samples on two
+    workers against 761 ms as blocks of 7 and 1.  Both depend on d alone,
+    and s is at most one ``sub_batches`` slice, so a chunk's unitaries are
+    one stack of ``haar_batches``.
     """
     samples = max(1, min(CHUNK, GEMM_CAP // d**3, WORD_CAP // (8 * d * d)))
-    return samples, max(1, WORD_CAP // (samples * d * d))
+    return samples, max(1, min(WORD_CAP // (samples * d * d), REAL_GEMM_CAP // (4 * d**3)))
 
 
 def empirical_moments(
@@ -225,22 +232,26 @@ def empirical_moments(
     the per-pattern estimates deterministic and amortizes the sampling cost.
     Patterns of one length are stacked into blocks, and the c samples of a
     chunk build a block's words together in two buffers, allocated once per
-    worker thread and call: laid out as (P, c d, d), a step by the fixed X's
-    is one GEMM per pattern; laid out as (c, P d, d), a step by U or U^dag is
-    one (P d x d)(d x d) product per sample; one copy moves the words between
-    the two layouts.  Every product is a real GEMM: its left operand and
-    output are float views of the buffers, and its right operand is the
-    2d x 2d ``linalg.real_embedding`` R(B), built once per call for the X's
-    and once per chunk for U and U^dag.  Every word entry takes the same BLAS
-    sums as when the words are built one at a time through R, so the
-    estimates are bit-identical to that route.
+    worker thread and call.  Both hold the words as (sample, row, pattern,
+    col), so no copy moves them: a step by the fixed X's is one GEMM per
+    pattern on the (pattern, sample row, col) view of a buffer, whose rows
+    are P 2d floats apart; a step by U or U^dag is one (d P x d)(d x d)
+    product per sample on the contiguous (sample, row pattern, col) view.
+    The X-step writes the first buffer, the U-step maps it into the second,
+    and the next X-step reads the second.  Every product is a real GEMM:
+    its left operand and output are float views of the buffers, and its
+    right operand is the 2d x 2d ``linalg.real_embedding`` R(B), built once
+    per call for the X's and once per chunk for U and U^dag.  Every word
+    entry takes the same BLAS sums as when the words are built one at a
+    time through R, so the estimates are bit-identical to that route.
 
     The per-sample U-step costs one BLAS call whatever P is, so the sizing
     runs from the buffers to the chunk: ``word_sizes(d)`` gives c and P,
-    with both buffers at most WORD_CAP entries (each worker holds both) and
-    P >= 8, so the patterns of one length usually share one block.  The
-    chunk depends on d only, never on the pattern list, so each estimate is
-    bit-identical to evaluating its pattern alone.
+    with both buffers at most WORD_CAP entries (each worker holds both),
+    the U-step on the calling thread, and P >= 8 for d < 32, so the
+    patterns of one length usually share one block.  The chunk depends on d
+    only, never on the pattern list, so each estimate is bit-identical to
+    evaluating its pattern alone.
     """
     check_dim("d", d, 1)
     mats = [[as_matrix(x, d) for x in xs] for xs in patterns]
@@ -277,26 +288,26 @@ def empirical_moments(
         a, b = (buf.view(float) for buf in local.buffers)
         for ops in stacks:
             p = ops.shape[1]
-            by_pattern, by_sample = (p, count * d, 2 * d), (count, p * d, 2 * d)
-            src, dst = a[: 2 * p * count * d * d], b[: 2 * p * count * d * d]
+            # both buffers hold the block's words as (sample, row, pattern,
+            # col): the X-step writes a through its (pattern, sample row,
+            # col) view, the U-step maps a to b sample by sample
+            u_in, u_out = (buf[: 2 * p * count * d * d].reshape(count, d * p, 2 * d) for buf in (a, b))
+            x_out = u_in.reshape(count * d, p, 2 * d).swapaxes(0, 1)
             w = u.view(float).reshape(count * d, 2 * d)
             for k, x in enumerate(ops):
-                np.matmul(w, x, out=dst.reshape(by_pattern))
-                src.reshape(count, p, d, 2 * d)[...] = dst.reshape(p, count, d, 2 * d).swapaxes(0, 1)
-                np.matmul(src.reshape(by_sample), right[k % 2], out=dst.reshape(by_sample))
-                if k + 1 < len(ops):
-                    src.reshape(p, count, d, 2 * d)[...] = dst.reshape(count, p, d, 2 * d).swapaxes(0, 1)
-                    w = src.reshape(by_pattern)
-            # one row of p words per sample, reduced by the caller before the
-            # next block overwrites it
-            yield dst.reshape(count, -1)
+                np.matmul(w, x, out=x_out)
+                np.matmul(u_in, right[k % 2], out=u_out)
+                w = u_out.reshape(count * d, p, 2 * d).swapaxes(0, 1)
+            # one row per sample, its words as (row, pattern, col), reduced
+            # by the caller before the next block overwrites it
+            yield u_out.reshape(count, -1)
 
     merged = accumulate_chunks(chunk, n, rng, workers=workers, chunk_size=chunk_size)
     estimates = [None] * len(order)
     for block, moments in zip(blocks, merged):
         est = moments.estimate()
-        means = est.mean.view(complex).reshape(-1, d, d)
-        se = est.stderr.reshape(-1, d, d, 2)
+        means = est.mean.view(complex).reshape(d, -1, d).swapaxes(0, 1)
+        se = est.stderr.reshape(d, -1, d, 2).swapaxes(0, 1)
         for j, i in enumerate(block):
             estimates[i] = McEstimate(means[j], np.hypot(se[j, ..., 0], se[j, ..., 1]), n)
     return estimates

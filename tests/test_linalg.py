@@ -4,6 +4,7 @@ import pytest
 from haarmoments.ensembles import _moment_function
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import (
+    GRAM_SCHMIDT_MAX_D,
     WORD_CAP,
     BipartiteDims,
     EnsembleKind,
@@ -11,6 +12,7 @@ from haarmoments.linalg import (
     as_matrix,
     check_dim,
     check_purity,
+    complex_normal,
     haar_batches,
     hs_norm_sq,
     partial_trace_env,
@@ -20,6 +22,7 @@ from haarmoments.linalg import (
     sample_spectra,
     sub_batches,
     trace_power,
+    _haar_from_ginibre,
 )
 
 from conftest import haar_unitaries, random_complex, random_hermitian, random_state
@@ -154,24 +157,51 @@ def test_haar_unitarity():
 
 
 def test_haar_bit_identical_to_ginibre_expression():
-    # each sub-batch of k matrices is its own draw A + 1j*B -> QR -> q * phases;
-    # n runs over one sample, part of a sub-batch, one sub-batch and one more,
-    # and two whole sub-batches and a remainder
+    # each sub-batch of k matrices is its own draw A + 1j*B, and factoring it
+    # gives the bits of factoring all the draws at once, on either side of
+    # GRAM_SCHMIDT_MAX_D; n runs over one sample, part of a sub-batch, one
+    # sub-batch and one more, and two whole sub-batches and a remainder
     for d in (1, 2, 3, 4, 8, 16, 32, 64):
         step = max(1, WORD_CAP // (d * d))
         for n in (1, 40, step + 1, 2 * step + 3):
             gen = np.random.default_rng([81, d])
-            expect = []
+            draws = []
             for start in range(0, n, step):
                 k = min(step, n - start)
-                z = gen.standard_normal((k, d, d)) + 1j * gen.standard_normal((k, d, d))
-                q, r = np.linalg.qr(z)
-                diag = np.diagonal(r, axis1=-2, axis2=-1)
-                expect.append(q * (diag.conj() / np.abs(diag))[:, None, :])
+                draws.append(gen.standard_normal((k, d, d)) + 1j * gen.standard_normal((k, d, d)))
+            expect = _haar_from_ginibre(np.concatenate(draws))
             got = list(haar_batches(d, n, np.random.default_rng([81, d])))
-            assert len(got) == len(expect), (d, n)
-            for a, b in zip(got, expect):
-                assert np.array_equal(a, b), (d, n)
+            assert [len(u) for u in got] == [len(z) for z in draws], (d, n)
+            assert np.array_equal(np.concatenate(got), expect), (d, n)
+
+
+def _lapack_haar(z):
+    # Mezzadri's route: LAPACK QR, then the column phases conj(r_jj)/|r_jj|
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag.conj() / np.abs(diag))[:, None, :]
+
+
+def test_small_d_factor_matches_lapack_and_calls_none(monkeypatch):
+    # the positive-diagonal QR factor is unique, so Gram-Schmidt and LAPACK
+    # give the same Q up to rounding.  On these full sub-batches the largest
+    # |dQ| is 2.8e-14 (d = 2; 6.9e-14 at d = 6 over five other draws), and
+    # the largest deviation from unitarity 6.7e-16 by Gram-Schmidt and
+    # 1.2e-15 by LAPACK (d = 10); the bounds leave a margin of 14x and 8x
+    for d in range(1, GRAM_SCHMIDT_MAX_D + 3):
+        z = complex_normal(np.random.default_rng([82, d]), (WORD_CAP // (d * d), d, d))
+        q = _haar_from_ginibre(z)
+        assert np.max(np.abs(q - _lapack_haar(z))) <= 1e-12, d
+        assert np.max(np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(d))) <= 1e-14, d
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    for d in range(1, GRAM_SCHMIDT_MAX_D + 1):
+        next(haar_batches(d, 3, RngStream(83)))
+    with pytest.raises(AssertionError, match="np.linalg.qr called"):
+        next(haar_batches(16, 3, RngStream(83)))
 
 
 def test_sub_batches_cover_the_samples_in_order():

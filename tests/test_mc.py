@@ -20,6 +20,7 @@ from haarmoments.linalg import (
     real_embedding,
     sample_spectra,
     sub_batches,
+    _haar_from_ginibre,
 )
 from haarmoments import mc
 from haarmoments.mc import (
@@ -128,7 +129,9 @@ def test_word_estimate_independent_of_the_other_patterns(gen, d):
     # more than three chunks, the last one partial where a chunk holds more than one sample
     n = 3 * word_sizes(d)[0] + 7
     alone = [random_complex(gen, d) for _ in range(3)]
-    others = [[random_complex(gen, d) for _ in range(k)] for k in (1, 5, 3, 3, 7, 1, 3, 5, 3)]
+    # eight patterns of length 3, so at d = 32 (7 patterns per block) they
+    # fill two blocks
+    others = [[random_complex(gen, d) for _ in range(k)] for k in (1, 5, 3, 3, 7, 1, 3, 5, 3, 3, 3, 3)]
     together = others[:4] + [alone] + others[4:]
     (single,) = empirical_moments([alone], d, n, RngStream(13))
     mixed = empirical_moments(together, d, n, RngStream(13))[4]
@@ -146,15 +149,17 @@ def test_word_sizes_keep_the_blas_rule():
         assert 1 <= samples <= max(1, WORD_CAP // d**2), d
         assert samples * d**3 <= max(GEMM_CAP, d**3), d
         assert per_block * samples * d * d <= WORD_CAP, d
-        assert per_block >= 8 or d > 64, d
+        assert per_block >= 8 or d >= 32, d
+        assert per_block >= 1, d
         # the products are real GEMMs, which OpenBLAS keeps on the calling
         # thread up to m n k = 10^6: the X-step (s d x 2d)(2d x 2d) for
-        # d <= 32, the U-step (P d x 2d)(2d x 2d) for d <= 16; at d = 32 a
-        # block of 8 patterns is already 4 * 8 * 32^3 = 1.05e6
+        # d <= 32, and the U-step (P d x 2d)(2d x 2d) wherever one pattern's
+        # is (d <= 62), which caps P at 7 for d = 32
         if d <= 32:
             assert 4 * samples * d**3 <= 10**6, d
-        if d <= 16:
+        if 4 * d**3 <= 10**6:
             assert 4 * per_block * d**3 <= 10**6, d
+    assert word_sizes(32) == (1, 7)
 
 
 def test_worker_count_env(monkeypatch):
@@ -663,13 +668,11 @@ def test_estimators_refuse_bad_shapes_before_drawing(monkeypatch):
 # Whole-chunk references of the sub-batched kernels: each runs its stacked
 # d x d steps on the chunk's full (count, d, d) stack at once.  The Ginibre
 # matrices are drawn per sub-batch, as haar_batches draws them, and factored
-# together.
+# together by the package's factor (Gram-Schmidt at d = 1 and 4, LAPACK QR
+# at d = 16, 32 and 64).
 def _haar_whole(d, n, gen):
     z = np.concatenate([complex_normal(gen, (len(range(n)[s]), d, d)) for s in sub_batches(n, d)])
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (diag.conj() / np.abs(diag))[:, None, :]
-    return q
+    return _haar_from_ginibre(z)
 
 
 def _gue_spectra_whole(d, n, gen):

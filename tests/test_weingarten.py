@@ -368,7 +368,7 @@ def test_compiled_contraction_matches_reference(m):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (m, d)
 
 
-def test_plan_cycle_table_matches_pairwise_construction():
+def test_plan_classes_match_pairwise_construction():
     for m in range(1, 6):
         perms = all_permutations(m)
         pairwise = [
