@@ -24,15 +24,11 @@ from .ensembles import GUE_NUMERIC_MAX_DIM, EnsembleKind, averaged_time_coeffs
 from .errors import HaarMomentsError
 from .linalg import BipartiteDims, RngStream
 from .mc import empirical_purity, schmidt_state
-from .validate import report_json, report_lines, run_validation
+from .validate import _fmt, report_json, report_lines, run_validation
 from .weingarten import MAX_HALF_ORDER, moment_function
 
 _DE_SCAN = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
 _GIBBS_BETA_D = 4  # levels per gibbs-beta spectrum, the d of the crossover scan in DECISIONS.md
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _gue_kind(d: int) -> EnsembleKind:

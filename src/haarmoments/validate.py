@@ -66,6 +66,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def sigma_ratio(analytic, mean, stderr, floor=0.0) -> float:
+    """Largest entrywise |analytic - mean| / (5 stderr + floor); <= 1 passes, exactly
+    where |analytic - mean| <= 5 stderr + floor does.  A zero stderr needs a floor."""
+    return float(np.max(np.abs(np.subtract(analytic, mean)) / (5 * stderr + floor)))
+
+
 def criterion_01_moment_oracle(seed: int, quick: bool) -> CriterionResult:
     """Analytic E^(4)/E^(6)/E^(8) match the Monte Carlo word average entrywise."""
     n = 2_000 if quick else 100_000
@@ -74,7 +80,7 @@ def criterion_01_moment_oracle(seed: int, quick: bool) -> CriterionResult:
     for d in (2, 3, 4):
         for order in (4, 6, 8):
             m = order // 2
-            if d < m:  # gated by the tests (d = 2 exactly); 7 s more here at n = 1e5
+            if d < m:  # gated by the tests (d = 2 exactly); would add 0.7 s to 2.3 s here (2 vCPU)
                 continue
             gen = np.random.default_rng([seed, 101, d, order])
             patterns = [
@@ -83,9 +89,7 @@ def criterion_01_moment_oracle(seed: int, quick: bool) -> CriterionResult:
             ]
             estimates = empirical_moments(patterns, d, n, RngStream(seed, 101 * order + d))
             for xs, est in zip(patterns, estimates):
-                ana = moment_function(xs, d)
-                dev = np.abs(ana - est.mean) / (5.0 * est.stderr + 1e-12)
-                worst = max(worst, float(dev.max()))
+                worst = max(worst, sigma_ratio(moment_function(xs, d), est.mean, est.stderr, 1e-12))
     return CriterionResult(
         "01-moment-oracle",
         worst <= 1.0,
@@ -113,8 +117,7 @@ def criterion_02_scalar_moments(seed: int, quick: bool) -> CriterionResult:
             return (np.stack([a2, a2**2], axis=1),)
 
         est = accumulate_chunks(chunk, n, RngStream(seed, 200 + d))[0].estimate()
-        targets = np.array([1 / d, 2 / (d * (d + 1))])
-        worst_mc = max(worst_mc, float(np.max(np.abs(est.mean - targets) / (5 * est.stderr))))
+        worst_mc = max(worst_mc, sigma_ratio([1 / d, 2 / (d * (d + 1))], est.mean, est.stderr))
     passed = worst_exact <= 1e-12 and worst_mc <= 1.0
     return CriterionResult(
         "02-scalar-moments",
@@ -135,8 +138,8 @@ def criterion_03_uniform_moments(seed: int, quick: bool) -> CriterionResult:
         mean_est, var_est = empirical_reduced_norm(m, dims, n, RngStream(seed, 300 + i))
         worst = max(
             worst,
-            abs(uniform_average(m, dims) - mean_est.mean) / (5 * mean_est.stderr),
-            abs(uniform_variance(m, dims) - var_est.mean) / (5 * var_est.stderr),
+            sigma_ratio(uniform_average(m, dims), mean_est.mean, mean_est.stderr),
+            sigma_ratio(uniform_variance(m, dims), var_est.mean, var_est.stderr),
         )
     return CriterionResult(
         "03-uniform-average-variance",
@@ -275,8 +278,8 @@ def criterion_09_gue_numeric_vs_sampled(seed: int, quick: bool) -> CriterionResu
     worst = 0.0
     for ti, t in enumerate((0.5, 1.0, 2.0)):
         est = empirical_form_factors(kind, d, t, n, RngStream(seed, 910 + ti))
-        exact = np.array(astuple(averaged_form_factors(kind, t, d)))
-        worst = max(worst, float(np.max(np.abs(exact - est.mean) / (5 * est.stderr))))
+        exact = astuple(averaged_form_factors(kind, t, d))
+        worst = max(worst, sigma_ratio(exact, est.mean, est.stderr))
     return CriterionResult(
         "09-gue-numeric-vs-sampled",
         worst <= 1.0,
@@ -340,14 +343,9 @@ CRITERIA = [
 ]
 
 
-def run_criterion(index: int, seed: int = 42, quick: bool = False) -> CriterionResult:
-    """Run one criterion by 0-based index."""
-    return CRITERIA[index](seed, quick)
-
-
 def run_validation(seed: int = 42, quick: bool = False) -> dict:
     """Run every acceptance criterion and assemble the machine-readable report."""
-    results = [run_criterion(i, seed, quick) for i in range(len(CRITERIA))]
+    results = [criterion(seed, quick) for criterion in CRITERIA]
     return {
         "version": __version__,
         "seed": seed,

@@ -47,6 +47,7 @@ from haarmoments.mc import (
     product_state,
     schmidt_state,
 )
+from haarmoments.validate import sigma_ratio
 from haarmoments.weingarten import moment_function
 
 from conftest import haar_unitaries, random_complex, random_state
@@ -73,8 +74,8 @@ def test_two_state_uniform_against_mc(gen):
     rho, rho_p = random_state(gen, 4), random_state(gen, 4)
     mean, var = two_state_uniform(rho, rho_p, dims)
     mean_est, var_est = empirical_reduced_norm(rho - rho_p, dims, 20_000, RngStream(41))
-    assert abs(mean - mean_est.mean) <= 5 * mean_est.stderr
-    assert abs(var - var_est.mean) <= 5 * var_est.stderr
+    assert sigma_ratio(mean, mean_est.mean, mean_est.stderr) <= 1
+    assert sigma_ratio(var, var_est.mean, var_est.stderr) <= 1
 
 
 def test_two_state_uniform_rejects_non_state(gen):
@@ -248,7 +249,7 @@ def test_purity_evolution_gue_numeric_against_mc():
     for i, t in enumerate((0.5, 1.0, 2.0)):
         ana = purity_evolution(EnsembleKind.GUE_NUMERIC, dims, 1.0, [t]).values[0]
         est = empirical_purity(dims, "gue", product_state(dims), t, 40_000, RngStream(61, i))
-        assert abs(est.mean - ana) <= 5 * est.stderr, t
+        assert sigma_ratio(ana, est.mean, est.stderr) <= 1, t
 
 
 def test_purity_evolution_uniform_is_flat():
@@ -384,7 +385,7 @@ def test_closed_thermalization_time_independent_mc(gen):
     expect = closed_thermalization(p_g, p_0, 4)
     for i in range(3):
         est = empirical_thermal_distance(levels, beta, rho0, 20_000, RngStream(54, i))
-        assert abs(est.mean - expect) <= 5 * est.stderr
+        assert sigma_ratio(expect, est.mean, est.stderr) <= 1
 
 
 def test_closed_thermal_distance_is_time_independent(gen):

@@ -26,6 +26,7 @@ from haarmoments.linalg import (
     partial_trace_sys,
 )
 from haarmoments.mc import empirical_fixed_spectrum, empirical_reduced_norm
+from haarmoments.validate import sigma_ratio
 
 from conftest import random_hermitian, random_state
 from twins import uniform_coeffs
@@ -96,8 +97,8 @@ def test_uniform_against_mc(gen):
     dims = BipartiteDims(2, 3)
     m = random_hermitian(gen, dims.d)
     mean_est, var_est = empirical_reduced_norm(m, dims, 20_000, RngStream(17))
-    assert abs(uniform_average(m, dims) - mean_est.mean) <= 5 * mean_est.stderr
-    assert abs(uniform_variance(m, dims) - var_est.mean) <= 5 * var_est.stderr
+    assert sigma_ratio(uniform_average(m, dims), mean_est.mean, mean_est.stderr) <= 1
+    assert sigma_ratio(uniform_variance(m, dims), var_est.mean, var_est.stderr) <= 1
 
 
 def test_uniform_average_dim_mismatch(gen):
@@ -284,4 +285,4 @@ def test_general_average_against_mc(gen):
     t = 1.7
     ff = form_factor_inputs(levels, t)
     est = empirical_fixed_spectrum(m, dims, levels, t, 20_000, RngStream(18))
-    assert abs(general_average(m, dims, ff) - est.mean) <= 5 * est.stderr
+    assert sigma_ratio(general_average(m, dims, ff), est.mean, est.stderr) <= 1

@@ -24,6 +24,7 @@ from haarmoments.linalg import (
     trace_power,
     _haar_from_ginibre,
 )
+from haarmoments.validate import sigma_ratio
 
 from conftest import haar_unitaries, random_complex, random_hermitian, random_state
 
@@ -241,10 +242,10 @@ def test_haar_first_moments():
     u = haar_unitaries(d, n, RngStream(8))
     e00 = u[:, 0, 0]
     se = e00.std(ddof=1) / np.sqrt(n)
-    assert abs(e00.mean()) <= 5 * se
+    assert sigma_ratio(0.0, e00.mean(), se) <= 1
     a2 = np.abs(e00) ** 2
     se2 = a2.std(ddof=1) / np.sqrt(n)
-    assert abs(a2.mean() - 1 / d) <= 5 * se2
+    assert sigma_ratio(1 / d, a2.mean(), se2) <= 1
 
 
 def test_haar_left_invariance():
@@ -257,7 +258,7 @@ def test_haar_left_invariance():
     for stat in (lambda x: x[:, 0, 0].real, lambda x: np.abs(x[:, 0, 0]) ** 2):
         a, b = stat(vu), stat(w)
         se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(n)
-        assert abs(a.mean() - b.mean()) <= 5 * se
+        assert sigma_ratio(a.mean(), b.mean(), se) <= 1
 
 
 def test_gue_hermitian_and_scale():
@@ -265,7 +266,7 @@ def test_gue_hermitian_and_scale():
     assert np.max(np.abs(h - h.conj().swapaxes(-1, -2))) <= 1e-12
     tr2 = np.einsum("sij,sji->s", h, h).real / 32
     se = tr2.std(ddof=1) / np.sqrt(len(tr2))
-    assert abs(tr2.mean() - 1.0) <= 5 * se
+    assert sigma_ratio(1.0, tr2.mean(), se) <= 1
 
 
 def test_gue_spectral_extent():
@@ -315,13 +316,13 @@ def test_sample_spectra_gue_law_matches_dense_sampler(d, n):
     tri_stats, dense_stats = _gue_statistics(tri), _gue_statistics(dense)
     for name, vals in tri_stats.items():
         (m_tri, se_tri), (m_dense, se_dense) = _mean_se(vals), _mean_se(dense_stats[name])
-        assert abs(m_tri - m_dense) <= 5 * np.hypot(se_tri, se_dense), (d, name)
+        assert sigma_ratio(m_tri, m_dense, np.hypot(se_tri, se_dense)) <= 1, (d, name)
     # <f(t)> of the tridiagonal draws against the exact finite-d mean
     for t in (0.5, 1.0, 2.0):
         exact = _moment_function(EnsembleKind.GUE_NUMERIC, d, (t,), ((1,),))[0, 0] / d
         for name, value in ((f"re f({t})", exact.real), (f"im f({t})", exact.imag)):
             m, se = _mean_se(tri_stats[name])
-            assert abs(m - value) <= 5 * se, (d, name)
+            assert sigma_ratio(value, m, se) <= 1, (d, name)
 
 
 def test_sample_spectra_gue_reproducible_and_d1():

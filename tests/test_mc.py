@@ -40,6 +40,7 @@ from haarmoments.mc import (
     word_sizes,
     worker_count,
 )
+from haarmoments.validate import sigma_ratio
 from haarmoments.weingarten import fourth_moment_closed
 
 from conftest import haar_unitaries, random_complex, random_hermitian, random_state
@@ -56,11 +57,11 @@ def test_empirical_moment_second_and_fourth_order(gen):
     x = random_hermitian(gen, d)
     (est,) = empirical_moments([[x]], d, 20_000, RngStream(21))
     target = np.trace(x) / d * np.eye(d)
-    assert np.all(np.abs(est.mean - target) <= 5 * est.stderr + 1e-12)
+    assert sigma_ratio(target, est.mean, est.stderr, 1e-12) <= 1
     xs = [random_hermitian(gen, d) for _ in range(3)]
     (est4,) = empirical_moments([xs], d, 20_000, RngStream(22))
     closed = fourth_moment_closed(*xs, d)
-    assert np.all(np.abs(est4.mean - closed) <= 5 * est4.stderr + 1e-12)
+    assert sigma_ratio(closed, est4.mean, est4.stderr, 1e-12) <= 1
 
 
 def _real_product(a, b):
@@ -295,7 +296,7 @@ def test_empirical_purity_uniform_matches_closed_form():
         psi = schmidt_state(dims, p0)
         est = empirical_purity(dims, "uniform", psi, 0.0, 20_000, RngStream(stream))
         mean, _ = uniform_purity(1.0, dims)
-        assert abs(est.mean - mean) <= 5 * est.stderr, dims
+        assert sigma_ratio(mean, est.mean, est.stderr) <= 1, dims
 
 
 # the three evolutions empirical_purity takes; a fixed spectrum is
@@ -396,7 +397,7 @@ def test_empirical_purity_law_matches_dense_haar_reference(ds, de, p0, times, ki
             est = empirical_purity(dims, kind, psi, t, 40_000, RngStream(82, 10 * i + k))
             ref = _purity_dense_w(dims, kind, psi, t, 40_000, RngStream(83, 10 * i + k))
             floor = 1e-12 if t == 0 else 0.0
-            assert abs(est.mean - ref.mean) <= 5 * np.hypot(est.stderr, ref.stderr) + floor, (name, t)
+            assert sigma_ratio(est.mean, ref.mean, np.hypot(est.stderr, ref.stderr), floor) <= 1, (name, t)
 
 
 def test_empirical_purity_matches_poisson_evolution():
@@ -405,7 +406,7 @@ def test_empirical_purity_matches_poisson_evolution():
     for i, t in enumerate((0.0, 1.0, 3.0)):
         est = empirical_purity(dims, "poi", psi, t, 10_000, RngStream(7, i))
         ana = purity_evolution(EnsembleKind.POISSON, dims, 1.0, [t]).values[0]
-        assert abs(est.mean - ana) <= 5 * max(est.stderr, 1e-12)
+        assert sigma_ratio(ana, est.mean, max(est.stderr, 1e-12)) <= 1
 
 
 def test_empirical_purity_gue_mode_runs():
@@ -425,7 +426,7 @@ def test_empirical_purity_fixed_spectrum_matches_general_average():
         rho0 = np.outer(psi, psi.conj())
         est = empirical_fixed_spectrum(rho0, dims, levels, t, 20_000, RngStream(72, i))
         ana = general_average(rho0, dims, form_factor_inputs(levels, t))
-        assert abs(est.mean - ana) <= 5 * est.stderr, (ds, de)
+        assert sigma_ratio(ana, est.mean, est.stderr) <= 1, (ds, de)
 
 
 def test_empirical_purity_takes_kind_or_its_value(monkeypatch):

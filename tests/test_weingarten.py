@@ -13,6 +13,7 @@ import pytest
 from haarmoments.errors import DimensionError
 from haarmoments.linalg import RngStream
 from haarmoments.mc import empirical_moments
+from haarmoments.validate import sigma_ratio
 from haarmoments.weingarten import (
     _character,
     _plan,
@@ -286,7 +287,7 @@ def test_u00_moments_against_formula_and_sampling():
     for m, target in ((1, 1 / d), (2, 2 / (d * (d + 1)))):
         vals = np.abs(u00) ** (2 * m)
         se = vals.std(ddof=1) / np.sqrt(n)
-        assert abs(vals.mean() - target) <= 5 * se
+        assert sigma_ratio(target, vals.mean(), se) <= 1
 
 
 def test_trace_preservation_against_mc(gen):
@@ -296,7 +297,7 @@ def test_trace_preservation_against_mc(gen):
     (est,) = empirical_moments([xs], d, 20_000, RngStream(66))
     mc_trace = np.trace(est.mean)
     se = float(np.sqrt(np.sum(np.diag(est.stderr) ** 2)))
-    assert abs(ana - mc_trace) <= 5 * se
+    assert sigma_ratio(ana, mc_trace, se) <= 1
 
 
 def test_moment_function_rejects_bad_patterns(gen):
@@ -467,7 +468,7 @@ def test_tenth_moment_against_mc(d, order):
     xs = [_near_identity_unitary(gen, d, 0.4) for _ in range(order - 1)]
     exact = moment_function(xs, d)
     (est,) = empirical_moments([xs], d, n, RngStream(1010))
-    assert np.all(np.abs(exact - est.mean) <= 5 * est.stderr)
+    assert sigma_ratio(exact, est.mean, est.stderr) <= 1
 
 
 def test_tenth_moment_identity_slots(gen):
