@@ -22,6 +22,10 @@ STATE_PSD_TOL = 1e-9
 # sizes its two buffers by it, and ``ensembles.bessel_j1_over_t`` sums its
 # (time, node) phases in pieces of it
 WORD_CAP = 2**15
+# the largest m n k of a real GEMM that OpenBLAS keeps on the calling thread
+# (its small-matrix kernel): the word products of ``mc`` and the open-word sum
+# of ``weingarten.moment_function`` stay within it
+REAL_GEMM_CAP = 10**6
 # the largest d whose Haar factor is Gram-Schmidt rather than LAPACK QR: per
 # full sub-batch (2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31) QR took 4.46,
 # 2.78, 1.77, 1.61 and 1.33 ms at d = 2, 4, 8, 10, 16, Gram-Schmidt 0.49,

@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import (
+    REAL_GEMM_CAP,
     WORD_CAP,
     BipartiteDims,
     EnsembleKind,
@@ -66,15 +67,15 @@ CHUNK = 1024
 # a 4096 x 4 x 4 product take 8.6 ms instead of 0.27 ms for 4095 x 4 x 4
 # (2-vCPU Xeon, OpenBLAS 0.3.31).  The word products are now real GEMMs of
 # m n k = 4 s d^3 (X-step) and 4 P d^3 (U-step), and OpenBLAS keeps a dgemm
-# on the calling thread up to m n k = 10^6, its small-matrix kernel: with two
+# on the calling thread up to m n k = linalg.REAL_GEMM_CAP = 10^6: with two
 # workers, 62500 x 4 x 4 took 0.33 ms and 62501 x 4 x 4 took 10.6 ms.  The
 # cap stays as it is, because s fixes each chunk's Haar stream.  OpenBLAS
 # threads a matrix-vector product too: with two workers, the 1024 x 16 zgemv
 # of a purity chunk took 11 ms against 0.02 ms on one BLAS thread.  Small
 # matrix-vector products, here and in weingarten, are einsum: no BLAS call.
+# weingarten's BLAS calls are a real GEMM within REAL_GEMM_CAP and dot
+# products of at most 1024 entries, both on the calling thread.
 GEMM_CAP = 2**15
-# the largest m n k of a real GEMM that OpenBLAS keeps on the calling thread
-REAL_GEMM_CAP = 10**6
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ The contraction is compiled once per m, independent of d: one prefix trie
 holding the heads of the distinct traced words and the distinct open words,
 and index arrays from every permutation to its words.  A call builds each
 trie length with one stacked matmul into the call's own stack and takes each
-trace as an elementwise sum of a head against the word's last operator,
+trace as a dot product of a head with the word's last operator, transposed,
 which needs no product: 0, 0, 4, 23 and 111 d x d products for m = 1..5.
 """
 
@@ -236,15 +236,17 @@ def moment_function(xs, d: int) -> np.ndarray:
 
     One (nodes + 2 traced, d, d) stack holds I, the operators, one stacked
     matmul per trie length (0, 0, 4, 23 and 111 products for m = 1..5) and
-    the heads and last letters of the traced words: one ``einsum`` takes
-    every trace, one sums the open words.  Each call allocates its own
-    stack, 1.5 MiB at m = 4 and 5.4 MiB at m = 5 (d = 32), so concurrent
-    calls share nothing; a stack kept between calls was no faster
-    (DECISIONS.md).  The Weingarten sum and open-word weights are
-    ``einsum``: OpenBLAS threads a matrix-vector product like a GEMM, which
-    made an m = 5, d = 8 call take 8.0 ms instead of 1.7 ms (2-vCPU Xeon,
-    OpenBLAS 0.3.31).  Each stacked product is its own d x d GEMM,
-    unthreaded below m n k = 2^16 (d <= 40).
+    the heads and transposed last letters of the traced words.  Each call
+    allocates its own stack, 1.5 MiB at m = 4 and 5.4 MiB at m = 5 (d = 32),
+    so concurrent calls share nothing (DECISIONS.md).  Each trace is a dot
+    product of d^2 entries, all in one batched matmul, and the open-word sum
+    is one real GEMM, [Re w; Im w] against the float view of the nodes, of
+    m n k = 4 nodes d^2 <= 495,616 (m <= 5, d <= 32): OpenBLAS keeps both on
+    the calling thread (``linalg.REAL_GEMM_CAP``).  The Weingarten sum and
+    the open-word weights are matrix-vector products, which OpenBLAS threads
+    like a GEMM (an m = 5, d = 8 call took 8.0 ms instead of 1.7 ms, 2-vCPU
+    Xeon, OpenBLAS 0.3.31), so they are ``einsum``.  Each stacked product is
+    its own d x d GEMM, unthreaded below m n k = 2^16 (d <= 40).
     """
     check_dim("d", d, 1)
     mats = [as_matrix(x, d) for x in xs]
@@ -259,8 +261,11 @@ def moment_function(xs, d: int) -> np.ndarray:
 
     nodes, traced = len(plan.free_sums), len(plan.lasts)
     stack = np.empty((nodes + 2 * traced, d, d), dtype=complex)
-    stack[0] = np.identity(d)
-    ops = np.stack(mats, out=stack[1 : len(mats) + 1])
+    stack[0] = 0
+    stack[0].flat[:: d + 1] = 1
+    for k, x in enumerate(mats, 1):
+        stack[k] = x
+    ops = stack[1 : len(mats) + 1]
     start = len(mats) + 1
     for parent, letter in plan.steps:
         np.matmul(stack[parent], ops[letter], out=stack[start : start + len(parent)])
@@ -268,11 +273,15 @@ def moment_function(xs, d: int) -> np.ndarray:
     heads, lasts = stack[nodes : nodes + traced], stack[nodes + traced :]
     # mode="clip" writes straight into out; "raise" would copy through a temporary
     np.take(stack[:nodes], plan.heads, axis=0, out=heads, mode="clip")
-    np.take(ops, plan.lasts, axis=0, out=lasts, mode="clip")
-    traces = np.append(np.einsum("nij,nji->n", heads, lasts), 1.0)
+    np.take(ops.swapaxes(1, 2), plan.lasts, axis=0, out=lasts, mode="clip")
+    traces = np.ones(traced + 1, dtype=complex)  # the last, 1, stands for a padded word
+    rows, cols = heads.reshape(traced, 1, -1), lasts.reshape(traced, -1, 1)
+    np.matmul(rows, cols, out=traces[:-1, None, None])
     coef = np.einsum("st,t->s", wg, traces[plan.odd_words].prod(axis=0))
     coef *= traces[plan.even_words].prod(axis=0)
-    return np.einsum("k,kij->ij", np.einsum("ks,s->k", plan.free_sums, coef), stack[:nodes])
+    w = np.einsum("ks,s->k", plan.free_sums, coef).view(float).reshape(nodes, 2).T
+    a, b = (w @ stack[:nodes].view(float).reshape(nodes, -1)).view(complex).reshape(2, d, d)
+    return a + 1j * b
 
 
 def fourth_moment_closed(x1, x2, x3, d: int) -> np.ndarray:

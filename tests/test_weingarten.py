@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from haarmoments.errors import DimensionError
-from haarmoments.linalg import RngStream
+from haarmoments.linalg import REAL_GEMM_CAP, RngStream
 from haarmoments.mc import empirical_moments
 from haarmoments.validate import sigma_ratio
 from haarmoments.weingarten import (
@@ -315,6 +315,9 @@ def test_moment_function_checks_dimensions_first():
         moment_function([np.eye(2)] * 3, 3)
     with pytest.raises(DimensionError):
         moment_function([np.ones((3, 2))], 3)
+    # every operator is checked before their count
+    with pytest.raises(DimensionError):
+        moment_function([np.eye(2)] * 2, 3)
     with pytest.raises(DimensionError, match="matrix dim 3 != d = 2"):
         fourth_moment_closed(np.eye(2), np.eye(3), np.eye(2), 2)
     # a d that is not an integer is refused, even where the operators fit it
@@ -323,6 +326,25 @@ def test_moment_function_checks_dimensions_first():
             moment_function([x], d)
     with pytest.raises(DimensionError, match="d must be >= 2 and an integer"):
         fourth_moment_closed(*[np.eye(2)] * 3, 2.0)
+
+
+def test_moment_function_takes_any_iterable(gen):
+    xs = [random_complex(gen, 3) for _ in range(5)]
+    want = moment_function(xs, 3)
+    np.testing.assert_array_equal(moment_function(tuple(xs), 3), want)
+    np.testing.assert_array_equal(moment_function((x for x in xs), 3), want)
+
+
+def test_moment_function_keeps_the_blas_rule():
+    # the open-word sum is one real GEMM of m n k = 4 nodes d^2, which
+    # OpenBLAS keeps on the calling thread within REAL_GEMM_CAP, and each
+    # trace is a dot product of d^2 entries, unthreaded at d^2 <= 1024
+    for m in range(1, 6):
+        nodes = len(_plan(m).free_sums)
+        for d in range(1, 33):
+            assert 4 * nodes * d * d <= REAL_GEMM_CAP, (m, d)
+            assert d * d <= 1024, (m, d)
+    assert 4 * len(_plan(5).free_sums) * 32**2 == 495_616
 
 
 def _reference_moment(xs, d):
