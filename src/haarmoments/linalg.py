@@ -232,27 +232,27 @@ def _gram_schmidt(z: np.ndarray) -> np.ndarray:
     elementwise ufuncs over the batch, the innermost axis, and no BLAS or
     LAPACK call.  Two passes give orthogonality at rounding level (Giraud,
     Langou, Rozloznik & van den Eshof, Numer. Math. 101, 87 (2005)); each
-    matrix's bits are independent of k."""
-    cols = z.transpose(2, 1, 0).copy()  # (column, row, sample)
-    q = np.empty_like(cols)
-    q_conj = np.empty_like(cols)
+    matrix's bits are independent of k.  The columns are orthonormalized in
+    place in one (column, row, sample) copy, and Q is written back into z,
+    which is returned."""
+    cols = z.transpose(2, 1, 0).copy()
     for j, v in enumerate(cols):
         for _ in range(2 if j else 0):
-            coeffs = _row_sum((q_conj[:j] * v).swapaxes(0, 1))
-            for term in q[:j] * coeffs[:, None, :]:
+            coeffs = _row_sum((cols[:j].conj() * v).swapaxes(0, 1))
+            for term in cols[:j] * coeffs[:, None, :]:
                 v -= term
-        norm = np.sqrt(_row_sum(v.real * v.real + v.imag * v.imag))
-        np.divide(v, norm, out=q[j])
-        np.conjugate(q[j], out=q_conj[j])
-    return np.ascontiguousarray(q.transpose(2, 1, 0))
+        v /= np.sqrt(_row_sum(v.real * v.real + v.imag * v.imag))
+    z[...] = cols.transpose(2, 1, 0)
+    return z
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from a (k, d, d) Ginibre stack: the Q of its QR factor
     with a positive R diagonal, which is unique (plain QR alone is not
-    Haar-distributed).  Up to GRAM_SCHMIDT_MAX_D it is ``_gram_schmidt``;
-    above, LAPACK QR, then the column phases conj(r_jj)/|r_jj|.  The two
-    agree to rounding, so the choice never changes the law."""
+    Haar-distributed).  Up to GRAM_SCHMIDT_MAX_D it is ``_gram_schmidt``,
+    which overwrites z with Q; above, LAPACK QR, then the column phases
+    conj(r_jj)/|r_jj|.  The two agree to rounding, so the choice never
+    changes the law."""
     if z.shape[-1] <= GRAM_SCHMIDT_MAX_D:
         return _gram_schmidt(z)
     q, r = np.linalg.qr(z)
@@ -262,24 +262,39 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
 
 
 def haar_batches(d: int, n: int, rng):
-    """n Haar-distributed d x d unitaries as an iterator of (k, d, d) stacks,
-    one per ``sub_batches`` slice of range(n): the package's one Haar sampler.
+    """n Haar-distributed d x d unitaries as an iterator of (k, d, d) stacks:
+    the package's one Haar sampler.
 
     Ginibre matrix -> the Q of its QR factor with a positive R diagonal
     (Mezzadri, Notices AMS 54, 592 (2007)), by ``_haar_from_ginibre``:
-    Gram-Schmidt up to GRAM_SCHMIDT_MAX_D, LAPACK QR above.  Each slice of
-    k matrices is its own Ginibre draw,
-    ``complex_normal(gen, (k, d, d))``, so nothing larger than one slice is
-    held.  When n fits in one slice there is one stack, taken as
-    ``(u,) = haar_batches(d, n, gen)``.  d < 1 is refused at the call,
-    before any draw.
+    Gram-Schmidt up to GRAM_SCHMIDT_MAX_D, LAPACK QR above.  rng is a
+    generator or an RngStream, or a list of (generator, count) pairs whose
+    counts add up to n.  From one generator, each ``sub_batches`` slice of
+    range(n) is its own Ginibre draw, ``complex_normal(gen, (k, d, d))``, and
+    its own stack, so nothing larger than one slice is held.  From a list,
+    each pair draws its count's block from its own generator, and the blocks
+    are factored as one stack, which the caller keeps within one slice.  The
+    factor works matrix by matrix, so either way each matrix has the bits of
+    its own block's draw factored alone.  When n fits in one slice there is
+    one stack, taken as ``(u,) = haar_batches(d, n, gen)``.  d < 1, or
+    counts that do not add up to n, are refused at the call, before any draw.
     """
     check_dim("d", d, 1)
-    gen = _as_generator(rng)
-    return (
-        _haar_from_ginibre(complex_normal(gen, (s.stop - s.start, d, d)))
-        for s in sub_batches(n, d)
-    )
+    if isinstance(rng, list):
+        if sum(count for _, count in rng) != n:
+            raise ValueError(f"the draws' counts do not add up to n = {n}")
+        blocks = [rng]
+    else:
+        gen = _as_generator(rng)
+        blocks = [[(gen, s.stop - s.start)] for s in sub_batches(n, d)]
+    return (_haar_from_ginibre(_ginibre(d, block)) for block in blocks)
+
+
+def _ginibre(d: int, draws) -> np.ndarray:
+    """One (k, d, d) stack of the Ginibre blocks that each (generator, count)
+    pair of draws takes from its own generator, in order."""
+    parts = [complex_normal(gen, (count, d, d)) for gen, count in draws]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def sample_gue_hamiltonians(d: int, n: int, rng) -> np.ndarray:

@@ -15,7 +15,9 @@ the third and fourth central sums.
 Sampling is chunked: chunk i uses the generator derived from
 (seed, stream, i), and per-chunk central moments are merged in chunk order, so
 results are bit-identical for any worker count and a constant offset of the
-samples does not cancel.
+samples does not cancel.  A worker task runs one chunk, except in the word
+kernel at 3 <= d <= ``linalg.GRAM_SCHMIDT_MAX_D``, whose tasks run two
+consecutive chunks on one Haar factor.
 
 Each chunk runs every stacked d x d step over ``linalg.sub_batches`` of
 WORD_CAP // d^2 samples: the Haar sampler's factor (Gram-Schmidt up to
@@ -26,7 +28,8 @@ each slice to its values as it is factored, so no chunk-sized complex stack
 exists: a worker holds temporaries of at most WORD_CAP entries each, about
 0.16 stacks at peak at d = 32.  The factor, LAPACK and BLAS work matrix by
 matrix, so every estimate is bit-identical to factoring and mapping the
-chunk's Ginibre stack, drawn slice by slice, at once.
+chunk's Ginibre stack, drawn slice by slice, at once, and the word kernel's
+estimates to factoring each chunk alone.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import (
+    GRAM_SCHMIDT_MAX_D,
     REAL_GEMM_CAP,
     WORD_CAP,
     BipartiteDims,
@@ -73,8 +77,9 @@ CHUNK = 1024
 # threads a matrix-vector product too: with two workers, the 1024 x 16 zgemv
 # of a purity chunk took 11 ms against 0.02 ms on one BLAS thread.  Small
 # matrix-vector products, here and in weingarten, are einsum: no BLAS call.
-# weingarten's BLAS calls are a real GEMM within REAL_GEMM_CAP and dot
-# products of at most 1024 entries, both on the calling thread.
+# weingarten's BLAS calls, a real GEMM within REAL_GEMM_CAP and dot products
+# of d^2 entries, stay on the calling thread for d <= 32; OpenBLAS threads
+# both at d = 128.
 GEMM_CAP = 2**15
 
 
@@ -106,22 +111,25 @@ class McMoments:
     def of(cls, x, variance: bool = False) -> McMoments:
         """Two passes over the samples on the first axis of x: the mean (of the
         offsets from the first sample, so a common offset never enters a sum),
-        then the central sums."""
+        then the central sums.  A float array x is reduced in place: its
+        samples are overwritten, so the caller hands over an array that
+        nothing reads afterwards."""
         x = np.asarray(x, dtype=float)
         n = x.shape[0]
-        dev = x - x[0]
-        # the same sum and division as dev.mean(axis=0), without its Python wrapper
-        shift = dev.sum(axis=0) / n
-        dev -= shift
-        mean = x[0] + shift
+        first = x[0].copy()
+        x -= first
+        # the same sum and division as x.mean(axis=0), without its Python wrapper
+        shift = x.sum(axis=0) / n
+        x -= shift
+        mean = first + shift
         if not variance:
-            dev *= dev
-            return cls(n, mean, dev.sum(axis=0))
-        power = dev * dev
+            x *= x
+            return cls(n, mean, x.sum(axis=0))
+        power = x * x
         m2 = power.sum(axis=0)
-        power *= dev
+        power *= x
         m3 = power.sum(axis=0)
-        power *= dev
+        power *= x
         return cls(n, mean, m2, m3, power.sum(axis=0))
 
     def merge(self, other: McMoments) -> McMoments:
@@ -177,30 +185,48 @@ def accumulate_chunks(
     workers: int | None = None,
     variance: bool = False,
     chunk_size: int = CHUNK,
+    task_chunks: int | None = None,
 ) -> list[McMoments]:
     """Moments of the samples chunk_fn(generator, count) draws over fixed-size chunks.
 
     chunk_fn returns an iterable of real per-sample arrays, samples on the
-    first axis.  Chunks hold ``chunk_size`` samples, the last one the rest.
-    Each chunk is reduced to McMoments in its worker; the chunks are merged
-    in chunk order, so the result is bit-identical for any worker count.
-    Returns one McMoments per array, with m3 and m4 only when ``variance``
-    is set.  n < 2 (no standard error) or not an integer is refused before any chunk runs.
+    first axis, which it hands over: each is reduced in place.  Chunks hold
+    ``chunk_size`` samples, the last one the rest, and chunk i draws from
+    ``rng.generator(i)``.  Each chunk is reduced to McMoments in its worker;
+    the chunks are merged in chunk order, so the result is bit-identical for
+    any worker count.  Returns one McMoments per array, with m3 and m4 only
+    when ``variance`` is set.  n < 2 (no standard error) or not an integer
+    is refused before any chunk runs.
+
+    Any integer ``task_chunks``, 1 included, switches chunk_fn to the task
+    form: a worker task holds that many consecutive chunks (the last task
+    the rest), and chunk_fn is called once per task with the list of its
+    chunks' (generator, count) pairs; it returns one iterable of arrays per
+    chunk, in chunk order, so that the chunks of a task can share work, such
+    as one Haar factor.  Every chunk is still reduced and merged on its own.
+    With ``task_chunks`` None, chunk_fn takes (generator, count) and runs
+    one chunk per task.  A ``task_chunks`` below 1 is refused.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"sample count must be >= 2 and an integer, got {n!r}")
+    if task_chunks is not None and task_chunks < 1:
+        raise ValueError(f"task_chunks must be >= 1, got {task_chunks!r}")
     sizes = [chunk_size] * (n // chunk_size)
     if n % chunk_size:
         sizes.append(n % chunk_size)
+    span, task_fn = task_chunks, chunk_fn
+    if task_chunks is None:
+        span, task_fn = 1, lambda draws: [chunk_fn(*draw) for draw in draws]
 
-    def run(i: int) -> list[McMoments]:
-        return [McMoments.of(x, variance) for x in chunk_fn(rng.generator(i), sizes[i])]
+    def run(start: int) -> list[list[McMoments]]:
+        draws = [(rng.generator(i), sizes[i]) for i in range(start, min(start + span, len(sizes)))]
+        return [[McMoments.of(x, variance) for x in part] for part in task_fn(draws)]
 
+    total = None
     with ThreadPoolExecutor(max_workers=worker_count(workers)) as executor:
-        parts = executor.map(run, range(len(sizes)))
-        total = next(parts)
-        for part in parts:
-            total = [a.merge(b) for a, b in zip(total, part)]
+        for task in executor.map(run, range(0, len(sizes), span)):
+            for part in task:
+                total = part if total is None else [a.merge(b) for a, b in zip(total, part)]
     return total
 
 
@@ -219,6 +245,13 @@ def word_sizes(d: int) -> tuple[int, int]:
     workers against 761 ms as blocks of 7 and 1.  Both depend on d alone,
     and s is at most one ``sub_batches`` slice, so a chunk's unitaries are
     one stack of ``haar_batches``.
+
+    Where the Haar factor is Gram-Schmidt (d <= GRAM_SCHMIDT_MAX_D),
+    ``empirical_moments`` runs whole chunks of s samples per worker task,
+    up to min(CHUNK, WORD_CAP // (4 d^2)) samples: 1 chunk at d <= 2 and 2
+    at d = 3..8.  The task's unitaries, at most a quarter of a slice, are
+    one stack of ``haar_batches`` too.  Above, LAPACK QR runs, and a task
+    holds one chunk.
     """
     samples = max(1, min(CHUNK, GEMM_CAP // d**3, WORD_CAP // (8 * d * d)))
     return samples, max(1, min(WORD_CAP // (samples * d * d), REAL_GEMM_CAP // (4 * d**3)))
@@ -253,6 +286,16 @@ def empirical_moments(
     patterns of one length usually share one block.  The chunk depends on d
     only, never on the pattern list, so each estimate is bit-identical to
     evaluating its pattern alone.
+
+    Where the Haar factor is Gram-Schmidt, a worker task runs a few
+    consecutive chunks (``word_sizes``), one above.  Each chunk draws its
+    Ginibre block from its own generator, the task factors the blocks as one
+    stack, and each chunk builds its words from its own slice of the
+    unitaries and keeps its own moments until the task ends.  The factor
+    works matrix by matrix, so each estimate is bit-identical to factoring
+    every chunk alone; with one factor per task, two workers pass the GIL
+    back and forth over fewer of the Gram-Schmidt factor's small
+    ufunc calls.
     """
     check_dim("d", d, 1)
     mats = [[as_matrix(x, d) for x in xs] for xs in patterns]
@@ -266,6 +309,10 @@ def empirical_moments(
     # k-th operators first
     order = sorted(range(len(mats)), key=lambda i: len(mats[i]))
     chunk_size, per_block = word_sizes(d)
+    # LAPACK QR scales on two workers, so only Gram-Schmidt is shared
+    task_chunks = 1
+    if d <= GRAM_SCHMIDT_MAX_D:
+        task_chunks = max(1, min(CHUNK, WORD_CAP // (4 * d * d)) // chunk_size)
     blocks, stacks = [], []
     for _, group in itertools.groupby(order, key=lambda i: len(mats[i])):
         group = list(group)
@@ -278,8 +325,8 @@ def empirical_moments(
     size = min(per_block, len(order)) * min(chunk_size, n) * d * d
     local = threading.local()
 
-    def chunk(gen: np.random.Generator, count: int):
-        (u,) = haar_batches(d, count, gen)
+    def chunk(u: np.ndarray):
+        count = len(u)
         # R(U^dag) is filled from U^dag, not taken as the transposed view of
         # R(U): that strided operand made a word's bits depend on its block
         # size at d = 1 and d = 16
@@ -303,7 +350,18 @@ def empirical_moments(
             # by the caller before the next block overwrites it
             yield u_out.reshape(count, -1)
 
-    merged = accumulate_chunks(chunk, n, rng, workers=workers, chunk_size=chunk_size)
+    def task(draws):
+        # one Haar factor for the task: each chunk draws its Ginibre block
+        # from its own generator and builds its words from its own slice
+        (u,) = haar_batches(d, sum(count for _, count in draws), draws)
+        start = 0
+        for _, count in draws:
+            yield chunk(u[start : start + count])
+            start += count
+
+    merged = accumulate_chunks(
+        task, n, rng, workers=workers, chunk_size=chunk_size, task_chunks=task_chunks
+    )
     estimates = [None] * len(order)
     for block, moments in zip(blocks, merged):
         est = moments.estimate()

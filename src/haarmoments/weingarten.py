@@ -241,8 +241,12 @@ def moment_function(xs, d: int) -> np.ndarray:
     so concurrent calls share nothing (DECISIONS.md).  Each trace is a dot
     product of d^2 entries, all in one batched matmul, and the open-word sum
     is one real GEMM, [Re w; Im w] against the float view of the nodes, of
-    m n k = 4 nodes d^2 <= 495,616 (m <= 5, d <= 32): OpenBLAS keeps both on
-    the calling thread (``linalg.REAL_GEMM_CAP``).  The Weingarten sum and
+    m n k = 4 nodes d^2.  OpenBLAS keeps the dots on the calling thread for
+    d <= 32 (d^2 <= 1024) and the GEMM within ``linalg.REAL_GEMM_CAP`` up to
+    d = 45 at m = 5 (495,616 at d = 32).  Larger d is computed all the same,
+    but OpenBLAS threads both calls: at d = 128, m = 5, the 113 dots took
+    1.8-2.2 ms against 3.8-4.5 ms on one BLAS thread with the other vCPU
+    idle, and 4.6-4.8 against 4.0-4.6 ms with it busy.  The Weingarten sum and
     the open-word weights are matrix-vector products, which OpenBLAS threads
     like a GEMM (an m = 5, d = 8 call took 8.0 ms instead of 1.7 ms, 2-vCPU
     Xeon, OpenBLAS 0.3.31), so they are ``einsum``.  Each stacked product is

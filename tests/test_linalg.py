@@ -176,6 +176,23 @@ def test_haar_bit_identical_to_ginibre_expression():
             assert np.array_equal(np.concatenate(got), expect), (d, n)
 
 
+def test_haar_task_stack_bit_identical_to_its_blocks_alone():
+    # a list of (generator, count) pairs is one stack, each block drawn from
+    # its own generator; each matrix has the bits of its block sampled alone,
+    # on either side of GRAM_SCHMIDT_MAX_D
+    for d in (1, 2, 3, 4, 8, 16, 32):
+        counts = [5, 5, 2] if d < 32 else [1, 1, 1]
+        draws = [(np.random.default_rng([84, d, i]), c) for i, c in enumerate(counts)]
+        (u,) = haar_batches(d, sum(counts), draws)
+        alone = [next(haar_batches(d, c, np.random.default_rng([84, d, i]))) for i, c in enumerate(counts)]
+        assert np.array_equal(u, np.concatenate(alone)), d
+    # counts that do not add up to n are refused before any draw
+    gen = np.random.default_rng(85)
+    with pytest.raises(ValueError, match="add up"):
+        haar_batches(4, 3, [(gen, 1), (gen, 1)])
+    assert np.array_equal(gen.standard_normal(2), np.random.default_rng(85).standard_normal(2))
+
+
 def _lapack_haar(z):
     # Mezzadri's route: LAPACK QR, then the column phases conj(r_jj)/|r_jj|
     q, r = np.linalg.qr(z)
@@ -191,8 +208,10 @@ def test_small_d_factor_matches_lapack_and_calls_none(monkeypatch):
     # 1.2e-15 by LAPACK (d = 10); the bounds leave a margin of 14x and 8x
     for d in range(1, GRAM_SCHMIDT_MAX_D + 3):
         z = complex_normal(np.random.default_rng([82, d]), (WORD_CAP // (d * d), d, d))
+        # the reference first: Gram-Schmidt overwrites z with Q
+        expect = _lapack_haar(z)
         q = _haar_from_ginibre(z)
-        assert np.max(np.abs(q - _lapack_haar(z))) <= 1e-12, d
+        assert np.max(np.abs(q - expect)) <= 1e-12, d
         assert np.max(np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(d))) <= 1e-14, d
 
     def refuse(*args, **kwargs):

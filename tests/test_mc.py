@@ -140,6 +140,97 @@ def test_word_estimate_independent_of_the_other_patterns(gen, d):
     assert np.array_equal(single.stderr, mixed.stderr), d
 
 
+# chunks per word-kernel task: whole chunks up to min(CHUNK, WORD_CAP // (4 d^2))
+# samples where the Haar factor is Gram-Schmidt (d <= 8), one chunk above
+TASK_CHUNKS = {1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 8: 2, 16: 1, 32: 1}
+
+
+@pytest.mark.parametrize("d", sorted(TASK_CHUNKS))
+def test_multi_chunk_tasks_bit_identical_to_one_chunk_per_task(gen, d, monkeypatch):
+    # each chunk keeps its generator, count and moments inside a task that
+    # factors the Haar draws of all its chunks at once; the reference draws
+    # and factors every chunk alone.  n leaves both the last chunk (where it
+    # holds more than one sample) and the last task (where it holds more
+    # than one chunk) partial
+    span, (size, _) = TASK_CHUNKS[d], word_sizes(d)
+    chunks = 2 * span + max(1, span - 1)
+    n = (chunks - 1) * size + (size + 1) // 2
+    patterns = [[random_complex(gen, d) for _ in range(k)] for k in (3, 1, 5)]
+    tasks = []
+
+    def counted(d, n, rng):
+        tasks.append(n)
+        return haar_batches(d, n, rng)
+
+    monkeypatch.setattr(mc, "haar_batches", counted)
+    for workers in (1, 2):
+        tasks.clear()
+        shared = empirical_moments(patterns, d, n, RngStream(15, d), workers=workers)
+        starts = range(0, n, span * size)
+        assert sorted(tasks) == sorted(min(span * size, n - start) for start in starts), d
+        alone = _moments_one_pattern_at_a_time(patterns, d, n, RngStream(15, d), workers)
+        for a, b in zip(shared, alone, strict=True):
+            assert np.array_equal(a.mean, b.mean), (d, workers)
+            assert np.array_equal(a.stderr, b.stderr), (d, workers)
+
+
+def test_word_task_working_memory_is_bounded(gen, monkeypatch):
+    # traced peak of one word task on one worker, in WORD_CAP complex
+    # entries.  Besides the two word buffers and the R of the pattern stack
+    # (and the stack it is built from), the task draws, factors and embeds,
+    # and holds its chunks' mean and m2, in at most 1.75 WORD_CAP (1.55
+    # measured, at d = 32)
+    monkeypatch.setenv("HAARMOMENTS_THREADS", "1")
+    unit = WORD_CAP * np.dtype(complex).itemsize
+    for d in (2, 4, 8, 16, 32):
+        size, per_block = word_sizes(d)
+        n = max(2, TASK_CHUNKS[d] * size)
+        length = 3
+        patterns = [[random_complex(gen, d) for _ in range(length)] for _ in range(per_block)]
+        # entries per pattern and d^2: two buffers of `size` samples, and the
+        # R of the operators and their stack
+        parts = per_block * d * d * (2 * size + 3 * length)
+        empirical_moments(patterns, d, n, RngStream(16))
+        tracemalloc.start()
+        try:
+            empirical_moments(patterns, d, n, RngStream(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (parts / WORD_CAP + 1.75) * unit, (d, peak / unit)
+
+
+def _moments_of_a_copy(x, variance):
+    # McMoments.of's sums on a deviation array of its own, x left as it is
+    n = x.shape[0]
+    dev = x - x[0]
+    shift = dev.sum(axis=0) / n
+    dev -= shift
+    power = dev * dev
+    sums = [power.sum(axis=0)]
+    for _ in range(2 if variance else 0):
+        power *= dev
+        sums.append(power.sum(axis=0))
+    return x[0] + shift, sums
+
+
+@pytest.mark.parametrize("variance", [False, True])
+def test_in_place_moments_equal_a_reduction_of_a_copy(variance):
+    # McMoments.of overwrites the samples it reduces; its moments carry the
+    # bits of the same sums on a copy, a large common offset included
+    for offset in (0.0, 1e9):
+        for shape in ((1024, 4, 8), (455,), (1, 3)):
+            x = offset + np.random.default_rng([17, len(shape)]).standard_normal(shape)
+            mean, sums = _moments_of_a_copy(x, variance)
+            moments = mc.McMoments.of(x.copy(), variance)
+            assert moments.n == shape[0]
+            assert np.array_equal(moments.mean, mean), (offset, shape)
+            got = [moments.m2, moments.m3, moments.m4][: len(sums)]
+            for a, b in zip(got, sums, strict=True):
+                assert np.array_equal(a, b), (offset, shape)
+            assert (moments.m3 is None) == (not variance)
+
+
 def test_word_sizes_keep_the_blas_rule():
     # OpenBLAS threads a zgemm from m n k = 2^16 on (see mc.GEMM_CAP); past
     # d = 32 a single sample's d x d product is already above the cap, so
@@ -561,6 +652,34 @@ def test_accumulate_chunks_accepts_generator_chunks():
         assert a.n == b.n
         for field in ("mean", "m2", "m3", "m4"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def test_task_form_bit_identical_to_chunk_form():
+    # any integer task_chunks, 1 included, calls the function once per task
+    # with its chunks' (generator, count) pairs; each chunk is still reduced
+    # and merged on its own.  4 full chunks and a partial one, so at spans 2
+    # and 3 the last task is partial too
+    n = 4 * CHUNK + 5
+    spans = []
+
+    def task(draws):
+        spans.append(len(draws))
+        return [_offset_chunk(gen, count) for gen, count in draws]
+
+    chunked = accumulate_chunks(_offset_chunk, n, RngStream(36), workers=2, variance=True)
+    for span in (1, 2, 3):
+        spans.clear()
+        tasks = accumulate_chunks(task, n, RngStream(36), workers=2, variance=True, task_chunks=span)
+        assert sorted(spans) == sorted(min(span, 5 - start) for start in range(0, 5, span)), span
+        for a, b in zip(chunked, tasks, strict=True):
+            assert a.n == b.n
+            for field in ("mean", "m2", "m3", "m4"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), (span, field)
+    # a span below 1 is refused before any task runs
+    spans.clear()
+    with pytest.raises(ValueError, match="task_chunks must be >= 1"):
+        accumulate_chunks(task, n, RngStream(36), task_chunks=0)
+    assert spans == []
 
 
 def test_accumulate_chunks_exception_leaves_no_threads():

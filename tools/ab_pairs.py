@@ -19,7 +19,8 @@ pairs, the change first in odd ones, because the host's speed drifts over
 minutes.  Every run must pass; a failed run stops the tool.  The report
 gives, for each end-to-end metric of BENCHMARK.json, each side's median and
 quartiles over the pairs and the number of pairs in which the change was
-better.  A speed claim quotes this report, with the host it ran on.
+better.  A speed claim quotes this report, with the host it ran on; its
+header names the host, Python, numpy and the BLAS numpy was built with.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ def copy_worktree(root: Path, dest: Path) -> str:
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dest / name)
     return "working tree"
+
+
+def library_versions() -> str:
+    """numpy's version and its BLAS, read by the interpreter that runs the
+    benchmark, in a subprocess, so this tool itself imports no numpy."""
+    code = ("import numpy as np; blas = np.show_config(mode='dicts')['Build Dependencies']['blas'];"
+            " print(f\"numpy {np.__version__}, {blas['name']} {blas['version']}\")")
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    return done.stdout.strip()
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -121,7 +131,7 @@ def main() -> int:
               " alternating which side runs first")
         print(f"# base {base_name}; {labels[1]} {change_name}")
         print(f"# host {platform.machine()}, {os.cpu_count()} CPUs,"
-              f" Python {platform.python_version()},"
+              f" Python {platform.python_version()}, {library_versions()},"
               f" HAARMOMENTS_THREADS={os.environ.get('HAARMOMENTS_THREADS', 'unset')}")
         results: tuple[list[dict], list[dict]] = ([], [])
         for i in range(args.pairs):
